@@ -17,8 +17,7 @@ depth 1 strangles the overlap.
 
 import pytest
 
-from repro.energy import EnergyModel
-from repro.eval import measure_instance
+from repro.api import record_from_instance
 from repro.kernels.registry import KERNELS
 from repro.sim import CoreConfig
 
@@ -29,8 +28,8 @@ def _measure(name, variant, config=None, n=1024, block=64):
         instance = kernel_def.build_baseline(n)
     else:
         instance = kernel_def.build_copift(n, block=block)
-    return instance, measure_instance(instance, config=config,
-                                      check=False)
+    return instance, record_from_instance(instance, config=config,
+                                          check=False)
 
 
 class TestWritebackPortAblation:

@@ -18,11 +18,11 @@ fast but wrong is worthless.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import pytest
 
+from conftest import BENCH_PATH, record_section
 from repro.api import Sweep, Workload
 
 #: Homogeneous fleet: one kernel, 64 seeds, one lockstep cohort.
@@ -37,8 +37,6 @@ SCALAR_REPS = 2
 #: Acceptance floor (target is 5x); below it the guard xfails.
 FLOOR = 3.0
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_sim.json")
 
 
 def _workloads() -> list[Workload]:
@@ -93,14 +91,7 @@ def bench() -> dict:
     section = measure()
     # Merge, never overwrite: BENCH_sim.json also carries the scalar
     # engine's trajectory (test_sim_throughput.py).
-    data = {}
-    if os.path.exists(BENCH_PATH):
-        with open(BENCH_PATH) as handle:
-            data = json.load(handle)
-    data["batch_engine"] = section
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    record_section("batch_engine", section)
     return section
 
 

@@ -12,7 +12,8 @@ Shape assertions against the paper:
 import pytest
 
 from conftest import kernel_row
-from repro.eval import measure_kernel
+from repro.api import CoreBackend, pair
+from repro.eval import KernelMeasurement
 from repro.kernels.registry import KERNELS
 
 #: Paper Fig. 2a bar values (baseline, COPIFT).
@@ -26,10 +27,16 @@ PAPER_IPC = {
 }
 
 
+def _measure_pair(name: str, n: int) -> KernelMeasurement:
+    backend = CoreBackend()
+    return KernelMeasurement.from_records(
+        *(backend.run(w, check=True) for w in pair(name, n=n)))
+
+
 def test_measure_one_kernel(benchmark):
     """Times one paired measurement (the unit of Fig. 2 work)."""
     result = benchmark.pedantic(
-        measure_kernel, args=(KERNELS["expf"],),
+        _measure_pair, args=("expf",),
         kwargs={"n": 1024}, rounds=1, iterations=1)
     assert result.copift.ipc > 1.0
 

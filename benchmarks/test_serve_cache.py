@@ -16,11 +16,10 @@ numbers.
 
 from __future__ import annotations
 
-import json
-import os
 import tempfile
 import time
 
+from conftest import record_section
 from repro.api import Sweep, Workload
 from repro.kernels.registry import KERNELS
 from repro.serve import RunStore
@@ -32,8 +31,6 @@ N = 1024
 #: catching a cache path that quietly re-simulates.
 MAX_WARM_RATIO = 0.5
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_sim.json")
 
 
 def measure() -> dict:
@@ -70,11 +67,4 @@ class TestServeCache:
             payload = measure()
         assert payload["warm_ratio"] <= MAX_WARM_RATIO, payload
 
-        merged = {}
-        if os.path.exists(BENCH_PATH):
-            with open(BENCH_PATH) as handle:
-                merged = json.load(handle)
-        merged["serve_cache"] = payload
-        with open(BENCH_PATH, "w") as handle:
-            json.dump(merged, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        record_section("serve_cache", payload)

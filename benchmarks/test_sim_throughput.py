@@ -1,8 +1,9 @@
 """Simulator throughput benchmark: simulated instructions per second.
 
 Measures how fast the execution core retires *dynamic* instructions for
-all six Table-I kernels (both variants), and writes ``BENCH_sim.json``
-at the repo root so every PR leaves a throughput trajectory.
+all six Table-I kernels (both variants), and records it as the
+``sim_throughput`` section of ``BENCH_sim.json`` at the repo root so
+every PR leaves a throughput trajectory.
 
 Methodology: per (kernel, variant) cell the run is repeated
 :data:`REPS` times on freshly built instances and the best (minimum)
@@ -23,6 +24,7 @@ import time
 
 import pytest
 
+from conftest import BENCH_PATH, record_section
 from repro.kernels.registry import KERNELS
 
 #: Problem size per cell: large enough to be steady-state dominated.
@@ -30,9 +32,7 @@ N = 2048
 #: Repetitions per cell (best-of).
 REPS = 3
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_sim.json")
-BASELINE_PATH = os.path.join(_REPO_ROOT, "benchmarks",
+BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "BASELINE_sim.json")
 
 
@@ -97,16 +97,7 @@ def bench() -> dict:
         payload["speedup_vs_baseline"] = round(
             payload["total"]["instr_per_sec"]
             / baseline["total"]["instr_per_sec"], 3)
-    # The batch-engine benchmark merges its own section into the same
-    # file (see test_batch_throughput.py); carry it across rewrites.
-    if os.path.exists(BENCH_PATH):
-        with open(BENCH_PATH) as handle:
-            prior = json.load(handle)
-        if "batch_engine" in prior:
-            payload["batch_engine"] = prior["batch_engine"]
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    record_section("sim_throughput", payload)
     return payload
 
 
@@ -122,7 +113,7 @@ class TestSimThroughput:
     def test_bench_file_written(self, bench):
         with open(BENCH_PATH) as handle:
             on_disk = json.load(handle)
-        assert on_disk["total"] == bench["total"]
+        assert on_disk["sim_throughput"]["total"] == bench["total"]
 
     def test_deterministic_instruction_counts(self, bench):
         """Same cells, same dynamic instruction counts, every time."""

@@ -16,10 +16,10 @@ trajectory next to the simulator-speed one.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
+from conftest import BENCH_PATH, record_section
 from repro.kernels.common import MAIN_REGION
 from repro.kernels.registry import kernel
 from repro.soc import partition_soc_kernel
@@ -33,8 +33,6 @@ SCALE_N = 4096
 VECTOR_KERNELS = ("expf", "logf")
 MC_KERNELS = ("pi_lcg", "poly_xoshiro128p")
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_sim.json")
 
 
 def _cycles(name: str, variant: str, clusters: int, cores: int) -> int:
@@ -62,14 +60,7 @@ def bench() -> dict:
                 "speedup_4x4": round(one / four, 3),
             }
     payload = {"n": SCALE_N, "cells": cells}
-    merged = {}
-    if os.path.exists(BENCH_PATH):
-        with open(BENCH_PATH) as handle:
-            merged = json.load(handle)
-    merged["soc_scaling"] = payload
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(merged, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    record_section("soc_scaling", payload)
     return payload
 
 
@@ -103,7 +94,7 @@ def test_cells_written_to_bench_file(bench):
         on_disk = json.load(handle)
     assert on_disk["soc_scaling"]["cells"] == bench["cells"]
     # The simulator-throughput section survives the merge.
-    assert "total" in on_disk or "kernels" in on_disk
+    assert "sim_throughput" in on_disk
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +134,7 @@ def _drain_cells(clusters: int = 2, cores: int = 4) -> dict:
 def drain_bench() -> dict:
     payload = {"n": SCALE_N, "shape": "2x4",
                "cells": _drain_cells(2, 4)}
-    merged = {}
-    if os.path.exists(BENCH_PATH):
-        with open(BENCH_PATH) as handle:
-            merged = json.load(handle)
-    merged["writeback_drain"] = payload
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(merged, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    record_section("writeback_drain", payload)
     return payload
 
 

@@ -40,12 +40,10 @@ from .api import (
     Workload,
     parse_backend,
 )
-from .eval import measure_instance, measure_kernel
 from .kernels import KERNELS, kernel
 
 __version__ = "1.3.0"
 
 __all__ = ["KERNELS", "ClusterBackend", "CoreBackend", "RunRecord",
-           "SocBackend", "Sweep", "Workload", "kernel",
-           "measure_instance", "measure_kernel", "parse_backend",
+           "SocBackend", "Sweep", "Workload", "kernel", "parse_backend",
            "__version__"]

@@ -54,13 +54,14 @@ from .record import (
     StreamDetail,
 )
 from .sweep import Sweep
-from .workload import VARIANTS, Workload, pair
+from .workload import VARIANTS, CellError, Workload, pair
 
 __all__ = [
     "ArtifactRequest",
     "ArtifactResult",
     "ArtifactSpec",
     "Backend",
+    "CellError",
     "ClusterBackend",
     "ClusterDetail",
     "CoreBackend",

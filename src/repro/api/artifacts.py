@@ -26,7 +26,7 @@ from typing import Any, Callable
 #: CLI flags every artifact shares; per-artifact extra flags must not
 #: collide with these (or with each other).
 SHARED_FLAGS = ("--list", "--n", "--full", "--cores", "--jobs",
-                "--batch", "--out", "--json", "--trace", "--profile",
+                "--out", "--json", "--trace", "--profile",
                 "--cache-dir", "--no-cache", "--serve")
 
 
@@ -95,10 +95,6 @@ class ArtifactRequest:
     full: bool = False
     cores: tuple[int, ...] | None = None
     jobs: int = 1
-    #: ``Sweep(batch=...)`` value — ``None`` (scalar engine),
-    #: ``"auto"``, or an explicit lane count.  Only honoured by
-    #: artifacts registered with ``batched=True``.
-    batch: int | str | None = None
     extras: dict = field(default_factory=dict)
 
     def effective_n(self, default: int) -> int:
@@ -125,10 +121,6 @@ class ArtifactSpec:
     help: str = ""
     #: Whether the artifact's sweep honours ``--jobs`` sharding.
     sharded: bool = False
-    #: Whether the artifact's sweep honours ``--batch`` (vectorized
-    #: lockstep execution of bare-core cells).  Records are
-    #: byte-identical either way; the flag only changes throughput.
-    batched: bool = False
     #: Alternate CLI names resolving to this artifact (e.g. fig2a).
     aliases: tuple[str, ...] = ()
     #: Composites (all/report) are excluded from the ``all`` bundle.
@@ -162,7 +154,6 @@ def specs() -> list[ArtifactSpec]:
 
 
 def artifact(name: str, help: str = "", sharded: bool = False,
-             batched: bool = False,
              aliases: tuple[str, ...] = (),
              composite: bool = False, order: int = 100,
              flags: tuple[ExtraFlag, ...] = (),
@@ -188,7 +179,7 @@ def artifact(name: str, help: str = "", sharded: bool = False,
                     f"with a different definition"
                 )
         spec = ArtifactSpec(name=name, func=func, help=help,
-                            sharded=sharded, batched=batched,
+                            sharded=sharded,
                             aliases=tuple(aliases),
                             composite=composite, order=order,
                             flags=tuple(flags), observe=observe)
@@ -230,10 +221,6 @@ def sharded_names() -> list[str]:
     return [spec.name for spec in specs() if spec.sharded]
 
 
-def batched_names() -> list[str]:
-    return [spec.name for spec in specs() if spec.batched]
-
-
 def extra_flags() -> list[tuple[ExtraFlag, "ArtifactSpec"]]:
     """Every registered extra flag with its owning artifact."""
     return [(flag, spec) for spec in specs() for flag in spec.flags]
@@ -265,7 +252,6 @@ def describe_json() -> dict:
                 "help": spec.help,
                 "aliases": list(spec.aliases),
                 "sharded": spec.sharded,
-                "batched": spec.batched,
                 "composite": spec.composite,
                 "flags": [
                     {

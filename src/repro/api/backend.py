@@ -30,7 +30,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 from ..cluster import ClusterConfig, partition_kernel
-from ..energy import ClusterEnergyModel, EnergyModel, SocEnergyModel
+from ..energy import (
+    ClusterEnergyModel,
+    EnergyModel,
+    PowerReport,
+    SocEnergyModel,
+)
 from ..kernels.common import MAIN_REGION, KernelInstance
 from ..obs import ObsSink, aggregate_profile, core_profile
 from ..sim import CoreConfig
@@ -60,19 +65,37 @@ class Backend(Protocol):
         """
         ...
 
+    def validate(self, workload: Workload) -> None:
+        """Raise ``ValueError`` if *workload* cannot run here.
+
+        Builds (or partitions) the workload without simulating it, so
+        a sweep can reject bad cells before any cell runs.
+        """
+        ...
+
 
 def _obs_sink(obs) -> ObsSink | None:
     """The event sink behind the ``obs`` knob (None for bare truthy)."""
     return obs if isinstance(obs, ObsSink) else None
 
 
-def _cluster_profile_node(scope: str, cluster_result):
-    """Profile a ClusterRunResult: per-core leaves under one node."""
-    children = [
-        core_profile(f"{scope}/core{k}", r.region(MAIN_REGION))
-        for k, r in enumerate(cluster_result.core_results)
-    ]
-    return aggregate_profile(scope, children)
+def _region_record(kernel: str, variant: str, n: int, block: int | None,
+                   backend: str, region, total_cycles: int,
+                   power: PowerReport, **extra) -> RunRecord:
+    """A RunRecord of *region*: its cycles, issue counts and counters.
+
+    *extra* fills the optional fields (seed, profile, layer detail).
+    """
+    counters = region.counters
+    return RunRecord(
+        kernel=kernel, variant=variant, n=n, block=block,
+        backend=backend, cycles=region.cycles,
+        total_cycles=total_cycles,
+        int_instructions=counters.int_issued,
+        fp_instructions=counters.fp_issued,
+        ipc=region.ipc, counters=dict(vars(counters)), power=power,
+        **extra,
+    )
 
 
 def record_from_result(instance: KernelInstance, result,
@@ -91,28 +114,14 @@ def record_from_result(instance: KernelInstance, result,
     """
     model = energy_model or EnergyModel()
     region = result.region(MAIN_REGION)
-    counters = region.counters
     power = model.report(
-        counters, region.cycles,
+        region.counters, region.cycles,
         dma_active=instance.dma_active,
         dma_bytes=instance.dma_bytes,
     )
-    return RunRecord(
-        kernel=instance.name,
-        variant=instance.variant,
-        n=instance.n,
-        block=instance.block,
-        seed=seed,
-        backend="core",
-        cycles=region.cycles,
-        total_cycles=result.cycles,
-        int_instructions=counters.int_issued,
-        fp_instructions=counters.fp_issued,
-        ipc=region.ipc,
-        counters=dict(vars(counters)),
-        power=power,
-        profile=profile,
-    )
+    return _region_record(instance.name, instance.variant, instance.n,
+                          instance.block, "core", region, result.cycles,
+                          power, seed=seed, profile=profile)
 
 
 def record_from_instance(instance: KernelInstance,
@@ -123,8 +132,7 @@ def record_from_instance(instance: KernelInstance,
                          obs=None) -> RunRecord:
     """Run an already-built instance on a bare core, as a RunRecord.
 
-    This is the single measurement path shared by :class:`CoreBackend`
-    and the legacy ``repro.eval.measure_instance`` shim.  See
+    The bare-core measurement path behind :class:`CoreBackend`.  See
     :meth:`Backend.run` for the ``obs`` knob.
     """
     result, _ = instance.run(config=config, check=check,
@@ -147,6 +155,9 @@ class CoreBackend:
     def spec(self) -> str:
         return "core"
 
+    def validate(self, workload: Workload) -> None:
+        workload.build()
+
     def run(self, workload: Workload, check: bool = False,
             obs=None) -> RunRecord:
         return record_from_instance(
@@ -156,8 +167,101 @@ class CoreBackend:
         )
 
 
+def price_cluster(result, workload, cycles: int, dma_active: bool,
+                  descriptors: str | None = None) -> PowerReport:
+    """Price one cluster's main-region activity over *cycles*.
+
+    *result* is the :class:`~repro.cluster.ClusterRunResult` of
+    *workload* (a :class:`~repro.cluster.ClusterWorkload`).  With
+    write-back off, DMA energy is priced on the kernels' *conceptual*
+    traffic (input staging + output drain), exactly as the single-core
+    energy model prices the same instances — the engine's measured
+    bytes cover only the staged inputs, which would make the 1-core
+    power column disagree with Fig. 2.  With write-back on, the drain
+    *is* simulated, so the engine's beat-accurate byte count is the
+    authoritative activity.  DMA descriptors are counted over region
+    *descriptors*, or over the whole run when it is None.  The bank
+    count is the cluster's own (one conflict tally per bank).
+    """
+    if workload.writeback:
+        dma_bytes = result.dma_bytes
+    else:
+        dma_bytes = sum(i.dma_bytes for i in workload.instances)
+    transfers = result.counters if descriptors is None \
+        else result.region(descriptors).counters
+    return ClusterEnergyModel().report(
+        result.region(MAIN_REGION).counters, cycles, workload.n_cores,
+        n_banks=len(result.tcdm_bank_conflicts),
+        tcdm_accesses=result.tcdm_accesses,
+        tcdm_conflict_cycles=result.tcdm_conflict_cycles,
+        dma_bytes=dma_bytes,
+        dma_transfers=transfers.dma_transfers,
+        barriers=result.barrier_count,
+        dma_active=dma_active,
+    )
+
+
+def _cluster_profile(scope: str, cluster_result):
+    """Profile a ClusterRunResult: per-core leaves under one node."""
+    children = [
+        core_profile(f"{scope}/core{k}", r.region(MAIN_REGION))
+        for k, r in enumerate(cluster_result.core_results)
+    ]
+    return aggregate_profile(scope, children)
+
+
+class _PartitionedBackend:
+    """The run, price and record tail shared by cluster and SoC backends.
+
+    A subclass states how its layer differs as data — :attr:`layer`
+    names it in errors and :attr:`descriptor_region` is the region its
+    DMA descriptors are priced over (``None``: the whole run) — and
+    through five small hooks: ``_partition`` (the partitioned workload
+    and the machine config it runs on), ``_clusters`` (each cluster's
+    result beside its workload), ``_power`` (the per-cluster reports
+    combined), ``_detail`` (the record's layer detail) and ``_profile``.
+    """
+
+    layer = ""
+    descriptor_region: str | None = None
+
+    def validate(self, workload: Workload) -> None:
+        self._prepare(workload)
+
+    def _prepare(self, workload: Workload) -> tuple:
+        if workload.seed is not None:
+            raise ValueError(
+                f"{self.layer} backends derive per-core seeds from the "
+                f"partitioner; build the workload with seed=None"
+            )
+        return self._partition(workload)
+
+    def run(self, workload: Workload, check: bool = False,
+            obs=None) -> RunRecord:
+        parted, config = self._prepare(workload)
+        result = parted.run(config=config,
+                            core_config=self.core_config, check=check,
+                            obs=_obs_sink(obs))
+        region = result.region(MAIN_REGION)
+        # Every cluster is priced over the whole makespan: it is
+        # powered for the whole region.
+        dma_active = any(i.dma_active for i in parted.instances)
+        reports = [price_cluster(cluster_result, cluster_workload,
+                                 region.cycles, dma_active,
+                                 descriptors=self.descriptor_region)
+                   for cluster_result, cluster_workload
+                   in self._clusters(parted, result)]
+        return _region_record(
+            workload.kernel, workload.variant, workload.n, parted.block,
+            self.spec, region, result.cycles,
+            self._power(reports, region.cycles, result),
+            profile=self._profile(result).to_json() if obs else None,
+            **self._detail(result),
+        )
+
+
 @dataclass(frozen=True)
-class ClusterBackend:
+class ClusterBackend(_PartitionedBackend):
     """An N-core cluster; the workload is statically chunked over it."""
 
     cores: int = 8
@@ -170,6 +274,8 @@ class ClusterBackend:
     #: traffic.
     writeback: bool = False
 
+    layer = "cluster"
+
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
@@ -179,84 +285,43 @@ class ClusterBackend:
         suffix = "+wb" if self.writeback else ""
         return f"cluster:{self.cores}{suffix}"
 
-    def run(self, workload: Workload, check: bool = False,
-            obs=None) -> RunRecord:
-        if workload.seed is not None:
-            raise ValueError(
-                "cluster backends derive per-core seeds from the "
-                "partitioner; build the workload with seed=None"
-            )
-        # ClusterWorkload.run resizes config.n_cores to the partition
-        # itself; only tcdm_banks is read here (for the power report).
-        config = self.config or ClusterConfig()
+    def _partition(self, workload: Workload) -> tuple:
+        # ClusterWorkload.run resizes config.n_cores to the partition.
         parted = partition_kernel(
             workload.kernel_def, workload.n, self.cores,
             variant=workload.variant, block=workload.block,
             writeback=self.writeback,
         )
-        result = parted.run(config=config,
-                            core_config=self.core_config, check=check,
-                            obs=_obs_sink(obs))
-        region = result.region(MAIN_REGION)
-        cycles = region.cycles
-        # With write-back off, DMA energy is priced on the kernels'
-        # *conceptual* traffic (input staging + output drain), exactly
-        # as the single-core energy model prices the same instances —
-        # the engine's measured bytes cover only the transfers the
-        # cluster actually models (staged inputs), which would make
-        # the 1-core power column disagree with Fig. 2.  With
-        # write-back on, the drain *is* simulated, so the engine's
-        # beat-accurate byte count is the authoritative activity.
-        if self.writeback:
-            priced_dma_bytes = result.dma_bytes
-        else:
-            priced_dma_bytes = sum(i.dma_bytes
-                                   for i in parted.instances)
-        power = ClusterEnergyModel().report(
-            region.counters, cycles, self.cores,
-            n_banks=config.tcdm_banks,
+        return parted, self.config or ClusterConfig()
+
+    def _clusters(self, parted, result) -> list[tuple]:
+        return [(result, parted)]
+
+    def _power(self, reports: list[PowerReport], cycles: int,
+               result) -> PowerReport:
+        return reports[0]
+
+    def _detail(self, result) -> dict:
+        return {"cluster": ClusterDetail(
+            cores=self.cores,
             tcdm_accesses=result.tcdm_accesses,
             tcdm_conflict_cycles=result.tcdm_conflict_cycles,
-            dma_bytes=priced_dma_bytes,
-            dma_transfers=result.counters.dma_transfers,
-            barriers=result.barrier_count,
-            dma_active=any(i.dma_active for i in parted.instances),
-        )
-        return RunRecord(
-            kernel=workload.kernel,
-            variant=workload.variant,
-            n=workload.n,
-            block=parted.block,
-            seed=None,
-            backend=self.spec,
-            cycles=cycles,
-            total_cycles=result.cycles,
-            int_instructions=region.counters.int_issued,
-            fp_instructions=region.counters.fp_issued,
-            ipc=region.ipc,
-            counters=dict(vars(region.counters)),
-            power=power,
-            cluster=ClusterDetail(
-                cores=self.cores,
-                tcdm_accesses=result.tcdm_accesses,
-                tcdm_conflict_cycles=result.tcdm_conflict_cycles,
-                tcdm_bank_conflicts=tuple(result.tcdm_bank_conflicts),
-                dma_bytes=result.dma_bytes,
-                dma_bytes_read=result.dma_bytes_read,
-                dma_bytes_written=result.dma_bytes_written,
-                dma_busy_cycles=result.dma_busy_cycles,
-                barrier_count=result.barrier_count,
-                core_cycles=tuple(r.cycles
-                                  for r in result.core_results),
-                writeback=self.writeback,
-            ),
-            profile=_cluster_profile_node(
-                "cluster0", result).to_json() if obs else None,
-        )
+            tcdm_bank_conflicts=tuple(result.tcdm_bank_conflicts),
+            dma_bytes=result.dma_bytes,
+            dma_bytes_read=result.dma_bytes_read,
+            dma_bytes_written=result.dma_bytes_written,
+            dma_busy_cycles=result.dma_busy_cycles,
+            barrier_count=result.barrier_count,
+            core_cycles=tuple(r.cycles for r in result.core_results),
+            writeback=self.writeback,
+        )}
+
+    def _profile(self, result):
+        return _cluster_profile("cluster0", result)
 
 
 @dataclass(frozen=True)
-class SocBackend:
+class SocBackend(_PartitionedBackend):
     """A C-cluster x M-core SoC sharing one L2 over the interconnect."""
 
     # Defaults mirror SocConfig/ClusterConfig (2 clusters of 8 cores),
@@ -271,6 +336,12 @@ class SocBackend:
     #: measured bytes.
     writeback: bool = False
 
+    layer = "SoC"
+    #: DMA descriptors are priced over the main region only; the
+    #: cluster backend prices the whole run's, staging prologue
+    #: included.
+    descriptor_region = MAIN_REGION
+
     def __post_init__(self) -> None:
         if self.clusters < 1:
             raise ValueError(
@@ -283,91 +354,49 @@ class SocBackend:
         suffix = "+wb" if self.writeback else ""
         return f"soc:{self.clusters}x{self.cores}{suffix}"
 
-    def run(self, workload: Workload, check: bool = False,
-            obs=None) -> RunRecord:
-        if workload.seed is not None:
-            raise ValueError(
-                "SoC backends derive per-core seeds from the "
-                "partitioner; build the workload with seed=None"
-            )
+    def _partition(self, workload: Workload) -> tuple:
         parted = partition_soc_kernel(
             workload.kernel_def, workload.n, self.clusters, self.cores,
             variant=workload.variant, block=workload.block,
             writeback=self.writeback,
         )
-        config = soc_config_for(parted, base=self.config)
-        result = parted.run(config=config,
-                            core_config=self.core_config, check=check,
-                            obs=_obs_sink(obs))
-        region = result.region(MAIN_REGION)
-        cycles = region.cycles
-        # Per-cluster activity priced by the cluster model over the SoC
-        # makespan (every cluster is powered for the whole region); DMA
-        # energy uses the kernels' conceptual traffic with write-back
-        # off and each channel's measured bytes with it on, exactly as
-        # the cluster backend prices it (see ClusterBackend.run).
-        model = SocEnergyModel()
-        dma_active = any(i.dma_active for i in parted.instances)
-        cluster_reports = []
-        for cluster_result, cluster_workload in zip(
-                result.cluster_results, parted.cluster_workloads):
-            cregion = cluster_result.region(MAIN_REGION)
-            if self.writeback:
-                cluster_dma_bytes = cluster_result.dma_bytes
-            else:
-                cluster_dma_bytes = sum(
-                    i.dma_bytes for i in cluster_workload.instances)
-            cluster_reports.append(model.cluster_model.report(
-                cregion.counters, cycles, self.cores,
-                n_banks=config.cluster.tcdm_banks,
-                tcdm_accesses=cluster_result.tcdm_accesses,
-                tcdm_conflict_cycles=cluster_result
-                .tcdm_conflict_cycles,
-                dma_bytes=cluster_dma_bytes,
-                dma_transfers=cregion.counters.dma_transfers,
-                barriers=cluster_result.barrier_count,
-                dma_active=dma_active,
-            ))
-        power = model.report(
-            cluster_reports, cycles,
+        return parted, soc_config_for(parted, base=self.config)
+
+    def _clusters(self, parted, result) -> list[tuple]:
+        return list(zip(result.cluster_results,
+                        parted.cluster_workloads))
+
+    def _power(self, reports: list[PowerReport], cycles: int,
+               result) -> PowerReport:
+        return SocEnergyModel().report(
+            reports, cycles,
             link_beats=sum(result.link_beats),
             link_stall_cycles=sum(result.link_stall_cycles),
             l2_bytes=result.l2_bytes_read + result.l2_bytes_written,
         )
-        return RunRecord(
-            kernel=workload.kernel,
-            variant=workload.variant,
-            n=workload.n,
-            block=parted.block,
-            seed=None,
-            backend=self.spec,
-            cycles=cycles,
-            total_cycles=result.cycles,
-            int_instructions=region.counters.int_issued,
-            fp_instructions=region.counters.fp_issued,
-            ipc=region.ipc,
-            counters=dict(vars(region.counters)),
-            power=power,
-            soc=SocDetail(
-                clusters=self.clusters,
-                cores_per_cluster=self.cores,
-                link_beats=tuple(result.link_beats),
-                link_stall_cycles=tuple(result.link_stall_cycles),
-                l2_bytes_read=result.l2_bytes_read,
-                l2_bytes_written=result.l2_bytes_written,
-                dma_bytes_read=result.dma_bytes_read,
-                dma_bytes_written=result.dma_bytes_written,
-                cluster_cycles=tuple(result.cluster_cycles),
-                cluster_dma_stall_cycles=tuple(
-                    result.cluster_dma_stall_cycles),
-                barrier_count=result.barrier_count,
-                writeback=self.writeback,
-            ),
-            profile=aggregate_profile("soc", [
-                _cluster_profile_node(f"soc/cluster{c}", cr)
-                for c, cr in enumerate(result.cluster_results)
-            ]).to_json() if obs else None,
-        )
+
+    def _detail(self, result) -> dict:
+        return {"soc": SocDetail(
+            clusters=self.clusters,
+            cores_per_cluster=self.cores,
+            link_beats=tuple(result.link_beats),
+            link_stall_cycles=tuple(result.link_stall_cycles),
+            l2_bytes_read=result.l2_bytes_read,
+            l2_bytes_written=result.l2_bytes_written,
+            dma_bytes_read=result.dma_bytes_read,
+            dma_bytes_written=result.dma_bytes_written,
+            cluster_cycles=tuple(result.cluster_cycles),
+            cluster_dma_stall_cycles=tuple(
+                result.cluster_dma_stall_cycles),
+            barrier_count=result.barrier_count,
+            writeback=self.writeback,
+        )}
+
+    def _profile(self, result):
+        return aggregate_profile("soc", [
+            _cluster_profile(f"soc/cluster{c}", cluster_result)
+            for c, cluster_result in enumerate(result.cluster_results)
+        ])
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ A :class:`Sweep` is the cross-product of workload specs and backend
 specs.  Its executor is the **only** sharding/batching site in the
 repo: every artifact fans its cells through :meth:`Sweep.run`, which
 
+* **validates** every cell (builds or partitions it) before any cell
+  simulates, so a bad cell raises one :class:`CellError` naming it;
 * preserves **input order** — results line up with :meth:`Sweep.cells`
   regardless of parallelism;
 * guarantees **determinism** — each cell's record depends only on the
@@ -29,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .backend import Backend, parse_backend
 from .record import RunRecord
-from .workload import Workload
+from .workload import CellError, Workload
 
 #: Target pool tasks per worker process.  More than one keeps the pool
 #: load-balanced when cell costs vary (big-n cells dominate sweeps);
@@ -167,6 +169,21 @@ class Sweep:
             if key is not None:
                 leaders[key] = i
             pending.append((i, w, b, check))
+
+        # Fail fast: a cell that cannot be built or partitioned raises
+        # here, before any cell simulates.  Seeds only change data, so
+        # cells differing only in seed are checked once.
+        checked = set()
+        for _, w, b, _ in pending:
+            shape = (w.kernel, w.variant, w.n, w.block, b.spec)
+            if shape in checked:
+                continue
+            checked.add(shape)
+            try:
+                b.validate(w)
+            except ValueError as exc:
+                raise CellError(f"{w.kernel}/{w.variant} n={w.n} on "
+                                f"{b.spec}: {exc}") from None
 
         lanes = resolve_batch(self.batch)
         scalar_pending = pending

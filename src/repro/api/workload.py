@@ -19,6 +19,11 @@ from ..kernels.registry import KERNELS, KernelDef
 VARIANTS = ("baseline", "copift")
 
 
+class CellError(ValueError):
+    """A workload that cannot run as specified, or not on its backend
+    (unknown kernel or variant, or a size or block that does not fit)."""
+
+
 @dataclass(frozen=True)
 class Workload:
     """One kernel build, described declaratively.
@@ -41,19 +46,19 @@ class Workload:
 
     def __post_init__(self) -> None:
         if self.kernel not in KERNELS:
-            raise ValueError(
+            raise CellError(
                 f"unknown kernel {self.kernel!r}; "
                 f"available: {sorted(KERNELS)}"
             )
         if self.variant not in VARIANTS:
-            raise ValueError(
+            raise CellError(
                 f"unknown variant {self.variant!r}; "
                 f"expected one of {VARIANTS}"
             )
         if self.n < 1:
-            raise ValueError(f"problem size must be >= 1, got {self.n}")
+            raise CellError(f"problem size must be >= 1, got {self.n}")
         if self.block is not None and self.block < 1:
-            raise ValueError(f"block must be >= 1, got {self.block}")
+            raise CellError(f"block must be >= 1, got {self.block}")
 
     @property
     def kernel_def(self) -> KernelDef:

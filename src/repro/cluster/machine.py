@@ -25,20 +25,18 @@ from dataclasses import dataclass, field
 
 from ..isa.program import Program
 from ..sim.config import CoreConfig
-from ..sim.counters import Counters, RegionMeasurement, RunResult
+from ..sim.counters import (
+    Counters,
+    RegionMeasurement,
+    RunResult,
+    makespan_region,
+    sum_counters,
+)
 from ..sim.machine import Machine, SimulationError
 from ..sim.memory import Memory
 from .config import ClusterConfig
 from .dma import ClusterDma
 from .tcdm import BankedTcdm
-
-
-def _sum_counters(parts: list[Counters]) -> Counters:
-    total = Counters()
-    for part in parts:
-        for name, value in vars(part).items():
-            setattr(total, name, getattr(total, name) + value)
-    return total
 
 
 @dataclass
@@ -79,18 +77,9 @@ class ClusterRunResult:
     def region(self, name: str) -> RegionMeasurement:
         """Cluster-level view of a marked region.
 
-        Cycles are the *makespan* (max over cores — cores enter a
-        region together modulo skew); counters are summed.
+        Cycles are the makespan over cores; counters are summed.
         """
-        parts = [r.regions[name] for r in self.core_results
-                 if name in r.regions]
-        if not parts:
-            raise KeyError(f"no region {name!r} on any core")
-        return RegionMeasurement(
-            name,
-            max(p.cycles for p in parts),
-            _sum_counters([p.counters for p in parts]),
-        )
+        return makespan_region(name, self.core_results, "on any core")
 
 
 class ClusterMachine:
@@ -275,10 +264,10 @@ class ClusterMachine:
         return ClusterRunResult(
             cycles=max(r.cycles for r in results),
             core_results=results,
-            counters=_sum_counters([r.counters for r in results]),
+            counters=sum_counters(r.counters for r in results),
             tcdm_accesses=self.tcdm.total_accesses,
             tcdm_conflict_cycles=self.tcdm.total_conflict_cycles,
-            tcdm_bank_conflicts=[s.conflict_cycles
+            tcdm_bank_conflicts=[s.stall_cycles
                                  for s in self.tcdm.stats],
             dma_bytes=self.dma.bytes_moved,
             dma_bytes_read=self.dma.bytes_read,

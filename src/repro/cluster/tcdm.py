@@ -23,20 +23,13 @@ Arbitration granularity follows the core model's structure:
 
 from __future__ import annotations
 
-from ..mem import StreamStats, stat_alias
+from ..mem import StreamStats
 
 
 class BankStats(StreamStats):
     """Per-bank activity — the TCDM's view of the shared
-    :class:`~repro.mem.StreamStats` shape.
-
-    ``accesses`` and ``conflict_cycles`` are the historical names for
-    ``grants`` and ``stall_cycles``; they alias the same storage, so
-    the two spellings can never diverge.
-    """
-
-    accesses = stat_alias("grants")
-    conflict_cycles = stat_alias("stall_cycles")
+    :class:`~repro.mem.StreamStats` shape: ``grants`` counts bank
+    accesses, ``stall_cycles`` bank-conflict cycles."""
 
 
 class BankedTcdm:
@@ -144,11 +137,11 @@ class BankedTcdm:
     # ------------------------------------------------------------------
     @property
     def total_accesses(self) -> int:
-        return sum(s.accesses for s in self.stats)
+        return sum(s.grants for s in self.stats)
 
     @property
     def total_conflict_cycles(self) -> int:
-        return sum(s.conflict_cycles for s in self.stats)
+        return sum(s.stall_cycles for s in self.stats)
 
     def conflict_rate(self) -> float:
         """Conflict cycles per access (0.0 when idle)."""

@@ -3,9 +3,9 @@ scaling artifacts (``clusterscale``, ``socscale``).
 
 Artifacts are built on the unified experiment API (:mod:`repro.api`):
 each module registers itself with ``@artifact(...)`` and runs its
-measurements through ``Workload``/``Backend``/``Sweep``.  The legacy
-``measure_instance``/``measure_kernel`` helpers remain as thin shims
-over :class:`repro.api.RunRecord`.
+measurements through ``Workload``/``Backend``/``Sweep``;
+:class:`KernelMeasurement` pairs a kernel's baseline and COPIFT
+records for the figures.
 """
 
 from .parallel import default_jobs, run_sharded
@@ -25,18 +25,12 @@ from . import (  # noqa: F401
 )
 from .runner import (
     KernelMeasurement,
-    VariantMeasurement,
     geomean,
-    measure_instance,
-    measure_kernel,
 )
 
 __all__ = [
     "KernelMeasurement",
-    "VariantMeasurement",
     "default_jobs",
     "geomean",
-    "measure_instance",
-    "measure_kernel",
     "run_sharded",
 ]

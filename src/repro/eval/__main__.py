@@ -5,7 +5,7 @@ Usage::
     python -m repro.eval --list [--json] [--out FILE]
     python -m repro.eval table1
     python -m repro.eval fig2 [--n 4096]
-    python -m repro.eval fig3 [--full] [--jobs N] [--batch auto|N]
+    python -m repro.eval fig3 [--full] [--jobs N]
     python -m repro.eval clusterscale [--n 4096] [--cores 1,2,4,8]
                                       [--jobs N] [--writeback on|off]
     python -m repro.eval socscale [--n 4096] [--clusters 1x4,2x4,4x4]
@@ -33,10 +33,7 @@ machine-readable JSON payload.
 ``--jobs N`` shards the simulation sweeps of the artifacts marked
 *sharded* in the registry over N host processes.  Sweeps are
 deterministic per cell, so the output is bit-identical for every N;
-the flag only changes wall-clock time.  ``--batch auto|N`` runs the
-bare-core cells of artifacts marked *batched* on the vectorized
-lockstep engine (:mod:`repro.sim.batch`) with the same guarantee:
-payloads are byte-identical for every ``--jobs``/``--batch`` combo.
+the flag only changes wall-clock time.
 
 **Caching**: artifact sweeps consult a content-addressed result store
 (:mod:`repro.serve`) per cell, so a warm re-run performs zero
@@ -55,30 +52,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..api import artifacts
+from ..api import CellError, artifacts
 from ..api.artifacts import ArtifactRequest, write_output
 
 # The package __init__ has already imported every artifact module,
 # registering the subcommands this dispatcher serves.
 from .parallel import default_jobs
-
-
-def _parse_batch(text: str) -> int | str:
-    if text == "auto":
-        return "auto"
-    try:
-        lanes = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"--batch expects 'auto' or a positive integer, "
-            f"got {text!r}"
-        ) from exc
-    if lanes < 1:
-        raise argparse.ArgumentTypeError(
-            f"--batch expects 'auto' or a positive integer, "
-            f"got {text!r}"
-        )
-    return lanes
 
 
 def _parse_cores(text: str) -> tuple[int, ...]:
@@ -127,15 +106,6 @@ def main(argv: list[str] | None = None) -> int:
                              "processes (sharded artifacts only; "
                              f"this host has {default_jobs()} CPUs). "
                              "Output is identical for every value.")
-    parser.add_argument("--batch", type=_parse_batch, default=None,
-                        metavar="auto|N",
-                        help="Run bare-core sweep cells on the "
-                             "vectorized lockstep batch engine "
-                             "('auto' or an explicit lane count; "
-                             "batched artifacts only).  Records are "
-                             "byte-identical to the scalar engine's; "
-                             "the flag only changes throughput and "
-                             "composes with --jobs.")
     parser.add_argument("--out", type=str, default=None,
                         help="Write the artifact to this file instead "
                              "of stdout (honoured by every artifact, "
@@ -197,7 +167,6 @@ def main(argv: list[str] | None = None) -> int:
                             ("--json", args.json),
                             ("--trace", args.trace is not None),
                             ("--profile", args.profile),
-                            ("--batch", args.batch is not None),
                             ("an artifact name",
                              args.artifact is not None)):
             if given:
@@ -240,12 +209,6 @@ def main(argv: list[str] | None = None) -> int:
             f"({', '.join(artifacts.sharded_names())}); artifact "
             f"{args.artifact!r} runs a single measurement"
         )
-    if args.batch is not None and not spec.batched:
-        parser.error(
-            f"--batch applies to batched sweeps only "
-            f"({', '.join(artifacts.batched_names())}); artifact "
-            f"{args.artifact!r} has no bare-core sweep cells"
-        )
     own_dests = {flag.dest for flag in spec.flags}
     extras = {}
     for dest, (flag, owners) in flag_owner.items():
@@ -275,12 +238,12 @@ def main(argv: list[str] | None = None) -> int:
 
     request = ArtifactRequest(n=args.n, full=args.full,
                               cores=args.cores, jobs=args.jobs,
-                              batch=args.batch, extras=extras)
+                              extras=extras)
     try:
         store = resolve_store(args.cache_dir, no_cache=args.no_cache)
         with use_store(store):
             result = spec.run(request)
-    except CacheError as exc:
+    except (CacheError, CellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text, payload = result.text, result.payload

@@ -10,15 +10,12 @@ model.  The 1-core column reproduces the single-``Machine`` measurement
 exactly (same program, same memory image).
 
 The sweep is one :class:`~repro.api.Sweep` of every (kernel, variant)
-workload over one :class:`~repro.api.ClusterBackend` per core count;
-cross-cell derived values (speedup, efficiency) are computed by the
-merger, which is what keeps the ``--jobs N`` payload bit-identical to
-the sequential one.
+workload over one :class:`~repro.api.ClusterBackend` per core count,
+run and merged by :func:`repro.eval.scaling.sweep_rows`.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, replace
 
 from ..api import (
@@ -34,6 +31,7 @@ from ..api import (
 from ..cluster import ClusterConfig
 from ..kernels.registry import KERNELS
 from ..sim import CoreConfig
+from .scaling import WRITEBACK_FLAG, parse_onoff, scale_payload, sweep_rows
 
 DEFAULT_CORES = (1, 2, 4, 8)
 
@@ -41,29 +39,6 @@ DEFAULT_CORES = (1, 2, 4, 8)
 #: 0 is the pathological all-cores-on-one-bank layout; the default
 #: :class:`~repro.cluster.ClusterConfig` ships 2.
 LAYOUT_STAGGERS = (0, 1, 2, 4, 8)
-
-
-def parse_onoff(text: str) -> bool:
-    """Parse an ``on``/``off`` flag value."""
-    value = text.strip().lower()
-    if value in ("on", "1", "true", "yes"):
-        return True
-    if value in ("off", "0", "false", "no"):
-        return False
-    raise argparse.ArgumentTypeError(
-        f"expected on|off, got {text!r}"
-    )
-
-
-#: Shared by ``clusterscale`` and ``socscale`` (one definition, two
-#: owners — the registry accepts identical flags on several artifacts).
-WRITEBACK_FLAG = ExtraFlag(
-    "--writeback",
-    help="simulate output write-back: drain kernel outputs to L2 "
-         "through the DMA, contending in the TCDM bank arbiter "
-         "(and SoC interconnect) like staging reads (default off)",
-    parse=parse_onoff, default=False, metavar="on|off",
-)
 
 
 @dataclass(frozen=True)
@@ -202,50 +177,35 @@ def generate(n: int = 4096, cores: tuple[int, ...] = DEFAULT_CORES,
     """
     cores = tuple(sorted(set(cores)))
     base_config = config or ClusterConfig()
-    workloads = [
-        Workload(kernel_def.name, variant, n=n)
-        for kernel_def in KERNELS.values()
-        for variant in ("baseline", "copift")
-    ]
     backends = [
         ClusterBackend(cores=n_cores, config=base_config,
                        core_config=core_config, writeback=writeback)
         for n_cores in cores
     ]
-    sweep = Sweep(workloads, backends=backends)
-    measured = iter(sweep.run(jobs=jobs, check=check))
 
-    rows = []
-    for kernel_def in KERNELS.values():
-        for variant in ("baseline", "copift"):
-            points = []
-            base_cycles = None
-            for n_cores in cores:
-                record: RunRecord = next(measured)
-                cycles = record.cycles
-                if base_cycles is None:
-                    base_cycles = cycles
-                speedup = base_cycles / cycles
-                detail = record.cluster
-                points.append(ScalePoint(
-                    cores=n_cores,
-                    cycles=cycles,
-                    speedup=speedup,
-                    efficiency=speedup * cores[0] / n_cores,
-                    tcdm_conflict_cycles=detail.tcdm_conflict_cycles,
-                    dma_bytes=detail.dma_bytes,
-                    barrier_count=detail.barrier_count,
-                    power_mw=record.power_mw,
-                    dma_bytes_read=detail.dma_bytes_read,
-                    dma_bytes_written=detail.dma_bytes_written,
-                ))
-            rows.append(ScaleRow(kernel_def.name, variant,
-                                 tuple(points)))
+    def point(record: RunRecord, speedup: float,
+              efficiency: float) -> ScalePoint:
+        detail = record.cluster
+        return ScalePoint(
+            cores=detail.cores,
+            cycles=record.cycles,
+            speedup=speedup,
+            efficiency=efficiency,
+            tcdm_conflict_cycles=detail.tcdm_conflict_cycles,
+            dma_bytes=detail.dma_bytes,
+            barrier_count=detail.barrier_count,
+            power_mw=record.power_mw,
+            dma_bytes_read=detail.dma_bytes_read,
+            dma_bytes_written=detail.dma_bytes_written,
+        )
+
+    rows = sweep_rows(n, backends, cores, point, ScaleRow, jobs=jobs,
+                      check=check)
     layout_rows = None
     if layout:
         layout_rows = layout_search(n, cores[-1], base_config,
                                     core_config=core_config, jobs=jobs)
-    return ClusterScaleData(tuple(rows), n=n, cores=tuple(cores),
+    return ClusterScaleData(rows, n=n, cores=cores,
                             writeback=writeback, layout=layout_rows)
 
 
@@ -305,39 +265,7 @@ def render(data: ClusterScaleData) -> str:
 
 
 def clusterscale_payload(data: ClusterScaleData) -> dict:
-    # The write-back fields ride along only when the mode is on, so a
-    # default sweep's payload stays byte-identical to pre-write-back
-    # goldens.
-    def point_json(p: ScalePoint) -> dict:
-        entry = {
-            "cores": p.cores,
-            "cycles": p.cycles,
-            "speedup": p.speedup,
-            "efficiency": p.efficiency,
-            "tcdm_conflict_cycles": p.tcdm_conflict_cycles,
-            "dma_bytes": p.dma_bytes,
-            "barrier_count": p.barrier_count,
-            "power_mw": p.power_mw,
-        }
-        if data.writeback:
-            entry["dma_bytes_read"] = p.dma_bytes_read
-            entry["dma_bytes_written"] = p.dma_bytes_written
-        return entry
-
-    payload = {
-        "n": data.n,
-        "cores": list(data.cores),
-        "rows": [
-            {
-                "kernel": row.name,
-                "variant": row.variant,
-                "points": [point_json(p) for p in row.points],
-            }
-            for row in data.rows
-        ],
-    }
-    if data.writeback:
-        payload["writeback"] = True
+    payload = scale_payload(data, "cores", list(data.cores))
     if data.layout is not None:
         # Rides along only when the search ran, mirroring the
         # write-back fields: default payloads stay golden-stable.

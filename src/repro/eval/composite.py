@@ -11,7 +11,7 @@ from ..api import artifacts
 from ..api.artifacts import ArtifactRequest, ArtifactResult, artifact, combine
 
 
-@artifact("all", sharded=True, batched=True, composite=True, order=50,
+@artifact("all", sharded=True, composite=True, order=50,
           help="every non-composite artifact, concatenated in order")
 def all_artifact(request: ArtifactRequest) -> ArtifactResult:
     results = [artifacts.get(name).run(request)

@@ -76,19 +76,13 @@ class Fig2Data:
 
 def generate(n: int = 4096, config: CoreConfig | None = None,
              energy_model: EnergyModel | None = None,
-             check: bool = False,
-             batch: int | str | None = None) -> Fig2Data:
-    """Measure all kernels and assemble the Figure-2 dataset.
-
-    ``batch`` is forwarded to :class:`Sweep` — lockstep vectorized
-    execution of the 12 bare-core cells, byte-identical records.
-    """
+             check: bool = False) -> Fig2Data:
+    """Measure all kernels and assemble the Figure-2 dataset."""
     backend = CoreBackend(config=config, energy_model=energy_model)
     workloads = [Workload(name, variant, n=n)
                  for name in KERNELS
                  for variant in ("baseline", "copift")]
-    records = Sweep(workloads, backends=(backend,),
-                    batch=batch).run(check=check)
+    records = Sweep(workloads, backends=(backend,)).run(check=check)
     pairs = {w.kernel: records[i:i + 2]
              for i, w in enumerate(workloads)
              if w.variant == "baseline"}
@@ -227,9 +221,8 @@ def observe_fig2(request: ArtifactRequest) -> tuple:
 
 
 @artifact("fig2", aliases=("fig2a", "fig2b", "fig2c"), order=20,
-          batched=True,
           help="Figure 2 IPC / power / speedup / energy, all kernels",
           observe=observe_fig2)
 def fig2_artifact(request: ArtifactRequest) -> ArtifactResult:
-    data = generate(n=request.effective_n(4096), batch=request.batch)
+    data = generate(n=request.effective_n(4096))
     return ArtifactResult("fig2", render(data), fig2_payload(data))

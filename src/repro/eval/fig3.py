@@ -14,8 +14,8 @@ The default sweep uses the paper's block sizes but scales problem sizes
 down 4x (Python cycle simulation is ~10^4 slower than QuestaSim on RTL
 farm hardware; the convergence behaviour is already fully visible).
 Pass ``full=True`` for the paper's exact grid.  The grid is one
-:class:`~repro.api.Sweep`, so ``jobs > 1`` shards (batched) cells over
-host processes with bit-identical output.
+:class:`~repro.api.Sweep`, so ``jobs > 1`` shards cells over host
+processes with bit-identical output.
 """
 
 from __future__ import annotations
@@ -79,15 +79,12 @@ def generate(block_sizes: tuple[int, ...] = DEFAULT_BLOCK_SIZES,
              problem_sizes: tuple[int, ...] = DEFAULT_PROBLEM_SIZES,
              kernel_name: str = "poly_lcg",
              config: CoreConfig | None = None,
-             full: bool = False, jobs: int = 1,
-             batch: int | str | None = None) -> Fig3Data:
+             full: bool = False, jobs: int = 1) -> Fig3Data:
     """Run the block/problem-size sweep.
 
     With ``jobs > 1`` the grid cells are sharded over host processes
     (each cell is one independent simulation); the grid is assembled in
-    sweep order and identical to a sequential run.  ``batch`` routes
-    the bare-core cells through the lockstep engine with the same
-    byte-identity guarantee, and composes with ``jobs``.
+    sweep order and identical to a sequential run.
     """
     if full:
         block_sizes = PAPER_BLOCK_SIZES
@@ -98,8 +95,7 @@ def generate(block_sizes: tuple[int, ...] = DEFAULT_BLOCK_SIZES,
         for n in problem_sizes
         for block in block_sizes
     ]
-    sweep = Sweep(workloads, backends=(CoreBackend(config=config),),
-                  batch=batch)
+    sweep = Sweep(workloads, backends=(CoreBackend(config=config),))
     measured = iter(sweep.run(jobs=jobs))
     ipc: dict[int, dict[int, float]] = {}
     for n in problem_sizes:
@@ -153,10 +149,9 @@ def observe_fig3(request: ArtifactRequest) -> tuple:
             CoreBackend())
 
 
-@artifact("fig3", sharded=True, batched=True, order=30,
+@artifact("fig3", sharded=True, order=30,
           help="Figure 3 poly_lcg IPC over the block/problem grid",
           observe=observe_fig3)
 def fig3_artifact(request: ArtifactRequest) -> ArtifactResult:
-    data = generate(full=request.full, jobs=request.jobs,
-                    batch=request.batch)
+    data = generate(full=request.full, jobs=request.jobs)
     return ArtifactResult("fig3", render(data), fig3_payload(data))

@@ -1,55 +1,15 @@
-"""Legacy measurement API: thin shims over :mod:`repro.api`.
+"""Paired-variant view over two :class:`repro.api.RunRecord` objects.
 
-Kept for backwards compatibility — the unified experiment API
-(:class:`repro.api.Workload` / backends / :class:`repro.api.RunRecord`)
-is the real measurement path; :func:`measure_instance` and
-:func:`measure_kernel` adapt it to the original
-:class:`VariantMeasurement` / :class:`KernelMeasurement` shapes that
-older callers (and the figure artifacts' paired-variant views) consume.
+The figure artifacts compare each kernel's baseline and COPIFT runs;
+:meth:`KernelMeasurement.from_records` pairs the two records and
+derives speedup, IPC gain, power increase and energy improvement.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from ..api.backend import record_from_instance
 from ..api.record import RunRecord
-from ..energy import EnergyModel, PowerReport
-from ..kernels.common import KernelInstance
-from ..kernels.registry import KernelDef
-from ..sim import CoreConfig
-
-
-@dataclass(frozen=True)
-class VariantMeasurement:
-    """One variant's steady-state numbers (view over a RunRecord)."""
-
-    variant: str
-    cycles: int
-    int_instructions: int
-    fp_instructions: int
-    ipc: float
-    power: PowerReport
-
-    @property
-    def power_mw(self) -> float:
-        return self.power.power_mw
-
-    @property
-    def energy_pj(self) -> float:
-        return self.power.total_energy_pj
-
-    @classmethod
-    def from_record(cls, record: RunRecord) -> "VariantMeasurement":
-        return cls(
-            variant=record.variant,
-            cycles=record.cycles,
-            int_instructions=record.int_instructions,
-            fp_instructions=record.fp_instructions,
-            ipc=record.ipc,
-            power=record.power,
-        )
 
 
 @dataclass(frozen=True)
@@ -59,8 +19,8 @@ class KernelMeasurement:
     name: str
     n: int
     block: int
-    baseline: VariantMeasurement
-    copift: VariantMeasurement
+    baseline: RunRecord
+    copift: RunRecord
 
     @property
     def speedup(self) -> float:
@@ -93,64 +53,9 @@ class KernelMeasurement:
                 f"({baseline.variant!r}, {copift.variant!r}), "
                 f"expected ('baseline', 'copift')"
             )
-        return cls(
-            name=baseline.kernel, n=baseline.n,
-            block=copift.block or 0,
-            baseline=VariantMeasurement.from_record(baseline),
-            copift=VariantMeasurement.from_record(copift),
-        )
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.eval.{name} is deprecated; use the unified experiment "
-        f"API instead ({replacement})",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def measure_instance(instance: KernelInstance,
-                     config: CoreConfig | None = None,
-                     energy_model: EnergyModel | None = None,
-                     check: bool = True) -> VariantMeasurement:
-    """Run one kernel instance and reduce it to steady-state numbers.
-
-    .. deprecated:: 1.3
-       Use :func:`repro.api.record_from_instance` (or a
-       :class:`repro.api.CoreBackend` over a ``Workload``).
-    """
-    _warn_deprecated("measure_instance",
-                     "repro.api.record_from_instance")
-    record = record_from_instance(instance, config=config,
-                                  energy_model=energy_model,
-                                  check=check)
-    return VariantMeasurement.from_record(record)
-
-
-def measure_kernel(kernel_def: KernelDef, n: int = 4096,
-                   block: int | None = None,
-                   config: CoreConfig | None = None,
-                   energy_model: EnergyModel | None = None,
-                   check: bool = True) -> KernelMeasurement:
-    """Measure baseline + COPIFT variants of one kernel.
-
-    .. deprecated:: 1.3
-       Use :class:`repro.api.Workload` pairs over
-       :class:`repro.api.CoreBackend` (see
-       :meth:`KernelMeasurement.from_records`).
-    """
-    _warn_deprecated("measure_kernel",
-                     "repro.api.Workload + repro.api.CoreBackend")
-    block = block or kernel_def.default_block
-    baseline = record_from_instance(
-        kernel_def.build_baseline(n), config=config,
-        energy_model=energy_model, check=check,
-    )
-    copift = record_from_instance(
-        kernel_def.build_copift(n, block=block), config=config,
-        energy_model=energy_model, check=check,
-    )
-    return KernelMeasurement.from_records(baseline, copift)
+        return cls(name=baseline.kernel, n=baseline.n,
+                   block=copift.block or 0, baseline=baseline,
+                   copift=copift)
 
 
 def geomean(values: list[float]) -> float:

@@ -11,12 +11,10 @@ energy model.  The 1x4 column reproduces the standalone 4-core cluster
 measurement exactly (one cluster, uncontended link).
 
 The sweep is one :class:`~repro.api.Sweep` of every (kernel, variant)
-workload over one :class:`~repro.api.SocBackend` per shape;
-cross-cell derived values (speedup, efficiency) are computed by the
-merger, which is what keeps the ``--jobs N`` payload bit-identical to
-the sequential one.  The shape list is overridable per invocation with
-the artifact-specific ``--clusters`` flag (e.g. ``--clusters
-1x4,2x8``).
+workload over one :class:`~repro.api.SocBackend` per shape, run and
+merged by :func:`repro.eval.scaling.sweep_rows`.  The shape list is
+overridable per invocation with the artifact-specific ``--clusters``
+flag (e.g. ``--clusters 1x4,2x8``).
 """
 
 from __future__ import annotations
@@ -30,14 +28,12 @@ from ..api import (
     ExtraFlag,
     RunRecord,
     SocBackend,
-    Sweep,
     Workload,
     artifact,
 )
-from ..kernels.registry import KERNELS
 from ..sim import CoreConfig
 from ..soc import SocConfig
-from .clusterscale import WRITEBACK_FLAG
+from .scaling import WRITEBACK_FLAG, scale_payload, sweep_rows
 
 #: Swept (clusters, cores-per-cluster) shapes.
 DEFAULT_SHAPES = ((1, 4), (2, 4), (4, 4), (2, 8))
@@ -84,14 +80,6 @@ class SocScalePoint:
     #: byte-identical).
     dma_bytes_read: int = 0
     dma_bytes_written: int = 0
-
-    @property
-    def total_cores(self) -> int:
-        return self.clusters * self.cores
-
-    @property
-    def shape(self) -> str:
-        return f"{self.clusters}x{self.cores}"
 
 
 @dataclass(frozen=True)
@@ -140,51 +128,32 @@ def generate(n: int = 4096,
     contending on the interconnect and in the TCDM bank arbiters.
     """
     shapes = tuple(shapes)
-    workloads = [
-        Workload(kernel_def.name, variant, n=n)
-        for kernel_def in KERNELS.values()
-        for variant in ("baseline", "copift")
-    ]
     backends = [
         SocBackend(clusters=clusters, cores=cores, config=config,
                    core_config=core_config, writeback=writeback)
         for clusters, cores in shapes
     ]
-    sweep = Sweep(workloads, backends=backends)
-    measured = iter(sweep.run(jobs=jobs, check=check))
 
-    base_cores = shapes[0][0] * shapes[0][1]
-    rows = []
-    for kernel_def in KERNELS.values():
-        for variant in ("baseline", "copift"):
-            points = []
-            base_cycles = None
-            for clusters, cores in shapes:
-                record: RunRecord = next(measured)
-                cycles = record.cycles
-                if base_cycles is None:
-                    base_cycles = cycles
-                speedup = base_cycles / cycles
-                detail = record.soc
-                points.append(SocScalePoint(
-                    clusters=clusters,
-                    cores=cores,
-                    cycles=cycles,
-                    speedup=speedup,
-                    efficiency=speedup * base_cores
-                    / (clusters * cores),
-                    link_stall_cycles=sum(detail.link_stall_cycles),
-                    dma_stall_cycles=sum(
-                        detail.cluster_dma_stall_cycles),
-                    l2_bytes=detail.l2_bytes_read
-                    + detail.l2_bytes_written,
-                    power_mw=record.power_mw,
-                    dma_bytes_read=detail.dma_bytes_read,
-                    dma_bytes_written=detail.dma_bytes_written,
-                ))
-            rows.append(SocScaleRow(kernel_def.name, variant,
-                                    tuple(points)))
-    return SocScaleData(tuple(rows), n=n, shapes=shapes,
+    def point(record: RunRecord, speedup: float,
+              efficiency: float) -> SocScalePoint:
+        detail = record.soc
+        return SocScalePoint(
+            clusters=detail.clusters,
+            cores=detail.cores_per_cluster,
+            cycles=record.cycles,
+            speedup=speedup,
+            efficiency=efficiency,
+            link_stall_cycles=sum(detail.link_stall_cycles),
+            dma_stall_cycles=sum(detail.cluster_dma_stall_cycles),
+            l2_bytes=detail.l2_bytes_read + detail.l2_bytes_written,
+            power_mw=record.power_mw,
+            dma_bytes_read=detail.dma_bytes_read,
+            dma_bytes_written=detail.dma_bytes_written,
+        )
+
+    rows = sweep_rows(n, backends, [c * m for c, m in shapes], point,
+                      SocScaleRow, jobs=jobs, check=check)
+    return SocScaleData(rows, n=n, shapes=shapes,
                         writeback=writeback)
 
 
@@ -231,41 +200,7 @@ def render(data: SocScaleData) -> str:
 
 
 def socscale_payload(data: SocScaleData) -> dict:
-    # The write-back fields ride along only when the mode is on, so a
-    # default sweep's payload stays byte-identical to pre-write-back
-    # goldens.
-    def point_json(p: SocScalePoint) -> dict:
-        entry = {
-            "clusters": p.clusters,
-            "cores": p.cores,
-            "cycles": p.cycles,
-            "speedup": p.speedup,
-            "efficiency": p.efficiency,
-            "link_stall_cycles": p.link_stall_cycles,
-            "dma_stall_cycles": p.dma_stall_cycles,
-            "l2_bytes": p.l2_bytes,
-            "power_mw": p.power_mw,
-        }
-        if data.writeback:
-            entry["dma_bytes_read"] = p.dma_bytes_read
-            entry["dma_bytes_written"] = p.dma_bytes_written
-        return entry
-
-    payload = {
-        "n": data.n,
-        "shapes": [list(s) for s in data.shapes],
-        "rows": [
-            {
-                "kernel": row.name,
-                "variant": row.variant,
-                "points": [point_json(p) for p in row.points],
-            }
-            for row in data.rows
-        ],
-    }
-    if data.writeback:
-        payload["writeback"] = True
-    return payload
+    return scale_payload(data, "shapes", [list(s) for s in data.shapes])
 
 
 def observe_socscale(request: ArtifactRequest) -> tuple:

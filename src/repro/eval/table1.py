@@ -90,14 +90,12 @@ def measured_model(kernel_def: KernelDef, n: int = 2048,
 
 
 def generate(n: int = 2048,
-             config: CoreConfig | None = None,
-             batch: int | str | None = None) -> list[Table1Row]:
+             config: CoreConfig | None = None) -> list[Table1Row]:
     """All Table-I rows, in the paper's order."""
     workloads = [Workload(name, variant, n=n)
                  for name in KERNELS
                  for variant in ("baseline", "copift")]
-    sweep = Sweep(workloads, backends=(CoreBackend(config=config),),
-                  batch=batch)
+    sweep = Sweep(workloads, backends=(CoreBackend(config=config),))
     records = iter(sweep.run())
     rows = []
     for kernel_def in KERNELS.values():
@@ -186,11 +184,11 @@ def observe_table1(request: ArtifactRequest) -> tuple:
     return Workload("expf", "copift", n=n), CoreBackend()
 
 
-@artifact("table1", order=10, batched=True,
+@artifact("table1", order=10,
           help="Table I kernel characteristics (mixes, TI, I', S')",
           observe=observe_table1)
 def table1_artifact(request: ArtifactRequest) -> ArtifactResult:
     n = clamp_n(request.n) if request.n is not None else MAX_MEASURE_N
-    rows = generate(n=n, batch=request.batch)
+    rows = generate(n=n)
     payload = {"n": n, **table1_payload(rows)}
     return ArtifactResult("table1", render(rows), payload)

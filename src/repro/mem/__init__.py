@@ -9,7 +9,7 @@ One transfer model for every level of the hierarchy:
 * :class:`Direction` / :class:`Transfer` — per-stream READ (input
   staging) vs WRITE (output write-back) classification and the queued
   transfer record.
-* :class:`StreamStats` (alias :data:`XferStats`) — the shared
+* :class:`StreamStats` — the shared
   grants/transfers/stalls shape behind the cluster's ``BankStats``
   and the SoC's ``LinkStats``.
 """
@@ -21,7 +21,7 @@ from .engine import (
     Transfer,
     TransferEngine,
 )
-from .stats import StreamStats, XferStats, stat_alias
+from .stats import StreamStats
 
 __all__ = [
     "DMA_REQUESTOR",
@@ -30,6 +30,4 @@ __all__ = [
     "StreamStats",
     "Transfer",
     "TransferEngine",
-    "XferStats",
-    "stat_alias",
 ]

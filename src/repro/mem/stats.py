@@ -3,35 +3,15 @@
 Every arbitrated resource in the hierarchy counts the same three
 things: how many grants it issued (bank accesses, link beats), how many
 transfer descriptors it served, and how many cycles arbitration added
-versus the requester's own uncontended schedule.  Before this module
-the cluster's ``BankStats`` and the SoC's ``LinkStats`` mirrored each
-other field-for-field under different names; both are now views over
-one :class:`StreamStats` dataclass, with the historical names kept as
-read/write aliases (``accesses``/``conflict_cycles`` on banks,
-``beats`` on links) so existing callers and payload producers keep
-working unchanged.
+versus the requester's own uncontended schedule.  The cluster's
+``BankStats``, the SoC's ``LinkStats`` and the traffic layer's
+``QosClassStats`` are all views over one :class:`StreamStats`
+dataclass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-
-
-def stat_alias(field_name: str) -> property:
-    """A read/write property forwarding to a :class:`StreamStats` field.
-
-    Subclasses use this to keep their historical field names
-    (``BankStats.accesses`` == ``StreamStats.grants``) without storing
-    the value twice — the alias and the canonical field can never
-    diverge because there is only one attribute underneath.
-    """
-    def fget(self: "StreamStats") -> int:
-        return getattr(self, field_name)
-
-    def fset(self: "StreamStats", value: int) -> None:
-        setattr(self, field_name, value)
-
-    return property(fget, fset, doc=f"Alias of ``{field_name}``.")
 
 
 @dataclass
@@ -54,8 +34,3 @@ class StreamStats:
     def field_names(self) -> tuple[str, ...]:
         """Canonical field names (for sync tests and serializers)."""
         return tuple(f.name for f in fields(self))
-
-
-#: Historical spelling used while the stats shapes were being unified;
-#: both names refer to the same class.
-XferStats = StreamStats

@@ -21,8 +21,7 @@ One instrumentation layer spans the whole machine hierarchy:
 * :class:`MetricsRegistry` names the derived measurements every
   artifact shares.
 * :class:`TraceEvent` / :func:`render_timeline` are the per-core
-  issue timeline formerly in ``repro.sim.trace`` (now a deprecated
-  shim over this package).
+  issue timeline.
 
 Everything here is import-cycle-free by design: no module under
 ``repro.obs`` imports from the rest of the repo.

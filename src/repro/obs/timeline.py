@@ -1,8 +1,6 @@
 """Per-core issue tracing and dual-issue timeline rendering.
 
-This is the successor of ``repro.sim.trace`` (which now re-exports
-from here with a deprecation warning).  Enable with
-:meth:`Machine.enable_trace` — or, for whole hierarchies,
+Enable with :meth:`Machine.enable_trace` — or, for whole hierarchies,
 :meth:`ClusterMachine.enable_trace` / :meth:`SocMachine.enable_trace`
 — before running; every issue event (integer core, FP dispatch, FPSS
 issue, sequencer replay) is recorded with its cycle.

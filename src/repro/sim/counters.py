@@ -151,6 +151,37 @@ class RegionMeasurement:
         return self.counters.total_issued / self.cycles
 
 
+def sum_counters(parts) -> Counters:
+    """Field-wise sum of several :class:`Counters`."""
+    total = Counters()
+    for part in parts:
+        for name, value in vars(part).items():
+            setattr(total, name, getattr(total, name) + value)
+    return total
+
+
+def makespan_region(name: str, results, where: str) -> RegionMeasurement:
+    """Hierarchy-level view of region *name* over several results.
+
+    Cycles are the *makespan* (max over the parts that ran the region —
+    parts enter a region together modulo skew); counters are summed.
+    *where* completes the error raised when no part ran the region.
+    """
+    parts = []
+    for result in results:
+        try:
+            parts.append(result.region(name))
+        except KeyError:
+            continue
+    if not parts:
+        raise KeyError(f"no region {name!r} {where}")
+    return RegionMeasurement(
+        name,
+        max(p.cycles for p in parts),
+        sum_counters(p.counters for p in parts),
+    )
+
+
 @dataclass
 class RunResult:
     """Result of one complete program simulation."""

@@ -30,21 +30,18 @@ from ..cluster.machine import ClusterMachine, ClusterRunResult
 from ..cluster.partition import L2_BASE
 from ..mem import Transfer, TransferEngine
 from ..sim.config import CoreConfig
-from ..sim.counters import Counters, RegionMeasurement
+from ..sim.counters import (
+    Counters,
+    RegionMeasurement,
+    makespan_region,
+    sum_counters,
+)
 from .config import SocConfig
 from .interconnect import SocInterconnect
 from .l2 import L2Memory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.config import ClusterConfig
-
-
-def _sum_counters(parts: list[Counters]) -> Counters:
-    total = Counters()
-    for part in parts:
-        for name, value in vars(part).items():
-            setattr(total, name, getattr(total, name) + value)
-    return total
 
 
 class SocDmaChannel(TransferEngine):
@@ -157,19 +154,8 @@ class SocRunResult:
     def region(self, name: str) -> RegionMeasurement:
         """SoC-level view of a marked region (makespan + summed
         counters), mirroring :meth:`ClusterRunResult.region`."""
-        parts = []
-        for r in self.cluster_results:
-            try:
-                parts.append(r.region(name))
-            except KeyError:
-                continue
-        if not parts:
-            raise KeyError(f"no region {name!r} in any cluster")
-        return RegionMeasurement(
-            name,
-            max(p.cycles for p in parts),
-            _sum_counters([p.counters for p in parts]),
-        )
+        return makespan_region(name, self.cluster_results,
+                               "in any cluster")
 
 
 class SocMachine:
@@ -271,8 +257,8 @@ class SocMachine:
         return SocRunResult(
             cycles=max(r.cycles for r in results),
             cluster_results=results,
-            counters=_sum_counters([r.counters for r in results]),
-            link_beats=[s.beats for s in stats],
+            counters=sum_counters(r.counters for r in results),
+            link_beats=[s.grants for s in stats],
             link_stall_cycles=[s.stall_cycles for s in stats],
             l2_bytes_read=self.l2.bytes_read,
             l2_bytes_written=self.l2.bytes_written,

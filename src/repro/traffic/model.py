@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..api.backend import price_cluster
 from ..cluster import ClusterConfig, partition_kernel
 from ..cluster.machine import ClusterMachine
-from ..energy import ClusterEnergyModel
 from ..kernels.common import MAIN_REGION
 from ..kernels.registry import kernel
 from ..mem import TransferEngine
@@ -110,16 +110,11 @@ def build_profile(cls: PriorityClass, cores: int,
         for instance, machine in zip(parted.instances, cluster.cores):
             instance.verify(instance.memory, machine)
     region = result.region(MAIN_REGION)
-    power = ClusterEnergyModel().report(
-        region.counters, result.cycles, cores,
-        n_banks=config.tcdm_banks,
-        tcdm_accesses=result.tcdm_accesses,
-        tcdm_conflict_cycles=result.tcdm_conflict_cycles,
-        dma_bytes=result.dma_bytes,
-        dma_transfers=result.counters.dma_transfers,
-        barriers=result.barrier_count,
-        dma_active=any(i.dma_active for i in parted.instances),
-    )
+    # Priced over the whole run: a request holds its cluster from
+    # start to drain fence.
+    power = price_cluster(
+        result, parted, result.cycles,
+        dma_active=any(i.dma_active for i in parted.instances))
     return RequestProfile(
         name=cls.name,
         kernel=cls.kernel,

@@ -311,7 +311,7 @@ def simulate(scenario: TrafficScenario,
         cres.queue_cycles_sum += done.queue_cycles
         cres.service_cycles_sum += done.service_cycles
     for index, stats in enumerate(arbiter.stats):
-        result.classes[index].qos_beats = stats.beats
+        result.classes[index].qos_beats = stats.grants
         result.classes[index].qos_stall_cycles = stats.stall_cycles
     return result
 

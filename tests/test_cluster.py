@@ -53,8 +53,8 @@ class TestBankedTcdm:
         assert t.access(0, 0x0, 4, 10) == 10
         assert t.access(1, 0x0, 4, 10) == 11
         bank = t.bank_of(0, 0x0)
-        assert t.stats[bank].conflict_cycles == 1
-        assert t.stats[bank].accesses == 2
+        assert t.stats[bank].stall_cycles == 1
+        assert t.stats[bank].grants == 2
         assert t.total_conflict_cycles == 1
 
     def test_same_core_shares_its_port(self):

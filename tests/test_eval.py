@@ -2,21 +2,29 @@
 
 import pytest
 
-from repro.eval import geomean, measure_kernel
+from repro.api import CoreBackend, pair
+from repro.eval import KernelMeasurement, geomean
 from repro.eval import fig2, fig3, table1
 from repro.kernels.registry import KERNELS, kernel
 
 
+def _measure(name, n, block):
+    backend = CoreBackend()
+    baseline, copift = pair(name, n=n, block=block)
+    return KernelMeasurement.from_records(
+        backend.run(baseline, check=True), backend.run(copift, check=True))
+
+
 class TestRunner:
-    def test_measure_kernel_pairs_variants(self):
-        m = measure_kernel(kernel("pi_lcg"), n=512, block=64)
+    def test_records_pair_variants(self):
+        m = _measure("pi_lcg", n=512, block=64)
         assert m.baseline.variant == "baseline"
         assert m.copift.variant == "copift"
         assert m.speedup > 1.0
         assert m.copift.ipc > m.baseline.ipc
 
     def test_power_and_energy_fields(self):
-        m = measure_kernel(kernel("pi_lcg"), n=512, block=64)
+        m = _measure("pi_lcg", n=512, block=64)
         assert 30.0 < m.baseline.power_mw < 55.0
         assert m.energy_improvement > 1.0
 
@@ -29,26 +37,6 @@ class TestRunner:
     def test_unknown_kernel(self):
         with pytest.raises(KeyError, match="unknown kernel"):
             kernel("fft")
-
-    def test_measure_kernel_warns_deprecated_once(self):
-        with pytest.warns(DeprecationWarning) as record:
-            measure_kernel(kernel("pi_lcg"), n=256, block=32)
-        messages = [w for w in record
-                    if "measure_kernel is deprecated" in
-                    str(w.message)]
-        assert len(messages) == 1
-        assert "repro.api" in str(messages[0].message)
-
-    def test_measure_instance_warns_deprecated_once(self):
-        from repro.eval import measure_instance
-
-        with pytest.warns(DeprecationWarning) as record:
-            measure_instance(kernel("pi_lcg").build_baseline(256))
-        messages = [w for w in record
-                    if "measure_instance is deprecated" in
-                    str(w.message)]
-        assert len(messages) == 1
-        assert "record_from_instance" in str(messages[0].message)
 
 
 class TestRegistry:

@@ -5,15 +5,12 @@ import json
 
 import pytest
 
-from repro.api import artifacts
+from repro.api import CoreBackend, Workload, artifacts, write_output
 from repro.eval import clusterscale, fig3, socscale, table1
 from repro.eval.__main__ import main
-from repro.eval.io import (
-    clusterscale_payload,
-    socscale_payload,
-    table1_payload,
-    write_output,
-)
+from repro.eval.clusterscale import clusterscale_payload
+from repro.eval.socscale import socscale_payload
+from repro.eval.table1 import table1_payload
 from repro.eval.parallel import (
     default_jobs,
     run_sharded,
@@ -32,12 +29,9 @@ class TestClusterScaleArtifact:
         assert len(names) == 12
 
     def test_one_core_column_matches_single_machine(self, data):
-        from repro.eval import measure_kernel
-        from repro.kernels.registry import kernel
-
         row = data.row("pi_lcg", "baseline")
-        m = measure_kernel(kernel("pi_lcg"), n=512)
-        assert row.point(1).cycles == m.baseline.cycles
+        record = CoreBackend().run(Workload("pi_lcg", "baseline", n=512))
+        assert row.point(1).cycles == record.cycles
 
     def test_speedup_positive_and_bounded(self, data):
         for row in data.rows:
@@ -186,6 +180,22 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit):
             main(["socscale", "--clusters", "0x4"])
         assert ">= 1x1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["clusterscale", "--n", "500", "--cores", "3"],
+         "problem size 500 does not chunk evenly over 3 cores"),
+        (["socscale", "--n", "100", "--clusters", "3x3"],
+         "does not chunk evenly over 3 clusters x 3 cores"),
+        (["table1", "--n", "0"], "problem size must be >= 1, got 0"),
+        (["fig2", "--n", "100"], "n must be a multiple of block"),
+    ], ids=["clusterscale", "socscale", "table1", "fig2"])
+    def test_bad_size_is_one_line_error(self, argv, message, capsys):
+        assert main([*argv, "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
 
     def test_jobs_one_accepted_everywhere(self, tmp_path):
         # --jobs 1 is the sequential default and is valid for any

@@ -40,7 +40,8 @@ def collect() -> dict:
     """Measure everything the golden file locks in."""
     from repro.energy import EnergyModel
     from repro.eval import clusterscale, socscale
-    from repro.eval.io import clusterscale_payload, socscale_payload
+    from repro.eval.clusterscale import clusterscale_payload
+    from repro.eval.socscale import socscale_payload
     from repro.kernels.common import MAIN_REGION
     from repro.kernels.registry import KERNELS
 

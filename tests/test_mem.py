@@ -1,7 +1,7 @@
 """Unified memory-traffic engine tests.
 
-Covers the shared :class:`~repro.mem.StreamStats` shape (and its
-compatibility aliases on ``BankStats``/``LinkStats``), the
+Covers the shared :class:`~repro.mem.StreamStats` shape behind
+``BankStats``/``LinkStats``, the
 :class:`~repro.mem.TransferEngine` timing model both thin
 configurations reduce to, its zero-byte / misaligned edge-case
 errors, the write-back bank-claim path, and the shared
@@ -20,7 +20,6 @@ from repro.mem import (
     StreamStats,
     Transfer,
     TransferEngine,
-    XferStats,
 )
 from repro.sim.memory import MemoryError_
 from repro.soc import L2Memory, LinkStats, SocInterconnect
@@ -32,41 +31,21 @@ L2 = L2_WINDOW_BASE
 class TestStreamStatsUnification:
     """The BankStats/LinkStats mirroring collapses to one dataclass."""
 
-    def test_xferstats_is_streamstats(self):
-        assert XferStats is StreamStats
-
     def test_bank_and_link_stats_share_the_shape(self):
         assert issubclass(BankStats, StreamStats)
         assert issubclass(LinkStats, StreamStats)
         assert BankStats().field_names() == LinkStats().field_names() \
             == ("grants", "transfers", "stall_cycles")
 
-    def test_bank_aliases_stay_in_sync(self):
-        stats = BankStats()
-        stats.accesses += 3
-        stats.conflict_cycles += 7
-        assert stats.grants == 3 and stats.stall_cycles == 7
-        stats.grants += 1
-        assert stats.accesses == 4
-
-    def test_link_alias_stays_in_sync(self):
-        stats = LinkStats()
-        stats.beats += 5
-        assert stats.grants == 5
-        stats.grants += 2
-        assert stats.beats == 7
-
     def test_arbiters_fill_the_shared_fields(self):
         tcdm = BankedTcdm(n_banks=4, bank_stagger_words=0)
         tcdm.access(0, 0, 4, 0)
         tcdm.access(1, 0, 4, 0)          # same bank, same cycle
         assert tcdm.stats[0].grants == 2
-        assert tcdm.stats[0].accesses == 2
         assert tcdm.total_conflict_cycles == 1
         link = SocInterconnect(n_clusters=1)
         link.transfer(0, 4, 0)
         assert link.stats[0].grants == 4
-        assert link.stats[0].beats == 4
         assert link.stats[0].transfers == 1
 
 
@@ -288,7 +267,7 @@ class TestPluggableArbiter:
         free = TransferEngine(bandwidth=8, setup_latency=16,
                               arbiter=link_only.transfer)
         assert done > free.start(0, 0x0, L2, 64, now=0)
-        assert link.stats[0].beats == 8  # the link still granted all
+        assert link.stats[0].grants == 8  # the link still granted all
 
 
 class TestL2MemoryExhaustion:

@@ -48,7 +48,7 @@ class TestSocInterconnect:
     def test_uncontended_one_beat_per_cycle(self):
         link = SocInterconnect(n_clusters=2)
         assert link.transfer(0, nbeats=4, start=100) == 104
-        assert link.stats[0].beats == 4
+        assert link.stats[0].grants == 4
         assert link.stats[0].stall_cycles == 0
 
     def test_zero_beats_is_free(self):
@@ -169,19 +169,31 @@ class TestSocDmaChannel:
             == fast.start(0, 0x0, 0x80000, 64, now=0) + 20
 
 
+def _one_cluster_cells():
+    for variant in ("baseline", "copift"):
+        for name in sorted(KERNELS):
+            for writeback in (False, True):
+                suffix = "-wb" if writeback else ""
+                yield pytest.param(variant, name, writeback,
+                                   id=f"{variant}-{name}{suffix}")
+
+
 class TestOneClusterInvariant:
     """A 1-cluster SoC (default, uncontended interconnect) must be
     cycle-identical to the equivalent bare ClusterMachine — the
-    acceptance invariant, asserted for all six kernels."""
+    acceptance invariant, asserted for all six kernels with and
+    without simulated write-back."""
 
-    @pytest.mark.parametrize("name", sorted(KERNELS))
-    @pytest.mark.parametrize("variant", ("baseline", "copift"))
-    def test_cycle_identical_to_cluster(self, name, variant):
+    @pytest.mark.parametrize("variant, name, writeback",
+                             _one_cluster_cells())
+    def test_cycle_identical_to_cluster(self, variant, name, writeback):
         kd = kernel(name)
-        cluster_result = partition_kernel(kd, 512, 4, variant=variant)\
+        cluster_result = partition_kernel(kd, 512, 4, variant=variant,
+                                          writeback=writeback)\
             .run(check=True)
         soc_result = partition_soc_kernel(kd, 512, 1, 4,
-                                          variant=variant)\
+                                          variant=variant,
+                                          writeback=writeback)\
             .run(check=True)
         assert soc_result.cycles == cluster_result.cycles
         assert vars(soc_result.counters) \
@@ -189,6 +201,8 @@ class TestOneClusterInvariant:
         assert soc_result.region(MAIN_REGION).cycles \
             == cluster_result.region(MAIN_REGION).cycles
         assert soc_result.dma_bytes == cluster_result.dma_bytes
+        assert soc_result.dma_bytes_written \
+            == cluster_result.dma_bytes_written
         assert soc_result.barrier_count \
             == cluster_result.barrier_count
         assert sum(soc_result.link_stall_cycles) == 0

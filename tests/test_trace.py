@@ -118,20 +118,3 @@ class TestRendering:
         text = render_timeline(events, start=10, end=12)
         assert "10" in text and "11" in text
         assert "     13" not in text
-
-
-class TestDeprecatedShim:
-    def test_sim_trace_warns_and_reexports(self):
-        """``repro.sim.trace`` still works but points at repro.obs."""
-        import importlib
-        import sys
-        import warnings
-
-        sys.modules.pop("repro.sim.trace", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.import_module("repro.sim.trace")
-        assert any(issubclass(w.category, DeprecationWarning)
-                   and "repro.obs" in str(w.message) for w in caught)
-        assert shim.TraceEvent is TraceEvent
-        assert shim.render_timeline is render_timeline
