@@ -12,15 +12,24 @@ cores with the shared-resource timing models of this package:
 Execution is event-driven: the driver repeatedly steps the core whose
 integer issue timeline is furthest behind, so cores advance roughly in
 lock-step simulated time and shared-resource claims line up with the
-cycles they model.  Functional state is per-core — each core binds its
-own program over its own (or an explicitly shared) memory image — which
-keeps correctness independent of the stepping interleave; only *timing*
-couples the cores.  With a single core and no DMA/barrier instructions
-the composition is cycle-identical to a bare ``Machine`` run.
+cycles they model.  The runnable cores sit in a heap keyed
+``(int_time, core_id)`` — ties break by core id — and only the stepped
+core's key is replaced, since a step moves no other core's clock.  A
+core parked at a barrier leaves the heap for a side list but still
+holds the cluster's clock: :attr:`ClusterMachine.laggard_time` is the
+minimum over the heap top and the parked cores.  Once every unfinished
+core is parked, the next step releases the barrier and pushes the
+parked cores back at the release time.  Functional state is per-core —
+each core binds its own program over its own (or an explicitly shared)
+memory image — which keeps correctness independent of the stepping
+interleave; only *timing* couples the cores.  With a single core and
+no DMA/barrier instructions the composition is cycle-identical to a
+bare ``Machine`` run.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from ..isa.program import Program
@@ -112,8 +121,15 @@ class ClusterMachine:
         self.barrier_count = 0
         #: Index within an enclosing SocMachine (0 standalone).
         self.cluster_id = 0
-        self._active: list[Machine] = []
+        #: Runnable cores as ``(int_time, core_id)``; its top is the
+        #: next core to step.
+        self._heap: list[tuple[int, int]] = []
+        #: Cores parked at the pending barrier, and their minimum
+        #: ``int_time`` (None while none is parked).
+        self._parked: list[Machine] = []
+        self._parked_time: int | None = None
         self._finished: list[Machine] = []
+        self._scheds: list = []
         self._bound = False
         #: Structured-event sink (repro.obs.ObsSink); None when off.
         self.obs = None
@@ -182,11 +198,11 @@ class ClusterMachine:
     def _release_barrier(self, waiting: list[Machine],
                          finished: list[Machine]) -> None:
         if finished:
-            names = [m.core_id for m in waiting]
             raise SimulationError(
-                f"barrier mismatch: cores {names} wait at a barrier "
-                f"that cores {[m.core_id for m in finished]} exited "
-                f"the program without reaching"
+                f"barrier mismatch: cores "
+                f"{sorted(m.core_id for m in waiting)} wait at a barrier "
+                f"that cores {sorted(m.core_id for m in finished)} "
+                f"exited the program without reaching"
             )
         release = max(m.barrier_arrival for m in waiting) \
             + self.config.barrier_latency
@@ -212,13 +228,18 @@ class ClusterMachine:
             # Cores sharing one Program object share its decode: the
             # DecodedProgram cache rides on the Program itself.
             machine.bind(program, max_steps)
-        self._active = [m for m in self.cores]
+        self._scheds = [m.sched for m in self.cores]
+        self._heap = [(sched.int_time, k)
+                      for k, sched in enumerate(self._scheds)]
+        heapq.heapify(self._heap)
+        self._parked = []
+        self._parked_time = None
         self._finished = []
         self._bound = True
 
     @property
     def finished(self) -> bool:
-        return self._bound and not self._active
+        return self._bound and not self._heap and not self._parked
 
     @property
     def laggard_time(self) -> int:
@@ -227,10 +248,15 @@ class ClusterMachine:
         Barrier-parked cores keep their arrival-time clock, so a fully
         parked cluster reports the time its pending release resolves
         around — which is what an enclosing SoC driver should order on.
+        A finished cluster reports its latest core's issue time.
         """
-        if not self._active:
-            return max((m.sched.int_time for m in self.cores), default=0)
-        return min(m.sched.int_time for m in self._active)
+        parked = self._parked_time
+        if self._heap:
+            top = self._heap[0][0]
+            return top if parked is None or top <= parked else parked
+        if parked is not None:
+            return parked
+        return max((m.sched.int_time for m in self.cores), default=0)
 
     def step(self) -> bool:
         """Advance the cluster by one dynamic instruction (or one
@@ -241,22 +267,37 @@ class ClusterMachine:
         Machine facade's delegating properties (this loop runs once per
         dynamic instruction).
         """
-        active = self._active
-        if not active:
-            return False
-        runnable = [m for m in active if not m.sched.barrier_wait]
-        if not runnable:
-            self._release_barrier(active, self._finished)
+        heap = self._heap
+        if not heap:
+            parked = self._parked
+            if not parked:
+                return False
+            self._release_barrier(parked, self._finished)
+            for machine in parked:
+                heapq.heappush(heap, (machine.sched.int_time,
+                                      machine.core_id))
+            self._parked = []
+            self._parked_time = None
             return True
         # Step the core furthest behind on its issue timeline so
-        # shared-resource claims happen in (approximate) cycle
-        # order.  Ties break by core id: deterministic.
-        machine = min(runnable,
-                      key=lambda m: (m.sched.int_time, m.core_id))
-        if not machine.sched.step():
-            active.remove(machine)
-            self._finished.append(machine)
-        return bool(active)
+        # shared-resource claims happen in (approximate) cycle order;
+        # ties break by core id.  A step moves only the stepped core's
+        # int_time (a release only the parked cores'), so every other
+        # key in the heap stays exact.
+        k = heap[0][1]
+        sched = self._scheds[k]
+        if not sched.step():
+            heapq.heappop(heap)
+            self._finished.append(self.cores[k])
+        elif sched.barrier_wait:
+            heapq.heappop(heap)
+            self._parked.append(self.cores[k])
+            parked = self._parked_time
+            if parked is None or sched.int_time < parked:
+                self._parked_time = sched.int_time
+        else:
+            heapq.heapreplace(heap, (sched.int_time, k))
+        return bool(heap or self._parked)
 
     def result(self) -> ClusterRunResult:
         """Aggregate measurements of everything executed so far."""

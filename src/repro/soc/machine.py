@@ -14,15 +14,22 @@ Execution is event-driven the same way a cluster steps its cores: the
 driver repeatedly steps the *cluster* whose laggard core is furthest
 behind in simulated time, and that cluster in turn steps its own
 laggard core — so interconnect claims line up with the cycles they
-model across the whole SoC.  Functional state stays per-core, exactly
-as in the cluster layer, so correctness is independent of the stepping
-interleave; only timing couples the clusters.  With a single cluster
-and the default (uncontended) interconnect the composition is
-cycle-identical to a bare ``ClusterMachine``.
+model across the whole SoC.  The clusters sit in a heap keyed
+``(laggard_time, cluster_id)`` — ties break by cluster id — and the
+stepped cluster's key is replaced after every step, since stepping one
+cluster moves no other cluster's clock.  Inside the cluster the core
+order is ``(int_time, core_id)``, and barrier-parked cores hold their
+cluster's laggard clock (see :mod:`repro.cluster.machine`).
+Functional state stays per-core, exactly as in the cluster layer, so
+correctness is independent of the stepping interleave; only timing
+couples the clusters.  With a single cluster and the default
+(uncontended) interconnect the composition is cycle-identical to a
+bare ``ClusterMachine``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -241,17 +248,25 @@ class SocMachine:
         if not self.clusters:
             raise ValueError("SoC has no clusters; call add_cluster "
                              "first")
-        for cluster in self.clusters:
+        clusters = self.clusters
+        for cluster in clusters:
             cluster.bind(max_steps)
-        active = list(self.clusters)
         # Step the cluster whose laggard core is furthest behind, so
         # cross-cluster interconnect claims happen in (approximate)
         # cycle order.  Ties break by cluster id: deterministic.
-        while active:
-            cluster = min(active,
-                          key=lambda c: (c.laggard_time, c.cluster_id))
-            if not cluster.step():
-                active.remove(cluster)
+        heap = [(c.laggard_time, c.cluster_id) for c in clusters]
+        heapq.heapify(heap)
+        while heap:
+            c = heap[0][1]
+            cluster = clusters[c]
+            if cluster.step():
+                heapq.heapreplace(heap, (cluster.laggard_time, c))
+            else:
+                heapq.heappop(heap)
+        return self.result()
+
+    def result(self) -> SocRunResult:
+        """Aggregate measurements of everything executed so far."""
         results = [c.result() for c in self.clusters]
         stats = self.interconnect.stats
         return SocRunResult(

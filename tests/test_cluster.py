@@ -179,6 +179,88 @@ class TestBarrier:
             cluster.run()
 
 
+def _spin_then_barrier(iters: int) -> ProgramBuilder:
+    """Count to *iters*, then wait at a cluster barrier."""
+    b = ProgramBuilder()
+    b.li("a1", 0)
+    b.li("a2", iters)
+    b.label("spin")
+    b.addi("a1", "a1", 1)
+    b.bne("a1", "a2", "spin")
+    b.cluster_barrier()
+    return b
+
+
+class TestLaggardClock:
+    """The cluster clock an enclosing SoC orders on, and step()'s
+    contract at the edges of a run."""
+
+    def _two_cores(self) -> ClusterMachine:
+        # Core 0 spins before its barrier; core 1 parks at once.
+        cluster = ClusterMachine(config=ClusterConfig(
+            n_cores=2, barrier_latency=4, model_bank_conflicts=False))
+        cluster.add_core(_spin_then_barrier(50).build(), Memory(1 << 12))
+        late = ProgramBuilder()
+        late.cluster_barrier()
+        late.li("a0", 1)
+        cluster.add_core(late.build(), Memory(1 << 12))
+        return cluster
+
+    def test_fully_parked_cluster_reports_parked_minimum(self):
+        cluster = self._two_cores()
+        cluster.bind()
+        cores = cluster.cores
+        while not all(m.barrier_wait for m in cores):
+            assert cluster.step()
+            assert cluster.laggard_time == min(m.int_time for m in cores)
+        # Core 1 parked long before core 0 arrived: it holds the clock.
+        assert cores[1].int_time < cores[0].int_time
+        assert cluster.laggard_time == cores[1].int_time
+        assert cluster.step()                  # the barrier release
+        assert not any(m.barrier_wait for m in cores)
+        release = cores[0].barrier_arrival + 4
+        assert cores[0].int_time == cores[1].int_time == release
+        assert cluster.laggard_time == release
+
+    def test_finished_cluster_reports_latest_core(self):
+        cluster = self._two_cores()
+        cluster.run()
+        assert cluster.finished
+        assert cluster.laggard_time == max(m.int_time
+                                           for m in cluster.cores)
+
+    def test_step_after_completion_keeps_returning_false(self):
+        cluster = self._two_cores()
+        cluster.run()
+        before = [m.int_time for m in cluster.cores]
+        for _ in range(3):
+            assert cluster.step() is False
+        assert [m.int_time for m in cluster.cores] == before
+        assert cluster.finished
+
+    def test_unbound_cluster_is_not_finished(self):
+        cluster = self._two_cores()
+        assert not cluster.finished
+        assert cluster.laggard_time == 0
+
+    def test_mismatch_lists_cores_in_core_order(self):
+        # Core 1 parks first, core 0 parks later, core 2 exits: the
+        # message names the parked cores in core order regardless.
+        cluster = ClusterMachine(config=ClusterConfig(n_cores=3))
+        cluster.add_core(_spin_then_barrier(30).build(), Memory(1 << 12))
+        early = ProgramBuilder()
+        early.cluster_barrier()
+        cluster.add_core(early.build(), Memory(1 << 12))
+        exits = ProgramBuilder()
+        exits.nop()
+        cluster.add_core(exits.build(), Memory(1 << 12))
+        with pytest.raises(SimulationError) as info:
+            cluster.run()
+        message = str(info.value)
+        assert "cores [0, 1] wait at a barrier" in message
+        assert "cores [2] exited" in message
+
+
 class TestAtomics:
     def test_amoadd_accumulates_across_cores(self):
         """Two cores fetch-and-add into one shared counter."""

@@ -12,10 +12,17 @@ in per-link stall stats, and disappears with the contention model off.
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterDma, partition_kernel
+from repro.cluster import (
+    ClusterConfig,
+    ClusterDma,
+    ClusterMachine,
+    partition_kernel,
+)
+from repro.isa.program import ProgramBuilder
 from repro.kernels.common import MAIN_REGION
 from repro.kernels.registry import KERNELS, kernel
-from repro.sim import MemoryError_
+from repro.sim import Memory, MemoryError_
+from repro.sim.scheduler import Scheduler
 from repro.soc import (
     L2Memory,
     SocConfig,
@@ -333,6 +340,191 @@ class TestSocContention:
     def test_two_clusters_do_not_contend_at_default_link(self):
         result = self._run(2)
         assert sum(result.link_stall_cycles) == 0
+
+
+def _min_scan_run(self, max_steps: int = 200_000_000):
+    """Reference driver: the linear laggard scans the heaps replaced.
+
+    Steps the cluster with the least ``(laggard, cluster_id)`` — a
+    cluster's laggard being the least ``int_time`` over its unfinished
+    cores, parked ones included — then its runnable core with the
+    least ``(int_time, core_id)``; releases a barrier once all of a
+    cluster's unfinished cores are parked.  Installed as the ``run`` of
+    both ClusterMachine and SocMachine.
+    """
+    clusters = getattr(self, "clusters", [self])
+    for cluster in clusters:
+        cluster.bind(max_steps)
+    active = {c.cluster_id: list(c.cores) for c in clusters}
+    finished = {c.cluster_id: [] for c in clusters}
+    while any(active.values()):
+        cid = min((c for c in active if active[c]), key=lambda c: (
+            min(m.sched.int_time for m in active[c]), c))
+        cores = active[cid]
+        runnable = [m for m in cores if not m.sched.barrier_wait]
+        if not runnable:
+            clusters[cid]._release_barrier(cores, finished[cid])
+            continue
+        core = min(runnable, key=lambda m: (m.sched.int_time, m.core_id))
+        if not core.sched.step():
+            cores.remove(core)
+            finished[cid].append(core)
+    return self.result()
+
+
+def _stepping(monkeypatch, run):
+    """The ``(cluster_id, core_id)`` step and barrier-release sequence
+    of *run()* and its result, under the heap driver and then under
+    :func:`_min_scan_run`."""
+    log = []
+    step, release = Scheduler.step, ClusterMachine._release_barrier
+
+    def logged_step(sched):
+        log.append((sched.m.cluster.cluster_id, sched._core_id))
+        return step(sched)
+
+    def logged_release(cluster, waiting, done):
+        log.append((cluster.cluster_id, "release"))
+        return release(cluster, waiting, done)
+
+    monkeypatch.setattr(Scheduler, "step", logged_step)
+    monkeypatch.setattr(ClusterMachine, "_release_barrier", logged_release)
+    heap_result = run()
+    heap_log, log[:] = log[:], []
+    with monkeypatch.context() as patch:
+        patch.setattr(ClusterMachine, "run", _min_scan_run)
+        patch.setattr(SocMachine, "run", _min_scan_run)
+        scan_result = run()
+    return heap_log, heap_result, log, scan_result
+
+
+def _barrier_rounds(core: int, rounds: int = 5):
+    """*rounds* of core-skewed loads on one shared word, each closed by
+    a cluster barrier (the laggard core changes from round to round)."""
+    b = ProgramBuilder()
+    b.li("a0", 0x100)
+    b.li("a3", 0)
+    b.li("a4", rounds)
+    b.label("round")
+    b.li("a1", 0)
+    b.andi("a2", "a3", 3)
+    b.addi("a2", "a2", 1 + core % 3)
+    b.label("load")
+    b.lw("t0", 0, "a0")
+    b.addi("a1", "a1", 1)
+    b.blt("a1", "a2", "load")
+    b.cluster_barrier()
+    b.addi("a3", "a3", 1)
+    b.bne("a3", "a4", "round")
+    return b.build()
+
+
+def _spin(iters: int, barrier: bool = False):
+    """Count to *iters*, then optionally wait at a cluster barrier."""
+    b = ProgramBuilder()
+    b.li("a1", 0)
+    b.li("a2", iters)
+    b.label("spin")
+    b.addi("a1", "a1", 1)
+    b.bne("a1", "a2", "spin")
+    if barrier:
+        b.cluster_barrier()
+    return b.build()
+
+
+#: The differential rungs: (clusters, cores per cluster, write-back).
+_RUNGS = {"cluster:8": (None, 8, False), "soc:2x4": (2, 4, False),
+          "soc:2x4+wb": (2, 4, True)}
+
+
+def _barrier_machine(rung: str):
+    clusters, cores, writeback = _RUNGS[rung]
+    cc = ClusterConfig(n_cores=cores, bank_stagger_words=0,
+                       writeback=writeback)
+    if clusters is None:
+        machine = ClusterMachine(config=cc)
+        targets = [machine]
+    else:
+        machine = SocMachine(SocConfig(n_clusters=clusters, cluster=cc))
+        targets = [machine.add_cluster() for _ in range(clusters)]
+    for c, cluster in enumerate(targets):
+        for m in range(cores):
+            cluster.add_core(_barrier_rounds(c * cores + m),
+                             Memory(1 << 12))
+    return machine
+
+
+class TestHeapStepping:
+    """The laggard heaps step exactly the core sequence of the linear
+    scans they replaced, so cycles and claim order cannot move."""
+
+    @pytest.mark.parametrize("rung", sorted(_RUNGS))
+    @pytest.mark.parametrize("name,variant", [("expf", "copift"),
+                                              ("pi_lcg", "baseline")])
+    def test_kernel_matches_min_scan(self, monkeypatch, rung, name,
+                                     variant):
+        clusters, cores, writeback = _RUNGS[rung]
+
+        def run():
+            if clusters is None:
+                workload = partition_kernel(kernel(name), 512, cores,
+                                            variant=variant,
+                                            writeback=writeback)
+            else:
+                workload = partition_soc_kernel(
+                    kernel(name), 512, clusters, cores, variant=variant,
+                    writeback=writeback)
+            return workload.run(check=True)
+
+        heap_log, heap, scan_log, scan = _stepping(monkeypatch, run)
+        assert heap_log == scan_log
+        assert heap == scan
+
+    @pytest.mark.parametrize("rung", sorted(_RUNGS))
+    def test_barrier_rounds_match_min_scan(self, monkeypatch, rung):
+        heap_log, heap, scan_log, scan = _stepping(
+            monkeypatch, lambda: _barrier_machine(rung).run())
+        assert heap.barrier_count == 5 * (1 if rung == "cluster:8"
+                                          else 2)
+        assert heap_log == scan_log
+        assert heap == scan
+
+    def test_parked_core_holds_its_cluster_clock(self, monkeypatch):
+        """Cluster 0's core 0 parks at once; its core 1 spins far ahead
+        of cluster 1.  The parked core is the SoC laggard, so the SoC
+        keeps stepping cluster 0 although its only runnable core is
+        ahead of every core of cluster 1."""
+        def build():
+            cc = ClusterConfig(n_cores=2, model_bank_conflicts=False)
+            soc = SocMachine(SocConfig(n_clusters=2, cluster=cc))
+            first, second = soc.add_cluster(), soc.add_cluster()
+            parks = ProgramBuilder()
+            parks.cluster_barrier()
+            parks.li("a0", 1)
+            first.add_core(parks.build(), Memory(1 << 12))
+            first.add_core(_spin(40, barrier=True), Memory(1 << 12))
+            second.add_core(_spin(30), Memory(1 << 12))
+            return soc
+
+        ahead = []
+        step = Scheduler.step
+
+        def watch(sched):
+            if sched.m.cluster.cluster_id == 0 and sched._core_id == 1:
+                other = soc.clusters[1].cores[0].sched
+                if not other.finished:
+                    ahead.append(sched.int_time > other.int_time)
+            return step(sched)
+
+        soc = build()
+        monkeypatch.setattr(Scheduler, "step", watch)
+        soc.run()
+        assert any(ahead)
+        monkeypatch.undo()
+        heap_log, heap, scan_log, scan = _stepping(
+            monkeypatch, lambda: build().run())
+        assert heap_log == scan_log
+        assert heap == scan
 
 
 class TestSocMachineGuards:
