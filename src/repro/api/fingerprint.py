@@ -1,49 +1,29 @@
 """Timing-model fingerprint: one hash naming the current simulator.
 
 A cached :class:`~repro.api.record.RunRecord` is only reusable while
-the *timing model* that produced it is unchanged.  The repo already has
-a canonical statement of that model: the golden file
-(``tests/golden/golden_n512.json``), regenerated exactly when a PR
-intentionally changes timing, plus the energy-model constants (which
-turn cycles into power/energy without being locked by the goldens).
-:func:`timing_fingerprint` hashes both into one hex digest; the serve
-layer (:mod:`repro.serve`) builds every cache key on it, so editing the
-golden file — or any energy constant — automatically invalidates every
-affected cache entry without bookkeeping.
-
-The golden file is located relative to the source tree (development
-checkouts) or the working directory (installed packages driven from a
-repo root).  When neither exists the fingerprint degrades to a
-deterministic ``golden:absent`` sentinel: caching still works within
-that environment, it just cannot distinguish golden revisions.
+the code that produced it is unchanged.  :func:`timing_fingerprint`
+hashes the ``repro`` package's own source — every ``*.py`` file under
+the installed package, sorted by relative path — plus the energy-model
+constants (which turn cycles into power/energy).  The serve layer
+(:mod:`repro.serve`) builds every cache key on it, so an upgrade, a
+local edit or an energy-constant change invalidates every cache entry
+without bookkeeping, whether the package runs from a checkout or from
+an install.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import fields
+from pathlib import Path
 
 from ..energy import ClusterEnergyParams, EnergyParams, SocEnergyParams
 
-#: Relative location of the timing goldens inside a repo checkout.
-GOLDEN_RELPATH = os.path.join("tests", "golden", "golden_n512.json")
+#: Root of the ``repro`` package whose source names the model.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
-
-def default_golden_path() -> str | None:
-    """The golden file backing the fingerprint, or None when absent.
-
-    Tried in order: the repo root this source tree lives in (editable
-    installs / ``PYTHONPATH=src``), then the current working directory
-    (installed package driven from a checkout).
-    """
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    for root in (src_root, os.getcwd()):
-        candidate = os.path.join(root, GOLDEN_RELPATH)
-        if os.path.isfile(candidate):
-            return candidate
-    return None
+#: The digest, computed once per process on first use.
+_FINGERPRINT: str | None = None
 
 
 def _energy_constants_blob() -> bytes:
@@ -58,44 +38,24 @@ def _energy_constants_blob() -> bytes:
     return ";".join(parts).encode()
 
 
-#: Memoized digests keyed by (path, mtime_ns, size) — recomputed the
-#: moment the golden file changes, never stale within a process.
-_CACHE: dict[tuple, str] = {}
+def timing_fingerprint() -> str:
+    """Hex digest naming the current code and energy model.
 
-
-def timing_fingerprint(golden_path: str | None = None) -> str:
-    """Hex digest naming the current timing + energy model.
-
-    Stable across runs and processes for an unchanged tree; changes
-    whenever the golden file's bytes or any energy constant change.
-    *golden_path* overrides the default golden location (tests use a
-    temporary copy to prove sensitivity to edits).
+    Stable across runs and processes for an unchanged package; changes
+    with any byte of its source or any energy constant.  Memoized for
+    the life of the process (the source does not change under a
+    running interpreter's imports).
     """
-    path = golden_path if golden_path is not None \
-        else default_golden_path()
-    if path is None:
-        stamp: tuple = ("<absent>",)
-    else:
-        try:
-            stat = os.stat(path)
-        except OSError as exc:
-            raise FileNotFoundError(
-                f"timing fingerprint: cannot read golden file {path}: "
-                f"{exc.strerror or exc}"
-            ) from None
-        stamp = (os.path.abspath(path), stat.st_mtime_ns, stat.st_size)
-    cached = _CACHE.get(stamp)
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256()
-    if path is None:
-        digest.update(b"golden:absent")
-    else:
-        with open(path, "rb") as handle:
-            digest.update(b"golden:")
-            digest.update(handle.read())
-    digest.update(b"\nenergy:")
-    digest.update(_energy_constants_blob())
-    fingerprint = digest.hexdigest()
-    _CACHE[stamp] = fingerprint
-    return fingerprint
+    global _FINGERPRINT
+    if _FINGERPRINT is None:
+        digest = hashlib.sha256()
+        sources = sorted((path.relative_to(PACKAGE_ROOT).as_posix(), path)
+                         for path in PACKAGE_ROOT.rglob("*.py"))
+        for rel, path in sources:
+            data = path.read_bytes()
+            digest.update(f"{rel}\0{len(data)}\0".encode())
+            digest.update(data)
+        digest.update(b"energy:")
+        digest.update(_energy_constants_blob())
+        _FINGERPRINT = digest.hexdigest()
+    return _FINGERPRINT

@@ -8,9 +8,8 @@ cells hit the simulator.  Three layers:
 * :mod:`repro.serve.store` — :class:`RunStore`, the on-disk cache.
   Entries are keyed by a hash over the workload spec, the backend's
   full configuration, the record schema version and the timing-model
-  fingerprint (:func:`repro.api.timing_fingerprint`), so a golden-file
-  or energy-constant change invalidates every affected key
-  automatically.  Writes are write-temp-then-rename atomic.
+  fingerprint (:func:`repro.api.timing_fingerprint`), so a source or
+  energy-constant change invalidates every key automatically.  Writes are write-temp-then-rename atomic.
 * :mod:`repro.serve.service` — :class:`EvalService`, a stdlib-asyncio
   front end over a persistent worker pool: coalesces duplicate
   in-flight requests (N clients asking for one cell trigger exactly

@@ -12,9 +12,9 @@ SHA-256 over everything that determines the result:
   shared;
 * the record schema version (:data:`repro.api.record.SCHEMA_VERSION`);
 * the timing-model fingerprint
-  (:func:`repro.api.timing_fingerprint` — golden file + energy
-  constants), so an intentional timing change invalidates every
-  affected key with zero bookkeeping.
+  (:func:`repro.api.timing_fingerprint` — package source + energy
+  constants), so any code change invalidates every key with zero
+  bookkeeping.
 
 Entries live under a per-fingerprint *generation* directory
 (``<root>/<fingerprint[:16]>/<key>.json``): after a timing change the

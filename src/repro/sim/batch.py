@@ -1,12 +1,12 @@
-"""Vectorized batch simulation engine: lockstep stepping of many cores.
+"""Vectorized batch simulation engine: one timeline, many data.
 
 Single-stream simulation throughput is the binding constraint on every
 sweep: each :class:`~repro.sim.scheduler.Scheduler` step costs a few
 microseconds of interpreter time regardless of how many independent
-cells a parameter study wants.  This engine holds the state of B
-independent :class:`~repro.sim.machine.Machine` instances in flat
-numpy arrays — ``(B, 32)`` register files, scoreboards and both issue
-timelines as integer vectors, one PC per lane — and advances the whole
+cells a parameter study wants.  This engine runs B independent
+:class:`~repro.sim.machine.Machine` instances of one program structure
+together, holding their *data* in flat numpy arrays — ``(B, 32)``
+register files, one memory image per lane — and advancing the whole
 fleet with one vectorized update per *static* instruction, following
 the BlueSky idiom (per-agent state in arrays, one step for the fleet).
 
@@ -20,27 +20,37 @@ Design rules, in order of precedence:
    through operations whose scalar semantics are exactly expressible
    as array updates (integer ALU/branch/load/store, the FP timeline
    with its dispatch queue and writeback ports — the ~80% common
-   path).  The first time a lane reaches an *edge op* — FREP entry,
-   SSR configuration, DMA/barrier cluster ops, ``div``-family or
+   path).  When a cohort reaches an *edge op* — FREP entry, SSR
+   configuration, DMA/barrier cluster ops, ``div``-family or
    ``fsqrt`` (which raise per-lane), a computed jump, any undecodable
-   instruction — the lane's array state is flushed into a freshly
-   built ``Machine`` and the scalar :class:`Scheduler` finishes the
-   run from that exact point.  Demotion is transparent: the handover
-   state is, field for field, what a scalar run would hold at that pc.
-3. **Divergence by grouping.**  Each iteration selects the lanes
-   sharing the minimum PC and steps them together; cells in a sweep
-   share the kernel, so lanes stay convergent for most of the run and
-   the engine keeps a fast path (no index arrays at all) while every
-   lane is live and at the same PC.
-4. **Errors stay per-lane.**  A lane that faults (unaligned access,
-   ``max_steps``, a never-opened region mark) records its exception
-   and deactivates; sibling lanes are unaffected.
+   instruction — each lane's state is flushed into a freshly built
+   ``Machine`` and the scalar :class:`Scheduler` finishes the run from
+   that exact point.  Demotion is transparent: the handover state is,
+   field for field, what a scalar run would hold at that pc.
+3. **One timeline, many data.**  A cohort's lanes run one program on
+   different data (seeds, ``li`` constants, memory images), so they
+   take the same path with the same stalls.  The timing state is
+   therefore held once per cohort, in a scalar :class:`Scheduler`
+   bound to the cohort's program: pc, step count, both issue
+   timelines and ready tables, memory-RAW times, writeback ports, the
+   FPSS dispatch queue, the L0 window, counters and regions.  Only the
+   register files, the memories and per-op immediates are per lane.
+4. **A split demotes the cohort.**  Before an op commits anything, its
+   plan computes what could make lanes part ways: a branch outcome,
+   load/store addresses and the memory-RAW ready times they see,
+   loaded values and store writes.  If lanes disagree or any lane
+   faults, every lane is demoted at that pc with the op not yet
+   executed; the scalar engine re-executes it per lane (a store
+   already applied to some lanes writes the same bytes again) and
+   raises the golden error for a faulting lane.  A load at lane-varying
+   addresses (a table lookup) stays shared when every lane sees the
+   same ready time.
 
 Lanes are grouped into *cohorts* by the structural signature of their
 decoded program — immediate *values* excluded — so a sweep over seeds
-or problem sizes (same code, different ``li`` constants, offsets and
-memory images) shares one vector fleet: per-op immediates that differ
-across lanes are carried as per-lane data vectors.
+(same code, different ``li`` constants and memory images) shares one
+vector fleet: per-op immediates that differ across lanes are carried
+as per-lane data vectors.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ except ImportError:          # pragma: no cover - numpy is a hard dep
 
 from . import batch_ops as vo
 from .config import CoreConfig
-from .counters import Counters, RegionMeasurement, RunResult
+from .counters import RunResult
 from .decode import (
     DecodedProgram,
     F_COMPUTE,
@@ -75,8 +85,6 @@ __all__ = ["BatchEngine", "require_numpy"]
 
 _MASK32 = 0xFFFF_FFFF
 _HALT_PC = 1 << 60
-_WB_TRIM_THRESHOLD = 8192
-_FULL = slice(None)
 
 
 def require_numpy() -> None:
@@ -84,7 +92,7 @@ def require_numpy() -> None:
     if np is None:
         raise RuntimeError(
             "the batch engine requires numpy (`pip install numpy`); "
-            "re-run without batch=/--batch to use the scalar engine"
+            "re-run with batch=None to use the scalar engine"
         )
 
 
@@ -135,8 +143,9 @@ class BatchEngine:
             :meth:`Machine.run`.
 
     After :meth:`run`, ``results[i]`` holds lane *i*'s
-    :class:`RunResult` (or ``None`` if it errored) and ``errors[i]``
-    the exception a scalar run would have raised (or ``None``).
+    :class:`RunResult` (or ``None`` if it errored), ``errors[i]`` the
+    exception a scalar run would have raised (or ``None``), and
+    ``demoted[i]`` whether the scalar engine finished the lane.
     """
 
     def __init__(self, instances, config: CoreConfig | None = None,
@@ -185,28 +194,22 @@ class BatchEngine:
 
 
 class _Cohort:
-    """Lanes sharing one decoded-program signature, stepped together."""
+    """Lanes sharing one program signature: one timeline, B data rows."""
 
     def __init__(self, engine: BatchEngine, lanes: list[int]) -> None:
         self.engine = engine
         self.lanes = lanes
         batch = len(lanes)
         self.batch = batch
-        cfg = engine.config or CoreConfig()
-        self.cfg = cfg
         decs = [DecodedProgram.of(engine.instances[i].program)
                 for i in lanes]
-        self.decoded = decs[0]
-        self.ops = self.decoded.ops
-        self.n_ops = len(self.ops)
-        latencies = cfg.latencies
-        self.lat = [latencies[op.opclass] for op in self.ops]
+        self.ops = decs[0].ops
         # Per-op immediates: a plain int when every lane agrees (the
         # common case), a per-lane int64 vector otherwise (seed- or
         # size-dependent ``li`` constants and memory offsets).  The
-        # signature guarantees presence is uniform across the cohort.
+        # signature guarantees every lane has one or none.
         self.imms: list = []
-        for j in range(self.n_ops):
+        for j in range(len(self.ops)):
             vals = [d.ops[j].imm for d in decs]
             first_imm = vals[0]
             if all(v == first_imm for v in vals):
@@ -214,163 +217,49 @@ class _Cohort:
             else:
                 self.imms.append(np.array(vals, np.int64))
 
-        # Config snapshot (mirrors Scheduler._snapshot_config).
-        self.int_wb_hazard = cfg.model_int_wb_hazard
-        self.int_wb_ports = cfg.int_wb_ports
-        self.fp_wb_ports = cfg.fp_wb_ports
-        self.queue_depth = cfg.fpss_queue_depth
-        self.branch_penalty = cfg.taken_branch_penalty
-        self.fp_response_latency = cfg.fp_response_latency
-        self.l0_enabled = cfg.model_l0_icache
-        self.l0_entries = cfg.l0_icache_entries
-
-        # Vector state: one row/element per lane.
+        # Per-lane data.
         self.iregs = np.zeros((batch, 32), np.int64)
         self.fregs = np.zeros((batch, 32), np.float64)
-        self.int_ready = np.zeros((batch, 32), np.int64)
-        self.fp_ready = np.zeros((batch, 32), np.int64)
-        self.int_time = np.zeros(batch, np.int64)
-        self.fp_time = np.zeros(batch, np.int64)
-        self.pc = np.zeros(batch, np.int64)
-        self.steps = np.zeros(batch, np.int64)
-        self.l0_lo = np.full(batch, -1, np.int64)
-        self.l0_hi = np.full(batch, -1, np.int64)
-        self.active = np.ones(batch, bool)
-        self.cd = {field: np.zeros(batch, np.int64)
-                   for field in vars(Counters())}
-
-        # Per-lane containers (deliberately scalar: sparse, smallish).
-        self.mem_ready: list[dict[int, int]] = \
-            [{} for _ in range(batch)]
-        self.int_wb_busy: list[set[int]] = [set() for _ in range(batch)]
-        self.fp_wb_busy: list[set[int]] = [set() for _ in range(batch)]
-        self.fpss_queue: list[deque] = [deque() for _ in range(batch)]
-        # Uniform-timing mode: while every lane has advanced through
-        # the exact same stall/issue history (the normal case — the
-        # cohort shares one program and memory layout; only *data*
-        # differs), the timing side is tracked ONCE in these shared
-        # structures and all timing arithmetic is scalar.  The first
-        # event that can split timing across lanes (divergent branch,
-        # non-uniform memory address, a per-lane fault, demotion)
-        # materializes per-lane copies and clears the flag.
-        self.uniform = True
-        self.uni_mem: dict[int, int] = {}
-        self.uni_int_wb: set[int] = set()
-        self.uni_fp_wb: set[int] = set()
-        self.uni_queue: deque = deque()
-        self.region_open: list[dict] = [{} for _ in range(batch)]
-        self.regions: list[dict] = [{} for _ in range(batch)]
         self.memories = [engine.instances[i].memory for i in lanes]
+        # The cohort's one timeline: a scalar scheduler bound to the
+        # shared program.  Its machine is a placeholder — plans read
+        # and write only its timing state, never its registers.
+        self.sched = Machine(config=engine.config,
+                             memory=self.memories[0]).sched
+        self.sched.bind(engine.instances[lanes[0]].program,
+                        engine.max_steps)
 
         for k, i in enumerate(lanes):
             engine._lane_of[i] = (self, k)
-
-        #: True once lanes disagree on PC or one left the fleet; the
-        #: run loop then selects min-PC groups instead of the
-        #: all-lanes fast path.
-        self.mixed = batch == 0
-        self._all_lanes = list(range(batch))
         self.plans = [self._compile(op) for op in self.ops]
 
     # ------------------------------------------------------------------
-    # run loops
+    # run loop and lane lifecycle
     # ------------------------------------------------------------------
     def run(self) -> None:
-        max_steps = self.engine.max_steps
-        n_ops = self.n_ops
+        sched = self.sched
         plans = self.plans
-        pc = self.pc
-        steps = self.steps
-        all_lanes = self._all_lanes
-        while True:
-            # Fast path: every lane live, all at the same PC — plans
-            # operate on whole arrays, no index vectors anywhere.
-            while not self.mixed:
-                cur = int(pc[0])
-                if cur >= n_ops:
-                    for k in all_lanes:
-                        self._finish(k)
-                    return
-                plan = plans[cur]
-                if plan is None:
-                    for k in all_lanes:
-                        self._demote(k, cur)
-                    return
-                if int(steps[0]) + 1 > max_steps:
-                    for k in all_lanes:
-                        self._demote(k, cur)
-                    return
-                steps += 1
-                plan(cur, None, all_lanes, True)
-            # General path: min-PC grouping over the live lanes.
-            act = np.flatnonzero(self.active)
-            if act.size == 0:
-                return
-            pcs = pc[act]
-            cur = int(pcs.min())
-            g = act[pcs == cur]
-            if g.size == self.batch:
-                # Reconverged with every lane live: back to fast mode.
-                self.mixed = False
-                continue
-            if cur >= n_ops:
-                for k in g.tolist():
-                    self._finish(k)
-                continue
-            plan = plans[cur]
-            gl = g.tolist()
-            if plan is None:
-                for k in gl:
-                    self._demote(k, cur)
-                continue
-            over = steps[g] + 1 > max_steps
-            if over.any():
-                for k in g[over].tolist():
-                    self._demote(k, cur)
-                g = g[~over]
-                if g.size == 0:
-                    continue
-                gl = g.tolist()
-            steps[g] += 1
-            plan(cur, g, gl, False)
-
-    # ------------------------------------------------------------------
-    # lane lifecycle
-    # ------------------------------------------------------------------
-    def _materialize(self) -> None:
-        """Fan the shared timing structures out to per-lane copies.
-
-        Called the moment lane timing can diverge; afterwards the
-        per-lane containers are authoritative (and independent — each
-        lane gets its own copy, as if it had tracked them all along).
-        """
-        if not self.uniform:
-            return
-        self.uniform = False
-        for k in range(self.batch):
-            self.mem_ready[k] = dict(self.uni_mem)
-            self.int_wb_busy[k] = set(self.uni_int_wb)
-            self.fp_wb_busy[k] = set(self.uni_fp_wb)
-            self.fpss_queue[k] = deque(self.uni_queue)
-
-    def _fail(self, k: int, exc: Exception) -> None:
-        """Record a per-lane fault; siblings keep running."""
-        self._materialize()
-        self.engine.errors[self.lanes[k]] = exc
-        self.active[k] = False
-        self.mixed = True
-
-    def _finish(self, k: int) -> None:
-        cycles = max(int(self.int_time[k]), int(self.fp_time[k]))
-        self.engine.results[self.lanes[k]] = RunResult(
-            cycles=cycles, counters=self._counters_of(k),
-            regions=dict(self.regions[k]))
-        self.active[k] = False
-        self.mixed = True
-
-    def _counters_of(self, k: int) -> Counters:
-        return Counters(**{field: int(arr[k])
-                           for field, arr in self.cd.items()})
+        n_ops = len(plans)
+        max_steps = sched._max_steps
+        pc = steps = 0
+        # A plan returns the next pc, or None to demote the cohort at
+        # *pc* with the op uncommitted; the scalar engine raises the
+        # max_steps error itself.
+        while pc < n_ops and steps < max_steps:
+            plan = plans[pc]
+            nxt = None if plan is None else plan(pc)
+            if nxt is None:
+                break
+            pc = nxt
+            steps += 1
+        sched._pc = pc
+        sched._steps = steps
+        engine = self.engine
+        for k, i in enumerate(self.lanes):
+            if pc >= n_ops:
+                engine.results[i] = sched.result()
+            else:
+                self._demote(k)
 
     def flush_machine(self, k: int) -> Machine:
         """A Machine mirroring lane *k*'s architectural state."""
@@ -381,44 +270,37 @@ class _Cohort:
         machine.fregs[:] = [float(v) for v in self.fregs[k]]
         return machine
 
-    def _demote(self, k: int, cur: int) -> None:
-        """Hand lane *k* to the scalar Scheduler, mid-run.
+    def _demote(self, k: int) -> None:
+        """Hand lane *k* to the scalar Scheduler at the cohort's pc.
 
-        The scheduler is rebuilt to the exact state a scalar run would
-        hold at pc *cur*; ``drain()`` then finishes the lane with the
-        golden-reference semantics (including raising the golden
-        errors for edge ops the vector path does not model).
+        The lane's scheduler gets its own copy of the shared timing
+        state — exactly what a scalar run would hold there — and
+        ``drain()`` finishes the lane with the golden-reference
+        semantics (including raising the golden errors for edge ops
+        and faults the vector path does not model).
         """
-        self._materialize()
         engine = self.engine
         i = self.lanes[k]
-        instance = engine.instances[i]
+        shared = self.sched
         machine = self.flush_machine(k)
         sched = machine.sched
-        sched.bind(instance.program, engine.max_steps)
-        sched._pc = cur
-        sched._steps = int(self.steps[k])
-        sched.int_time = int(self.int_time[k])
-        sched.fp_time = int(self.fp_time[k])
-        sched.int_ready[:] = [int(v) for v in self.int_ready[k]]
-        sched.fp_ready[:] = [int(v) for v in self.fp_ready[k]]
-        sched.mem_ready = self.mem_ready[k]
-        sched.int_wb_busy = self.int_wb_busy[k]
-        sched.fp_wb_busy = self.fp_wb_busy[k]
-        sched.fpss_queue = self.fpss_queue[k]
-        sched._region_open = self.region_open[k]
-        sched._regions = self.regions[k]
-        cd = sched._cd
-        for field, arr in self.cd.items():
-            cd[field] = int(arr[k])
-        sched.l0._lo = int(self.l0_lo[k])
-        sched.l0._hi = int(self.l0_hi[k])
-        sched.l0.hits = int(self.cd["icache_l0_hits"][k])
-        sched.l0.misses = int(self.cd["icache_l0_misses"][k])
+        sched.bind(engine.instances[i].program, engine.max_steps)
+        sched._pc = shared._pc
+        sched._steps = shared._steps
+        sched.int_time = shared.int_time
+        sched.fp_time = shared.fp_time
+        sched.int_ready[:] = shared.int_ready
+        sched.fp_ready[:] = shared.fp_ready
+        sched.mem_ready = dict(shared.mem_ready)
+        sched.int_wb_busy = set(shared.int_wb_busy)
+        sched.fp_wb_busy = set(shared.fp_wb_busy)
+        sched.fpss_queue = deque(shared.fpss_queue)
+        sched._region_open = dict(shared._region_open)
+        sched._regions = dict(shared._regions)
+        sched._cd.update(shared._cd)
+        vars(sched.l0).update(vars(shared.l0))
         engine._machines[i] = machine
         engine.demoted[i] = True
-        self.active[k] = False
-        self.mixed = True
         try:
             sched.drain()
         except Exception as exc:
@@ -427,11 +309,44 @@ class _Cohort:
             engine.results[i] = sched.result()
 
     # ------------------------------------------------------------------
-    # per-lane scalar helpers (addresses/probes diverge by lane)
+    # lane-splitting memory accesses
     # ------------------------------------------------------------------
-    def _trim_wb(self, k: int, busy: set) -> None:
-        floor = min(int(self.int_time[k]), int(self.fp_time[k]))
-        busy.intersection_update({t for t in busy if t >= floor})
+    def _load(self, reader, addr, size: int):
+        """Per-lane loaded values and the lanes' one mem-RAW ready time.
+
+        None when the lanes would split: a lane faults, or lanes at
+        different addresses see different ready times.
+        """
+        addrs = addr.tolist()
+        try:
+            values = [reader(memory, a)
+                      for memory, a in zip(self.memories, addrs)]
+        except Exception:
+            # Whatever a lane raises, its scalar re-run raises too.
+            return None
+        mem_time = self.sched._mem_time
+        ready = {mem_time(a, size) for a in set(addrs)}
+        if len(ready) != 1:
+            return None
+        return ready.pop(), values
+
+    def _store(self, writer, addr, values):
+        """Write every lane's value; the shared address, or None to split.
+
+        Lane-varying addresses would publish different mem-RAW words,
+        which one timeline cannot hold; a faulting lane splits too.
+        """
+        a0 = int(addr[0])
+        if not (addr == a0).all():
+            return None
+        try:
+            for memory, value in zip(self.memories, values.tolist()):
+                writer(memory, a0, value)
+        except Exception:
+            # As in _load; lanes already written get the same bytes
+            # again from their scalar re-run.
+            return None
+        return a0
 
     # ------------------------------------------------------------------
     # plan compilation: one closure per static instruction
@@ -459,44 +374,15 @@ class _Cohort:
             return self._plan_fp(op)
         return None                              # K_FREP
 
-    def _fetch(self, cur: int, ix) -> None:
-        cd = self.cd
-        if self.l0_enabled:
-            hit = (self.l0_lo[ix] <= cur) & (cur <= self.l0_hi[ix])
-            cd["icache_l0_hits"][ix] += hit
-            cd["icache_l0_misses"][ix] += ~hit
-        else:
-            cd["icache_l0_misses"][ix] += 1
-
-    def _fetch_uni(self, cur: int) -> None:
-        """Fetch bookkeeping when the L0 window is lane-uniform."""
-        cd = self.cd
-        if self.l0_enabled and \
-                int(self.l0_lo[0]) <= cur <= int(self.l0_hi[0]):
-            cd["icache_l0_hits"] += 1
-        else:
-            cd["icache_l0_misses"] += 1
-
     def _plan_int(self, op, mode: str | None = None):
         mnem = op.mnemonic
-        reads = op.int_read_idx
-        writes = op.int_write_idx
-        lat = self.lat[op.index]
-        counter = op.counter
         operands = op.instr.operands
         imm = self.imms[op.index]
-        imm_vec = imm if isinstance(imm, np.ndarray) else None
         target = op.target
-        base_idx = op.mem_base_idx
-        hazard = bool(writes) and self.int_wb_hazard
-        ports = self.int_wb_ports
-        penalty = self.branch_penalty
-        entries = self.l0_entries
-        l0_on = self.l0_enabled
 
         # Resolve the functional form; anything unknown demotes.
         fn = reader = writer = None
-        dest = src = 0
+        dest = src = a_idx = b_idx = 0
         const_val = None
         if mode in ("ret", "jump"):
             pass
@@ -531,11 +417,11 @@ class _Cohort:
         elif mnem in vo.VEC_CONST:
             mode = "const"
             cfn = vo.VEC_CONST[mnem]
-            if imm_vec is None:
-                const_val = cfn(imm)
-            else:
-                const_val = np.array([cfn(int(v)) for v in imm_vec],
+            if isinstance(imm, np.ndarray):
+                const_val = np.array([cfn(int(v)) for v in imm],
                                      np.int64)
+            else:
+                const_val = cfn(imm)
             dest = operands[0].index
         elif mnem in vo.VEC_UNARY:
             mode = "unary"
@@ -555,269 +441,104 @@ class _Cohort:
             a_idx = operands[1].index
         else:
             return None
-        backward = target is not None and mode in ("br1", "br2", "jump")
-        uses_imm = mode in ("ri", "load", "store")
-        const_is_vec = mode == "const" and imm_vec is not None
+        branch = mode in ("br1", "br2")
 
-        def plan(cur, g, gl, full):
-            ix = _FULL if full else g
-            uni = full and self.uniform
-            off = None
-            if uses_imm:
-                off = imm if imm_vec is None \
-                    else (imm_vec if full else imm_vec[g])
-            cd = self.cd
-            iregs = self.iregs
-            if uni:
-                self._fetch_uni(cur)
-                start = base = int(self.int_time[0])
-                if reads:
-                    int_ready = self.int_ready
-                    for r in reads:
-                        t = int(int_ready[0, r])
-                        if t > start:
-                            start = t
-                    if start > base:
-                        cd["stall_raw_int"][ix] += start - base
-            else:
-                self._fetch(cur, ix)
-                base = self.int_time[ix]
-                start = base
-                if reads:
-                    int_ready = self.int_ready
-                    for r in reads:
-                        start = np.maximum(start, int_ready[ix, r])
-                    cd["stall_raw_int"][ix] += start - base
+        sched = self.sched
+        cd = sched._cd
+        int_ready = sched.int_ready
+        iregs = self.iregs
+        reads = op.int_read_idx
+        writes = op.int_write_idx
+        lat = sched._lat[op.index]
+        counter = op.counter
+        base_idx = op.mem_base_idx
+        hazard = bool(writes) and sched._int_wb_hazard
+        ports = sched._int_wb_ports
+        penalty = sched._branch_penalty
 
-            value = None
+        def plan(cur):
+            base = start = sched.int_time
+            for r in reads:
+                t = int_ready[r]
+                if t > start:
+                    start = t
+
+            # What can split or fault, before anything commits.
+            value = taken = None
             if mode == "load":
-                addr = (iregs[ix, base_idx] + off) & _MASK32
-                if uni and not (addr == addr[0]).all():
-                    self._materialize()
-                    uni = False
-                    start = np.full(self.batch, start, np.int64)
-                if uni:
-                    a0 = int(addr[0])
-                    t = 0
-                    ready_map = self.uni_mem
-                    for key in range(a0 >> 2, (a0 + 7) >> 2):
-                        v = ready_map.get(key, 0)
-                        if v > t:
-                            t = v
-                    if t > start:
-                        cd["stall_mem_raw"][ix] += t - start
-                        start = t
-                    values = [0] * self.batch
-                    memories = self.memories
-                    for k in range(self.batch):
-                        try:
-                            values[k] = reader(memories[k], a0)
-                        except Exception as exc:
-                            self._fail(k, exc)
-                    value = np.array(values, np.int64)
-                    if not self.uniform:     # a lane faulted mid-loop
-                        uni = False
-                        start = np.full(self.batch, start, np.int64)
-                else:
-                    addr_list = addr.tolist()
-                    waits = [0] * len(gl)
-                    values = [0] * len(gl)
-                    mem_ready = self.mem_ready
-                    memories = self.memories
-                    for j, k in enumerate(gl):
-                        a = addr_list[j]
-                        ready_map = mem_ready[k]
-                        t = 0
-                        for key in range(a >> 2, (a + 7) >> 2):
-                            v = ready_map.get(key, 0)
-                            if v > t:
-                                t = v
-                        waits[j] = t
-                        try:
-                            values[j] = reader(memories[k], a)
-                        except Exception as exc:
-                            self._fail(k, exc)
-                    t = np.array(waits, np.int64)
-                    cd["stall_mem_raw"][ix] += np.maximum(t - start, 0)
-                    start = np.maximum(start, t)
-                    value = np.array(values, np.int64)
+                got = self._load(
+                    reader, (iregs[:, base_idx] + imm) & _MASK32, 4)
+                if got is None:
+                    return None
+                ready, loaded = got
+            elif mode == "store":
+                addr = self._store(
+                    writer, (iregs[:, base_idx] + imm) & _MASK32,
+                    iregs[:, src])
+                if addr is None:
+                    return None
+            elif branch:
+                outcome = fn(iregs[:, a_idx], iregs[:, b_idx]) \
+                    if mode == "br2" else fn(iregs[:, a_idx])
+                taken = bool(outcome[0])
+                if (outcome != taken).any():
+                    return None
 
+            # Commit on the shared timeline.
+            sched._fetch(cur)
+            if start > base:
+                cd["stall_raw_int"] += start - base
+            if mode == "load":
+                if ready > start:
+                    cd["stall_mem_raw"] += ready - start
+                    start = ready
+                value = np.array(loaded, np.int64)
             if hazard:
-                if uni:
-                    wb = start + lat
-                    busy = self.uni_int_wb
-                    if ports == 1:
-                        while wb in busy:
-                            wb += 1
-                    busy.add(wb)
-                    if len(busy) > _WB_TRIM_THRESHOLD:
-                        self._trim_wb(0, busy)
-                    issue = wb - lat
-                    if issue > start:
-                        cd["stall_wb_port"][ix] += issue - start
-                        start = issue
-                else:
-                    start_list = start.tolist()
-                    wb_list = [0] * len(gl)
-                    busy_sets = self.int_wb_busy
-                    for j, k in enumerate(gl):
-                        wb_at = start_list[j] + lat
-                        busy = busy_sets[k]
-                        if ports == 1:
-                            while wb_at in busy:
-                                wb_at += 1
-                        busy.add(wb_at)
-                        if len(busy) > _WB_TRIM_THRESHOLD:
-                            self._trim_wb(k, busy)
-                        wb_list[j] = wb_at
-                    wb = np.array(wb_list, np.int64)
-                    issue = wb - lat
-                    cd["stall_wb_port"][ix] += \
-                        np.maximum(issue - start, 0)
-                    start = np.maximum(start, issue)
+                issue, wb = sched._reserve_wb(sched.int_wb_busy, start,
+                                              lat, ports)
+                if issue > start:
+                    cd["stall_wb_port"] += issue - start
+                    start = issue
             else:
                 wb = start + lat
-
             if mode == "ret":
-                self.int_time[ix] = start + 1
-                cd["int_issued"][ix] += 1
-                self.pc[ix] = _HALT_PC
-                return
+                sched.int_time = start + 1
+                cd["int_issued"] += 1
+                return _HALT_PC
 
-            taken = None
             if mode == "rr":
-                value = fn(iregs[ix, a_idx], iregs[ix, b_idx]) & _MASK32
+                value = fn(iregs[:, a_idx], iregs[:, b_idx]) & _MASK32
             elif mode == "ri":
-                value = fn(iregs[ix, a_idx], off) & _MASK32
+                value = fn(iregs[:, a_idx], imm) & _MASK32
             elif mode == "unary":
-                value = fn(iregs[ix, a_idx]) & _MASK32
+                value = fn(iregs[:, a_idx]) & _MASK32
             elif mode == "const":
-                value = const_val if not const_is_vec or full \
-                    else const_val[g]
-            elif mode == "br2":
-                taken = fn(iregs[ix, a_idx], iregs[ix, b_idx])
-            elif mode == "br1":
-                taken = fn(iregs[ix, a_idx])
-
+                value = const_val
             if value is not None and dest:
-                iregs[ix, dest] = value
-            if writes:
-                int_ready = self.int_ready
-                for r in writes:
-                    int_ready[ix, r] = wb
+                iregs[:, dest] = value
+            for r in writes:
+                int_ready[r] = wb
             if mode == "store":
-                addr = (iregs[ix, base_idx] + off) & _MASK32
-                if uni and not (addr == addr[0]).all():
-                    self._materialize()
-                    uni = False
-                    start = np.full(self.batch, start, np.int64)
-                if uni:
-                    a0 = int(addr[0])
-                    value_list = iregs[ix, src].tolist()
-                    memories = self.memories
-                    ok = []
-                    for k in range(self.batch):
-                        try:
-                            writer(memories[k], a0, value_list[k])
-                        except Exception as exc:
-                            self._fail(k, exc)
-                            continue
-                        ok.append(k)
-                    done = start + lat
-                    span = range(a0 >> 2, (a0 + 7) >> 2)
-                    if self.uniform:
-                        ready_map = self.uni_mem
-                        for key in span:
-                            ready_map[key] = done
-                    else:                # a lane faulted mid-loop
-                        uni = False
-                        for k in ok:
-                            ready_map = self.mem_ready[k]
-                            for key in span:
-                                ready_map[key] = done
-                else:
-                    addr_list = addr.tolist()
-                    value_list = iregs[ix, src].tolist()
-                    start_list = start.tolist()
-                    mem_ready = self.mem_ready
-                    memories = self.memories
-                    for j, k in enumerate(gl):
-                        a = addr_list[j]
-                        try:
-                            writer(memories[k], a, value_list[j])
-                        except Exception as exc:
-                            self._fail(k, exc)
-                            continue
-                        done = start_list[j] + lat
-                        ready_map = mem_ready[k]
-                        for key in range(a >> 2, (a + 7) >> 2):
-                            ready_map[key] = done
+                sched._mem_commit(addr, 4, start + lat)
 
-            self.int_time[ix] = start + 1
-            cd["int_issued"][ix] += 1
+            sched.int_time = start + 1
+            cd["int_issued"] += 1
             if counter is not None:
-                cd[counter][ix] += 1
-
-            if taken is not None:
-                if full and taken.all():
-                    taken_uniform = True
-                elif full and not taken.any():
-                    self.pc[ix] = cur + 1
-                    return
-                elif full:
-                    taken_uniform = None
-                    self._materialize()
-                    self.mixed = True
-                else:
-                    taken_uniform = None
-                if taken_uniform:
-                    self.int_time[ix] += penalty
-                    cd["stall_branch"][ix] += penalty
-                    if l0_on and backward and target <= cur:
-                        span = cur - target + 1
-                        if 0 < span <= entries:
-                            self.l0_lo[ix] = target
-                            self.l0_hi[ix] = cur
-                        else:
-                            self.l0_lo[ix] = -1
-                            self.l0_hi[ix] = -1
-                    self.pc[ix] = target
-                    return
-                bump = np.where(taken, penalty, 0)
-                self.int_time[ix] += bump
-                cd["stall_branch"][ix] += bump
-                if l0_on and backward and target <= cur:
-                    span = cur - target + 1
-                    lo_val, hi_val = ((target, cur)
-                                      if 0 < span <= entries
-                                      else (-1, -1))
-                    self.l0_lo[ix] = np.where(taken, lo_val,
-                                              self.l0_lo[ix])
-                    self.l0_hi[ix] = np.where(taken, hi_val,
-                                              self.l0_hi[ix])
-                self.pc[ix] = np.where(taken, target, cur + 1)
-                return
-            if mode == "jump":
-                self.int_time[ix] += penalty
-                cd["stall_branch"][ix] += penalty
-                if l0_on and target <= cur:
-                    span = cur - target + 1
-                    if 0 < span <= entries:
-                        self.l0_lo[ix] = target
-                        self.l0_hi[ix] = cur
-                    else:
-                        self.l0_lo[ix] = -1
-                        self.l0_hi[ix] = -1
-                self.pc[ix] = target
-                return
-            self.pc[ix] = cur + 1
+                cd[counter] += 1
+            if taken or mode == "jump":
+                sched.int_time += penalty
+                cd["stall_branch"] += penalty
+                if target <= cur:
+                    sched.l0.backward_branch(cur, target)
+                return target
+            return cur + 1
 
         return plan
 
     def _plan_fp(self, op):
         fp_kind = op.fp_op
         mnem = op.mnemonic
-        compute = None
+        compute = reader = writer = None
         if fp_kind == F_COMPUTE:
             compute = vo.VEC_FP_COMPUTE.get(mnem)
             if compute is None:
@@ -832,330 +553,116 @@ class _Cohort:
             writer = vo.FP_STORE_WRITERS[op.width]
         else:
             return None                          # F_BAD
+
+        sched = self.sched
+        cd = sched._cd
+        int_ready = sched.int_ready
+        fp_ready = sched.fp_ready
+        iregs = self.iregs
+        fregs = self.fregs
         gather = op.gather
         reads = op.int_read_idx
-        lat = self.lat[op.index]
+        lat = sched._lat[op.index]
         counter = op.counter
         dest = op.dest_idx
+        width = op.width
         base_idx = op.mem_base_idx
         imm = self.imms[op.index]
-        imm_vec = imm if isinstance(imm, np.ndarray) else None
-        uses_imm = fp_kind in (F_LOAD, F_STORE)
-        depth = self.queue_depth
-        ports = self.fp_wb_ports
-        fp_resp = self.fp_response_latency
+        depth = sched._queue_depth
+        ports = sched._fp_wb_ports
+        fp_resp = sched._fp_response_latency
 
-        span_end = 8 + 3 if op.width == 8 else 4 + 3
+        def plan(cur):
+            values = [fregs[:, idx] if is_fp else iregs[:, idx]
+                      for is_fp, idx in gather]
 
-        def plan(cur, g, gl, full):
-            ix = _FULL if full else g
-            uni = full and self.uniform
-            off = None
-            if uses_imm:
-                off = imm if imm_vec is None \
-                    else (imm_vec if full else imm_vec[g])
-            cd = self.cd
+            # What can split or fault, before anything commits.
+            if fp_kind == F_LOAD:
+                got = self._load(
+                    reader, (iregs[:, base_idx] + imm) & _MASK32, 8)
+                if got is None:
+                    return None
+                ready, loaded = got
+            elif fp_kind == F_STORE:
+                addr = self._store(
+                    writer, (iregs[:, base_idx] + imm) & _MASK32,
+                    values[0])
+                if addr is None:
+                    return None
+
             # -- dispatch on the integer timeline --------------------
-            if uni:
-                self._fetch_uni(cur)
-                disp = int(self.int_time[0])
-                queue = self.uni_queue
-                while queue and queue[0] < disp:
-                    queue.popleft()
-                if len(queue) >= depth:
-                    free_at = queue.popleft() + 1
-                    if free_at > disp:
-                        cd["stall_queue_full"][ix] += free_at - disp
-                        disp = free_at
-                if reads:
-                    b0 = disp
-                    int_ready = self.int_ready
-                    for r in reads:
-                        t = int(int_ready[0, r])
-                        if t > disp:
-                            disp = t
-                    if disp > b0:
-                        cd["stall_raw_int"][ix] += disp - b0
-            else:
-                self._fetch(cur, ix)
-                disp_list = self.int_time[ix].tolist()
-                stall_queue = cd["stall_queue_full"]
-                queues = self.fpss_queue
-                for j, k in enumerate(gl):
-                    queue = queues[k]
-                    d0 = disp_list[j]
-                    while queue and queue[0] < d0:
-                        queue.popleft()
-                    if len(queue) >= depth:
-                        free_at = queue.popleft() + 1
-                        if free_at > d0:
-                            stall_queue[k] += free_at - d0
-                            disp_list[j] = free_at
-                disp = np.array(disp_list, np.int64)
-                if reads:
-                    base = disp
-                    int_ready = self.int_ready
-                    for r in reads:
-                        disp = np.maximum(disp, int_ready[ix, r])
-                    cd["stall_raw_int"][ix] += disp - base
-            self.int_time[ix] = disp + 1
-            cd["fp_dispatched"][ix] += 1
+            sched._fetch(cur)
+            disp = sched.int_time
+            queue = sched.fpss_queue
+            while queue and queue[0] < disp:
+                queue.popleft()
+            if len(queue) >= depth:
+                free_at = queue.popleft() + 1
+                if free_at > disp:
+                    cd["stall_queue_full"] += free_at - disp
+                    disp = free_at
+            if reads:
+                base = disp
+                for r in reads:
+                    t = int_ready[r]
+                    if t > disp:
+                        disp = t
+                if disp > base:
+                    cd["stall_raw_int"] += disp - base
+            sched.int_time = disp + 1
+            cd["fp_dispatched"] += 1
 
             # -- FPSS issue (earliest = disp + 1, SSRs never armed) --
-            values = []
-            if uni:
-                start = int(self.fp_time[0])
-                if disp + 1 > start:
-                    start = disp + 1
-                stall = 0
-                for is_fp, idx in gather:
-                    if is_fp:
-                        t = int(self.fp_ready[0, idx])
-                        if t > start:
-                            stall += t - start
-                            start = t
-                        values.append(self.fregs[ix, idx])
-                    else:
-                        values.append(self.iregs[ix, idx])
-                if stall:
-                    cd["fp_stall_raw"][ix] += stall
-            else:
-                start = np.maximum(self.fp_time[ix], disp + 1)
-                for is_fp, idx in gather:
-                    if is_fp:
-                        t = self.fp_ready[ix, idx]
-                        cd["fp_stall_raw"][ix] += \
-                            np.maximum(t - start, 0)
-                        start = np.maximum(start, t)
-                        values.append(self.fregs[ix, idx])
-                    else:
-                        values.append(self.iregs[ix, idx])
+            start = sched.fp_time
+            if disp + 1 > start:
+                start = disp + 1
+            for is_fp, idx in gather:
+                if is_fp:
+                    t = fp_ready[idx]
+                    if t > start:
+                        cd["fp_stall_raw"] += t - start
+                        start = t
 
-            if fp_kind == F_COMPUTE:
-                result = compute(*values)
-                if uni:
-                    wb = start + lat
-                    busy = self.uni_fp_wb
-                    if ports == 1:
-                        while wb in busy:
-                            wb += 1
-                    busy.add(wb)
-                    if len(busy) > _WB_TRIM_THRESHOLD:
-                        self._trim_wb(0, busy)
-                    issue = wb - lat
-                    if issue > start:
-                        cd["fp_stall_wb_port"][ix] += issue - start
-                        start = issue
-                else:
-                    start_list = start.tolist()
-                    wb_list = [0] * len(gl)
-                    busy_sets = self.fp_wb_busy
-                    for j, k in enumerate(gl):
-                        wb_at = start_list[j] + lat
-                        busy = busy_sets[k]
-                        if ports == 1:
-                            while wb_at in busy:
-                                wb_at += 1
-                        busy.add(wb_at)
-                        if len(busy) > _WB_TRIM_THRESHOLD:
-                            self._trim_wb(k, busy)
-                        wb_list[j] = wb_at
-                    wb = np.array(wb_list, np.int64)
-                    issue = wb - lat
-                    cd["fp_stall_wb_port"][ix] += \
-                        np.maximum(issue - start, 0)
-                    start = np.maximum(start, issue)
-                self.fregs[ix, dest] = result
-                self.fp_ready[ix, dest] = wb
-            elif fp_kind == F_LOAD:
-                addr = (self.iregs[ix, base_idx] + off) & _MASK32
-                if uni and not (addr == addr[0]).all():
-                    self._materialize()
-                    uni = False
-                    start = np.full(self.batch, start, np.int64)
-                if uni:
-                    a0 = int(addr[0])
-                    ready_map = self.uni_mem
-                    for key in range(a0 >> 2, (a0 + 11) >> 2):
-                        v = ready_map.get(key, 0)
-                        if v > start:
-                            start = v
-                    wb = start + lat
-                    busy = self.uni_fp_wb
-                    if ports == 1:
-                        while wb in busy:
-                            wb += 1
-                    busy.add(wb)
-                    if len(busy) > _WB_TRIM_THRESHOLD:
-                        self._trim_wb(0, busy)
-                    issue = wb - lat
-                    if issue > start:
-                        cd["fp_stall_wb_port"][ix] += issue - start
-                        start = issue
-                    values_out = [0.0] * self.batch
-                    memories = self.memories
-                    for k in range(self.batch):
-                        try:
-                            values_out[k] = reader(memories[k], a0)
-                        except Exception as exc:
-                            self._fail(k, exc)
-                    self.fregs[ix, dest] = \
-                        np.array(values_out, np.float64)
-                    self.fp_ready[ix, dest] = wb
-                    if not self.uniform:     # a lane faulted mid-loop
-                        uni = False
-                        start = np.full(self.batch, start, np.int64)
-                else:
-                    addr_list = addr.tolist()
-                    start_list = start.tolist()
-                    wb_list = [0] * len(gl)
-                    values_out = [0.0] * len(gl)
-                    stall_wb = cd["fp_stall_wb_port"]
-                    mem_ready = self.mem_ready
-                    busy_sets = self.fp_wb_busy
-                    memories = self.memories
-                    for j, k in enumerate(gl):
-                        a = addr_list[j]
-                        s = start_list[j]
-                        ready_map = mem_ready[k]
-                        for key in range(a >> 2, (a + 11) >> 2):
-                            v = ready_map.get(key, 0)
-                            if v > s:
-                                s = v
-                        busy = busy_sets[k]
-                        wb_at = s + lat
-                        if ports == 1:
-                            while wb_at in busy:
-                                wb_at += 1
-                        busy.add(wb_at)
-                        if len(busy) > _WB_TRIM_THRESHOLD:
-                            self._trim_wb(k, busy)
-                        issue = wb_at - lat
-                        if issue > s:
-                            stall_wb[k] += issue - s
-                            s = issue
-                        try:
-                            values_out[j] = reader(memories[k], a)
-                        except Exception as exc:
-                            self._fail(k, exc)
-                        wb_list[j] = wb_at
-                        start_list[j] = s
-                    start = np.array(start_list, np.int64)
-                    wb = np.array(wb_list, np.int64)
-                    self.fregs[ix, dest] = \
-                        np.array(values_out, np.float64)
-                    self.fp_ready[ix, dest] = wb
-            elif fp_kind == F_STORE:
-                addr = (self.iregs[ix, base_idx] + off) & _MASK32
-                if uni and not (addr == addr[0]).all():
-                    self._materialize()
-                    uni = False
-                    start = np.full(self.batch, start, np.int64)
-                if uni:
-                    a0 = int(addr[0])
-                    value_list = values[0].tolist()
-                    memories = self.memories
-                    ok = []
-                    for k in range(self.batch):
-                        try:
-                            writer(memories[k], a0, value_list[k])
-                        except Exception as exc:
-                            self._fail(k, exc)
-                            continue
-                        ok.append(k)
-                    done = start + lat
-                    span = range(a0 >> 2, (a0 + span_end) >> 2)
-                    if self.uniform:
-                        ready_map = self.uni_mem
-                        for key in span:
-                            ready_map[key] = done
-                    else:                # a lane faulted mid-loop
-                        uni = False
-                        for k in ok:
-                            ready_map = self.mem_ready[k]
-                            for key in span:
-                                ready_map[key] = done
-                else:
-                    addr_list = addr.tolist()
-                    value_list = values[0].tolist()
-                    start_list = start.tolist()
-                    mem_ready = self.mem_ready
-                    memories = self.memories
-                    for j, k in enumerate(gl):
-                        a = addr_list[j]
-                        try:
-                            writer(memories[k], a, value_list[j])
-                        except Exception as exc:
-                            self._fail(k, exc)
-                            continue
-                        done = start_list[j] + lat
-                        ready_map = mem_ready[k]
-                        for key in range(a >> 2, (a + span_end) >> 2):
-                            ready_map[key] = done
-            else:                                # F_TO_INT
-                result = compute(*values)
+            if fp_kind == F_STORE:
+                sched._mem_commit(addr, width, start + lat)
+            elif fp_kind == F_TO_INT:
                 if dest:
-                    self.iregs[ix, dest] = result & _MASK32
-                self.int_ready[ix, dest] = start + lat + fp_resp
-
-            self.fp_time[ix] = start + 1
-            cd["fp_issued"][ix] += 1
-            if counter is not None:
-                cd[counter][ix] += 1
-            if uni:
-                self.uni_queue.append(start)
+                    iregs[:, dest] = compute(*values) & _MASK32
+                int_ready[dest] = start + lat + fp_resp
             else:
-                queues = self.fpss_queue
-                if isinstance(start, int):
-                    for k in gl:
-                        queues[k].append(start)
+                if fp_kind == F_LOAD:
+                    if ready > start:
+                        start = ready
+                    result = loaded
                 else:
-                    start_list = start.tolist()
-                    for j, k in enumerate(gl):
-                        queues[k].append(start_list[j])
-            self.pc[ix] = cur + 1
+                    result = compute(*values)
+                issue, wb = sched._reserve_wb(sched.fp_wb_busy, start,
+                                              lat, ports)
+                if issue > start:
+                    cd["fp_stall_wb_port"] += issue - start
+                    start = issue
+                fregs[:, dest] = result
+                fp_ready[dest] = wb
+
+            sched.fp_time = start + 1
+            cd["fp_issued"] += 1
+            if counter is not None:
+                cd[counter] += 1
+            queue.append(start)
+            return cur + 1
 
         return plan
 
     def _plan_meta(self, op):
-        label = op.instr.label or ""
-        if label.endswith("_start"):
-            name = label[:-len("_start")]
-            opening = True
-        elif label.endswith("_end"):
-            name = label[:-len("_end")]
-            opening = False
-        else:
-            return None           # scalar raises the bad-label error
-        err = f"mark {label}: region never opened"
+        mark = self.sched._exec_mark
 
-        def plan(cur, g, gl, full):
-            ix = _FULL if full else g
-            for k in gl:
-                now = max(int(self.int_time[k]), int(self.fp_time[k]))
-                if opening:
-                    self.region_open[k][name] = \
-                        (now, self._counters_of(k))
-                    continue
-                opened = self.region_open[k]
-                if name not in opened:
-                    self._fail(k, SimulationError(err))
-                    continue
-                start_time, start_counters = opened.pop(name)
-                cycles = now - start_time
-                delta = self._counters_of(k).delta(start_counters)
-                regions = self.regions[k]
-                if name in regions:
-                    prev = regions[name]
-                    merged = Counters(**{
-                        f: getattr(prev.counters, f) + getattr(delta, f)
-                        for f in vars(delta)
-                    })
-                    regions[name] = RegionMeasurement(
-                        name, prev.cycles + cycles, merged)
-                else:
-                    regions[name] = RegionMeasurement(
-                        name, cycles, delta)
-            self.pc[ix] = cur + 1
+        def plan(cur):
+            # A bad label or a never-opened region raises before the
+            # mark commits; every lane then raises it scalar.
+            try:
+                mark(op)
+            except SimulationError:
+                return None
+            return cur + 1
 
         return plan

@@ -7,7 +7,8 @@ input a scalar handler accepts, the vector form must produce the same
 32-bit integer (or the same float64 down to the last ulp and NaN
 payload).  Opcodes whose scalar semantics cannot be reproduced exactly
 with array primitives (``div``/``rem`` raise on zero per-lane,
-``fsqrt.d`` raises on negative operands, ``fclass.d`` is table-driven)
+``fsqrt.d`` raises on negative operands, ``fmv.x.w`` on doubles beyond
+the float32 range, ``fclass.d`` is table-driven)
 are deliberately **absent** from these tables — the engine demotes any
 lane that reaches them to the scalar :class:`~repro.sim.scheduler.
 Scheduler`, which stays the golden reference.
@@ -224,11 +225,6 @@ def _vfmv_w_x(i):
         .astype(np.float64)
 
 
-def _vfmv_x_w(a):
-    """fmv.x.w: round to f32, return the raw 32-bit pattern."""
-    return a.astype(np.float32).view(np.uint32).astype(np.int64)
-
-
 #: mnemonic -> vector compute over gathered operand columns (float64
 #: for FP operands, int64 canonical words for integer operands); the
 #: result is written to the FP destination register.  fsqrt.d,
@@ -270,14 +266,15 @@ VEC_FP_COMPUTE = {
 }
 
 #: mnemonic -> vector compute whose int64 result lands in the integer
-#: RF (masked by the engine).  fclass.d is absent (demotion).
+#: RF (masked by the engine).  fclass.d is absent (demotion), and so is
+#: fmv.x.w: its scalar form raises on a finite double beyond the
+#: float32 range, where a numpy cast would yield inf.
 VEC_FP_TO_INT = {
     "feq.d": lambda a, b: (a == b).astype(np.int64),
     "flt.d": lambda a, b: (a < b).astype(np.int64),
     "fle.d": lambda a, b: (a <= b).astype(np.int64),
     "fcvt.w.d": _vfcvt_w_d,
     "fcvt.wu.d": _vfcvt_wu_d,
-    "fmv.x.w": _vfmv_x_w,
 }
 
 #: Per-lane float readers/writers for the FP load/store paths.

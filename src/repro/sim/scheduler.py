@@ -266,7 +266,7 @@ class Scheduler:
         With multiple ports the conflict set is per-cycle occupancy —
         modelled only for the single-port default, which is what the
         paper's core has.  (The step loop inlines this logic; the
-        method remains for tests and subclasses.)
+        batch engine's shared timeline calls this method.)
         """
         wb = start + lat
         if ports == 1:

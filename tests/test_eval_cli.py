@@ -590,7 +590,7 @@ class TestCacheCLI:
         base = ["fig2", "--n", "256", "--json", "--out", str(out),
                 "--cache-dir", str(cache)]
         monkeypatch.setattr(fp_mod, "timing_fingerprint",
-                            lambda golden_path=None: "aaaa" * 16)
+                            lambda: "aaaa" * 16)
         monkeypatch.setattr("repro.serve.store.timing_fingerprint",
                             fp_mod.timing_fingerprint)
         assert main(base) == 0
@@ -598,7 +598,7 @@ class TestCacheCLI:
         old = RunStore(cache, fingerprint="aaaa" * 16)
         assert old.describe()["entries"] == 12
         monkeypatch.setattr(fp_mod, "timing_fingerprint",
-                            lambda golden_path=None: "bbbb" * 16)
+                            lambda: "bbbb" * 16)
         monkeypatch.setattr("repro.serve.store.timing_fingerprint",
                             fp_mod.timing_fingerprint)
         new = RunStore(cache, fingerprint="bbbb" * 16)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import CoreBackend, Sweep, Workload, timing_fingerprint
 from repro.api.backend import ClusterBackend
-from repro.api.fingerprint import default_golden_path
+import repro.api.fingerprint as fp_mod
 from repro.cluster import ClusterConfig
 from repro.serve import (
     CacheError,
@@ -39,40 +39,55 @@ def _record_for(workload, backend):
 
 
 class TestFingerprint:
-    """Satellite: stability across runs, sensitivity to golden edits."""
+    """Satellite: stability, and sensitivity to a one-byte source edit,
+    proved on a temporary copy of the package."""
+
+    @staticmethod
+    def _fingerprint_of(root, monkeypatch):
+        """The fingerprint of the package copy at *root*, unmemoized."""
+        monkeypatch.setattr(fp_mod, "PACKAGE_ROOT", root)
+        monkeypatch.setattr(fp_mod, "_FINGERPRINT", None)
+        return timing_fingerprint()
+
+    @staticmethod
+    def _copy_package(tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(fp_mod.PACKAGE_ROOT, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return copy
 
     def test_stable_across_calls(self):
         assert timing_fingerprint() == timing_fingerprint()
 
-    def test_content_addressed_not_path_addressed(self, tmp_path):
+    def test_content_addressed_not_path_addressed(self, tmp_path,
+                                                  monkeypatch):
         # A byte-identical copy elsewhere names the same model.
-        golden = default_golden_path()
-        assert golden is not None, "repo checkout must have goldens"
-        copy = tmp_path / "golden.json"
-        shutil.copyfile(golden, copy)
-        assert timing_fingerprint(str(copy)) == timing_fingerprint()
+        live = timing_fingerprint()
+        copy = self._copy_package(tmp_path)
+        assert self._fingerprint_of(copy, monkeypatch) == live
 
-    def test_sensitive_to_golden_edits(self, tmp_path):
-        golden = default_golden_path()
-        copy = tmp_path / "golden.json"
-        data = json.loads(open(golden, encoding="utf-8").read())
-        before = timing_fingerprint(str(golden))
-        copy.write_text(json.dumps(data) + "\n# timing changed\n")
-        assert timing_fingerprint(str(copy)) != before
+    def test_sensitive_to_a_one_byte_source_edit(self, tmp_path,
+                                                 monkeypatch):
+        copy = self._copy_package(tmp_path)
+        before = self._fingerprint_of(copy, monkeypatch)
+        source = copy / "sim" / "scheduler.py"
+        data = bytearray(source.read_bytes())
+        data[-1] ^= 1
+        source.write_bytes(bytes(data))
+        assert self._fingerprint_of(copy, monkeypatch) != before
 
-    def test_edit_detected_within_process(self, tmp_path):
-        # The memo is keyed on (path, mtime, size): rewriting the same
-        # file mid-process must yield the new digest, not a stale one.
-        copy = tmp_path / "golden.json"
-        copy.write_text("revision one\n")
-        first = timing_fingerprint(str(copy))
-        copy.write_text("revision two -- longer on purpose\n")
-        assert timing_fingerprint(str(copy)) != first
+    def test_covers_every_source_file(self, tmp_path, monkeypatch):
+        # A new module changes the model too, not only edits.
+        copy = self._copy_package(tmp_path)
+        before = self._fingerprint_of(copy, monkeypatch)
+        (copy / "sim" / "extra.py").write_text("")
+        assert self._fingerprint_of(copy, monkeypatch) != before
 
-    def test_missing_golden_named_in_error(self, tmp_path):
-        missing = tmp_path / "nope" / "golden.json"
-        with pytest.raises(FileNotFoundError, match="golden"):
-            timing_fingerprint(str(missing))
+    def test_memoized_once_per_process(self, tmp_path, monkeypatch):
+        copy = self._copy_package(tmp_path)
+        first = self._fingerprint_of(copy, monkeypatch)
+        (copy / "sim" / "extra.py").write_text("")
+        assert timing_fingerprint() == first
 
 
 class TestCacheKey:
