@@ -5,7 +5,10 @@ Produces the three panels of the paper's Figure 2 for all six kernels
 panel (a) compares steady-state IPC against the I′-derived expectation,
 panel (b) compares average power, panel (c) speedup against S′ and the
 energy improvement.  All measurements flow through one
-:class:`~repro.api.Sweep` of every kernel pair on the ``core`` backend.
+:class:`~repro.api.Sweep` of every kernel pair on the ``core`` backend;
+the expectation lines (I′ and S′) are read from that sweep's own
+records at every n, so each cell is simulated exactly once and a warm
+run simulates nothing.
 """
 
 from __future__ import annotations
@@ -86,24 +89,14 @@ def generate(n: int = 4096, config: CoreConfig | None = None,
     pairs = {w.kernel: records[i:i + 2]
              for i, w in enumerate(workloads)
              if w.variant == "baseline"}
-    # The Table-I models need mixes at (converged) n <= MAX_MEASURE_N;
-    # when the sweep already ran at such an n, derive them from the
-    # same records instead of re-simulating all 12 cells.
-    model_n = min(n, table1.MAX_MEASURE_N)
-    models = {
-        kernel_def.name:
-            table1.model_from_records(kernel_def,
-                                      *pairs[kernel_def.name], n)
-            if model_n == n
-            else table1.measured_model(kernel_def, n=model_n,
-                                       config=config)
-        for kernel_def in KERNELS.values()
-    }
     rows = []
     for kernel_def in KERNELS.values():
         baseline, copift = pairs[kernel_def.name]
         measurement = KernelMeasurement.from_records(baseline, copift)
-        model = models[kernel_def.name]
+        # The Table-I mixes come from the sweep's own records at every
+        # n: per-iteration counts are affine in n and round to the
+        # converged mix, so no cell is simulated twice.
+        model = table1.model_from_records(kernel_def, baseline, copift, n)
         # Expected IPC (dashed line in Fig. 2a) = baseline IPC x I'.
         expected_ipc = measurement.baseline.ipc * model.i_prime
         rows.append(Fig2Row(

@@ -80,15 +80,6 @@ def model_from_records(kernel_def: KernelDef, baseline: RunRecord,
     )
 
 
-def measured_model(kernel_def: KernelDef, n: int = 2048,
-                   config: CoreConfig | None = None) -> KernelModel:
-    """Build a Table-I row from dynamic measurements of one kernel."""
-    backend = CoreBackend(config=config)
-    baseline = backend.run(Workload(kernel_def.name, "baseline", n=n))
-    copift = backend.run(Workload(kernel_def.name, "copift", n=n))
-    return model_from_records(kernel_def, baseline, copift, n)
-
-
 def generate(n: int = 2048,
              config: CoreConfig | None = None) -> list[Table1Row]:
     """All Table-I rows, in the paper's order."""

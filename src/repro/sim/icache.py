@@ -21,7 +21,11 @@ from __future__ import annotations
 
 
 class L0Cache:
-    """Loop-buffer hit/miss tracker.
+    """Loop-buffer capture tracker.
+
+    The scheduler checks each fetch against the captured
+    ``[_lo, _hi]`` range and counts hits and misses in its
+    :class:`~repro.sim.counters.Counters`.
 
     Args:
         entries: Buffer capacity in instructions.
@@ -33,16 +37,6 @@ class L0Cache:
         self.enabled = enabled
         self._lo = -1
         self._hi = -1
-        self.hits = 0
-        self.misses = 0
-
-    def fetch(self, pc: int) -> bool:
-        """Record a fetch of the instruction at index *pc*; True on hit."""
-        if self.enabled and self._lo <= pc <= self._hi:
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
 
     def backward_branch(self, branch_pc: int, target_pc: int) -> None:
         """Note a taken backward branch; capture the loop if it fits."""

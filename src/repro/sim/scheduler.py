@@ -346,14 +346,11 @@ class Scheduler:
     # integer core
     # ------------------------------------------------------------------
     def _fetch(self, pc: int) -> None:
-        # Inlined L0Cache.fetch: this runs once per dispatched
-        # instruction, so the extra call layer is worth shaving.
+        # L0 loop-buffer check; _step_int/_step_fp inline this copy.
         l0 = self.l0
         if l0.enabled and l0._lo <= pc <= l0._hi:
-            l0.hits += 1
             self._cd["icache_l0_hits"] += 1
         else:
-            l0.misses += 1
             self._cd["icache_l0_misses"] += 1
 
     def _step_int(self, op, pc: int) -> int:
@@ -363,10 +360,8 @@ class Scheduler:
         # Fetch (L0 loop-buffer check, inlined).
         l0 = self.l0
         if l0.enabled and l0._lo <= pc <= l0._hi:
-            l0.hits += 1
             cd["icache_l0_hits"] += 1
         else:
-            l0.misses += 1
             cd["icache_l0_misses"] += 1
         base = self.int_time
         start = base
@@ -529,10 +524,8 @@ class Scheduler:
         # Fetch (L0 loop-buffer check, inlined).
         l0 = self.l0
         if l0.enabled and l0._lo <= pc <= l0._hi:
-            l0.hits += 1
             cd["icache_l0_hits"] += 1
         else:
-            l0.misses += 1
             cd["icache_l0_misses"] += 1
         disp = self.int_time
 
