@@ -126,20 +126,11 @@ def stage_inputs_via_dma(instance: KernelInstance,
 def output_region(instance: KernelInstance) -> tuple[int, int] | None:
     """``(addr, nbytes)`` of the kernel's vector output, if it has one.
 
-    Kernels register their output region explicitly through the
-    ``out_region`` note; older builds are resolved from the historical
-    ``y_addr``/``out_addr`` notes (one FP64 element per problem
-    element).  Monte Carlo kernels reduce to scalars and have nothing
-    to drain — they return ``None``.
+    Kernels register their output region through the ``out_region``
+    note.  Monte Carlo kernels reduce to scalars and have nothing to
+    drain — they return ``None``.
     """
-    region = instance.notes.get("out_region")
-    if region is not None:
-        addr, nbytes = region
-        return (addr, nbytes)
-    for key in ("y_addr", "out_addr"):
-        if key in instance.notes:
-            return (instance.notes[key], 8 * instance.n)
-    return None
+    return instance.notes.get("out_region")
 
 
 def drain_outputs_via_dma(instance: KernelInstance,
@@ -162,7 +153,7 @@ def drain_outputs_via_dma(instance: KernelInstance,
     if region is None:
         raise ValueError(
             f"kernel {instance.name} has no drainable outputs "
-            f"(no out_region/y_addr/out_addr note)"
+            f"(no out_region note)"
         )
     out_addr, nbytes = region
     tile = 8 * tile_elems
@@ -255,7 +246,6 @@ def verify_drained(instance: KernelInstance) -> None:
 def partition_kernel(kernel_def: KernelDef, n: int, n_cores: int,
                      variant: str = "baseline",
                      block: int | None = None,
-                     stage_dma: bool | None = None,
                      first_core: int = 0,
                      writeback: bool = False) -> ClusterWorkload:
     """Chunk one registered kernel over *n_cores* cores.
@@ -266,12 +256,6 @@ def partition_kernel(kernel_def: KernelDef, n: int, n_cores: int,
         n_cores: Cluster size.
         variant: ``baseline`` or ``copift``.
         block: Requested COPIFT block size (auto-shrunk per chunk).
-        stage_dma: Stage vector-kernel inputs from L2 through the DMA
-            engine.  None (default) enables staging exactly for the
-            kernels whose single-core instances already account DMA
-            activity (``expf``/``logf``) when the cluster has more
-            than one core — or at any core count in write-back mode,
-            which simulates the kernel's full conceptual traffic.
         first_core: Global index of this cluster's first core.  The
             SoC partitioner passes ``cluster * n_cores`` so per-core
             seeds stay unique across the whole SoC; global core 0
@@ -308,14 +292,16 @@ def partition_kernel(kernel_def: KernelDef, n: int, n_cores: int,
         else:
             instance = kernel_def.build_copift(chunk, block=chunk_block,
                                                **kwargs)
-        # Write-back mode simulates *all* of the kernel's conceptual
-        # traffic, so staging is enabled even at one core there —
-        # otherwise the measured bytes the energy model prices would
-        # miss the input half at n_cores=1 (where the default model
-        # keeps the bare-Machine cycle identity instead).
-        dma = stage_dma if stage_dma is not None \
-            else (instance.dma_active and (n_cores > 1 or writeback))
-        if dma:
+        # Vector-kernel inputs are staged from L2 through the DMA engine
+        # for the kernels whose single-core instances already account
+        # DMA activity (``expf``/``logf``) when the cluster has more
+        # than one core.  Write-back mode simulates *all* of the
+        # kernel's conceptual traffic, so staging is enabled even at
+        # one core there — otherwise the measured bytes the energy
+        # model prices would miss the input half at n_cores=1 (where
+        # the default model keeps the bare-Machine cycle identity
+        # instead).
+        if instance.dma_active and (n_cores > 1 or writeback):
             if "inputs" not in instance.notes:
                 raise ValueError(
                     f"kernel {kernel_def.name} has no stageable inputs"

@@ -11,7 +11,10 @@ the integer phase (paper Fig. 1j).
 :func:`emit_frep` validates the paper's hardware constraints at build
 time: the body must fit the sequencer buffer and must not touch the
 integer register file (that is exactly what SSRs and the COPIFT custom
-ISA extension are for).
+ISA extension are for).  Every FREP loop of the paper kernels is
+emitted through it: ``expf`` and ``logf`` call it directly, and the
+four Monte Carlo kernels and ``dither`` through
+:func:`repro.copift.transform.generate_two_phase`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Callable
 
 from ..isa.instructions import Thread
 from ..isa.program import ProgramBuilder
+from ..sim import CoreConfig
 
 
 class FrepBodyError(ValueError):
@@ -28,7 +32,7 @@ class FrepBodyError(ValueError):
 
 def emit_frep(builder: ProgramBuilder, reps_reg: str,
               body: Callable[[ProgramBuilder], None],
-              buffer_size: int = 16) -> int:
+              buffer_size: int = CoreConfig.frep_buffer_size) -> int:
     """Emit ``frep.o reps_reg, n`` followed by the *body* instructions.
 
     *reps_reg* must hold (iterations - 1) at runtime.  Returns the body

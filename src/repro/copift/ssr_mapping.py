@@ -9,7 +9,12 @@ at a constant pitch become an extra dimension whose stride is the pitch.
 
 This module provides the stream descriptors, the fusion algorithm, the
 assignment onto the three architectural SSRs, and the ``scfgwi``
-configuration-code emission used by the kernel generators.
+configuration-code emission.  The paper kernels configure their SSRs
+through the emitters: ``expf`` and ``logf`` call them directly, and the
+four Monte Carlo kernels and ``dither`` through
+:func:`repro.copift.transform.generate_two_phase`.  The one shape
+written by hand is ``expf``'s fused (x, t) read, whose STRIDE0 is a
+runtime pitch set when the stream is armed.
 
 Type 1 (dynamically addressed) streams either get converted to Type 2 by
 integer-side prefetching (paper Fig. 1h) or are mapped onto an ISSR with

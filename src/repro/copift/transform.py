@@ -15,10 +15,10 @@ FP phase consuming them — is compiled into the full COPIFT program:
 * Step 7: the FP body runs under one ``frep`` spanning the block,
   emitted *before* the integer phase of each macro-iteration.
 
-The six paper kernels are hand-scheduled for count fidelity (see
-``repro.kernels``); this generator trades a little polish for zero
-hand-written pipeline code, and is exercised by the ``dither`` demo
-kernel and the test suite.
+It builds the four Monte Carlo paper kernels ({pi, poly} × {LCG,
+xoshiro128+}) and the ``dither`` demo kernel; ``expf`` and ``logf``
+need three-phase or gather pipelines and are scheduled by hand on the
+same Step-6/7 emitters (:mod:`.ssr_mapping`, :mod:`.frep_mapping`).
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from typing import Callable
 
 from ..isa.instructions import Thread
 from ..isa.program import Program, ProgramBuilder
-from ..sim import Allocator
-from ..sim.ssr import (
-    F_BOUND0, F_RPTR, F_STATUS, F_STRIDE0, F_WPTR, encode_cfg_imm,
-)
-from .frep_mapping import FrepBodyError
+from ..sim import Allocator, CoreConfig
+from .frep_mapping import FrepBodyError, emit_frep
+from .ssr_mapping import AffineStream, emit_stream_base, emit_stream_shape
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,8 @@ class TwoPhaseBuild:
 
 
 def _validate_body(spec: TwoPhaseSpec,
-                   frep_buffer_size: int = 16) -> int:
+                   frep_buffer_size: int = CoreConfig.frep_buffer_size
+                   ) -> int:
     scratch = ProgramBuilder()
     spec.emit_fp_body(scratch)
     body = scratch._instructions
@@ -132,7 +131,8 @@ def generate_two_phase(spec: TwoPhaseSpec, n: int, block: int,
         FrepBodyError: if the FP body violates its contract.
     """
     if block % spec.unroll != 0:
-        raise ValueError("block must be a multiple of the unroll factor")
+        raise ValueError(
+            f"block must be a multiple of {spec.unroll} (the unroll factor)")
     if n % block != 0:
         raise ValueError("n must be a multiple of block")
     nb = n // block
@@ -154,18 +154,14 @@ def generate_two_phase(spec: TwoPhaseSpec, n: int, block: int,
     b.li("s3", arena + column_bytes)        # cr
     b.li("s5", block - 1)                   # FREP reps - 1
 
-    def cfg_imm(value: int, field_code: int, ssr: int) -> None:
-        b.li("t0", value)
-        b.scfgwi("t0", encode_cfg_imm(field_code, ssr))
-
-    # SSR0: the value stream (1-D, pops_per_element * block slots).
-    cfg_imm(1, F_STATUS, 0)
-    cfg_imm(spec.pops_per_element * block - 1, F_BOUND0, 0)
-    cfg_imm(8, F_STRIDE0, 0)
+    # SSR0: the value stream; SSR2: the optional output stream.
+    values = AffineStream("values", "read",
+                          (spec.pops_per_element * block,), (8,))
+    emit_stream_shape(b, 0, values)
     if spec.pushes_per_element:
-        cfg_imm(1, F_STATUS, 2)
-        cfg_imm(spec.pushes_per_element * block - 1, F_BOUND0, 2)
-        cfg_imm(8, F_STRIDE0, 2)
+        results = AffineStream("results", "write",
+                               (spec.pushes_per_element * block,), (8,))
+        emit_stream_shape(b, 2, results)
         b.li("a1", output_addr)             # output cursor
 
     def int_phase() -> None:
@@ -179,13 +175,10 @@ def generate_two_phase(spec: TwoPhaseSpec, n: int, block: int,
         b.bne("a7", "t2", loop)
 
     def fp_phase() -> None:
-        b.scfgwi("s3", encode_cfg_imm(F_RPTR, 0))
+        emit_stream_base(b, 0, values, "s3")
         if spec.pushes_per_element:
-            b.scfgwi("a1", encode_cfg_imm(F_WPTR, 2))
-        scratch = ProgramBuilder()
-        spec.emit_fp_body(scratch)
-        b.frep_o("s5", len(scratch._instructions))
-        b.extend(scratch._instructions)
+            emit_stream_base(b, 2, results, "a1")
+        emit_frep(b, "s5", spec.emit_fp_body)
         if spec.pushes_per_element:
             b.addi("a1", "a1", 8 * spec.pushes_per_element * block)
 
@@ -198,15 +191,14 @@ def generate_two_phase(spec: TwoPhaseSpec, n: int, block: int,
     b.mark("main_start")
     int_phase()                             # prologue: block 0
     swap_columns()
-    if nb > 1:
-        b.li("s7", nb - 1)
-        steady = b.fresh_label(f"{spec.name}_steady")
-        b.label(steady)
-        fp_phase()
-        int_phase()
-        swap_columns()
-        b.addi("s7", "s7", -1)
-        b.bnez("s7", steady)
+    b.li("s7", nb - 1)
+    steady = b.fresh_label(f"{spec.name}_steady")
+    b.label(steady)
+    fp_phase()
+    int_phase()
+    swap_columns()
+    b.addi("s7", "s7", -1)
+    b.bnez("s7", steady)
     fp_phase()                              # epilogue: final block
     b.mark("main_end")
     b.ssr_disable()

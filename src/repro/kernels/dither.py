@@ -4,9 +4,9 @@ Generates a vector of uniform dither noise — ``d[i] = (u_i * 2^-32 -
 0.5) * amplitude`` with ``u_i`` drawn from xoshiro128+ — a standard
 pre-quantization step in audio/DSP and neural-network quantization
 pipelines.  It is exactly the mixed integer/FP pattern COPIFT targets
-(integer PRNG feeding FP scaling), and unlike the paper's six kernels
-it is produced *entirely* by :func:`repro.copift.transform
-.generate_two_phase`: no hand-written pipeline code.
+(integer PRNG feeding FP scaling), and it is produced *entirely* by
+:func:`repro.copift.transform.generate_two_phase`: no hand-written
+pipeline code.
 
 This demonstrates that the methodology implementation generalizes past
 the paper's evaluation set.

@@ -27,11 +27,14 @@ import math
 
 import numpy as np
 
+from ..copift.frep_mapping import emit_frep
+from ..copift.ssr_mapping import (
+    AffineStream, emit_stream_base, emit_stream_shape,
+)
 from ..isa.program import ProgramBuilder
 from ..sim import Allocator, Memory
 from ..sim.ssr import (
-    F_BOUND0, F_BOUND1, F_RPTR, F_STATUS, F_STRIDE0, F_STRIDE1, F_WPTR,
-    encode_cfg_imm,
+    F_BOUND0, F_BOUND1, F_STATUS, F_STRIDE0, F_STRIDE1, encode_cfg_imm,
 )
 from .common import KernelInstance, load_f64_constants
 
@@ -212,7 +215,13 @@ def _emit_phase2(b: ProgramBuilder) -> None:
     # 1 instruction
 
 
-def _emit_int_phase(b: ProgramBuilder, block: int) -> None:
+def _emit_fused_phases(b: ProgramBuilder) -> None:
+    """Steady-state FREP body: phase 0 of block j + phase 2 of j-2."""
+    _emit_phase0(b)
+    _emit_phase2(b)
+
+
+def _emit_int_phase(b: ProgramBuilder) -> None:
     """Integer phase 1 over one block: extract k, build s into t slots.
 
     Expects a6 = ki read pointer, a7 = t write pointer, t2 = end bound.
@@ -234,16 +243,6 @@ def _emit_int_phase(b: ProgramBuilder, block: int) -> None:
     b.addi("a6", "a6", 32)
     b.addi("a7", "a7", 32)
     b.bne("a6", "t2", loop)
-
-
-def _cfg(b: ProgramBuilder, reg: str, field: int, ssr: int) -> None:
-    b.scfgwi(reg, encode_cfg_imm(field, ssr))
-
-
-def _cfg_imm(b: ProgramBuilder, value: int, field: int, ssr: int,
-             scratch: str = "t0") -> None:
-    b.li(scratch, value)
-    _cfg(b, scratch, field, ssr)
 
 
 def build_copift(n: int, block: int = 64, seed: int = 7) -> KernelInstance:
@@ -284,62 +283,33 @@ def build_copift(n: int, block: int = 64, seed: int = 7) -> KernelInstance:
         b.mv("s4", "s3")
         b.mv("s3", "t1")
 
-    def shape_read_x_only() -> None:
-        _cfg_imm(b, 1, F_STATUS, 0)
-        _cfg_imm(b, block - 1, F_BOUND0, 0)
-        _cfg_imm(b, 8, F_STRIDE0, 0)
-
-    def shape_read_fused() -> None:
-        # (x[i], t[i]) pairs: dims (2, block); stride0 set per macro.
-        _cfg_imm(b, 2, F_STATUS, 0)
-        _cfg_imm(b, 1, F_BOUND0, 0)
-        _cfg_imm(b, block - 1, F_BOUND1, 0)
-        _cfg_imm(b, 8, F_STRIDE1, 0)
-
-    def shape_read_t_only() -> None:
-        _cfg_imm(b, 1, F_STATUS, 0)
-        _cfg_imm(b, block - 1, F_BOUND0, 0)
-        _cfg_imm(b, 8, F_STRIDE0, 0)
-
-    def shape_write(n_streams: int) -> None:
-        # Fused (ki, w[, y]) writes: dims (n_streams, block).
-        _cfg_imm(b, 2, F_STATUS, 1)
-        _cfg_imm(b, n_streams - 1, F_BOUND0, 1)
-        _cfg_imm(b, slot, F_STRIDE0, 1)
-        _cfg_imm(b, block - 1, F_BOUND1, 1)
-        _cfg_imm(b, 8, F_STRIDE1, 1)
-
-    def shape_read_w() -> None:
-        _cfg_imm(b, 1, F_STATUS, 2)
-        _cfg_imm(b, block - 1, F_BOUND0, 2)
-        _cfg_imm(b, 8, F_STRIDE0, 2)
-
-    def arm_read_fused() -> None:
-        # stride0 = (cr1.t_slot) - x_block; base = x block pointer.
-        b.addi("t1", "s3", 3 * slot)
-        b.sub("t1", "t1", "a0")
-        _cfg(b, "t1", F_STRIDE0, 0)
-        _cfg(b, "a0", F_RPTR, 0)
-
-    def arm_write() -> None:
-        _cfg(b, "s2", F_WPTR, 1)
+    # SSR0 reads x, t or the fused (x[i], t[i]) pairs; SSR1 writes the
+    # fused (ki, w[, y]) slots, dims (n_streams, block); SSR2 reads w.
+    x_read = AffineStream("x", "read", (block,), (8,))
+    t_read = AffineStream("t", "read", (block,), (8,))
+    xt_read = AffineStream("x+t", "read", (2, block), (0, 8))  # stride0 armed
+    ki_w_write = AffineStream("ki+w", "write", (2, block), (slot, 8))
+    ki_w_y_write = AffineStream("ki+w+y", "write", (3, block), (slot, 8))
+    y_write = AffineStream("y", "write", (block,), (8,))
+    w_read = AffineStream("w", "read", (block,), (8,))
 
     def arm_read_w() -> None:
         b.addi("t1", "s4", slot)
-        _cfg(b, "t1", F_RPTR, 2)
+        emit_stream_base(b, 2, w_read, "t1")
 
-    def frep(body) -> None:
-        scratch = ProgramBuilder()
-        body(scratch)
-        b.frep_o("s5", len(scratch._instructions))
-        b.extend(scratch._instructions)
+    def arm_t_y() -> None:
+        # Phase 2 alone: t of cr1 on SSR0, y slot of cw on SSR1.
+        b.addi("t1", "s3", 3 * slot)
+        emit_stream_base(b, 0, t_read, "t1")
+        b.addi("t1", "s2", 2 * slot)
+        emit_stream_base(b, 1, y_write, "t1")
 
     def int_phase() -> None:
         # ki read pointer = cr1, t write pointer = cw.t_slot.
         b.mv("a6", "s3")
         b.addi("a7", "s2", 3 * slot)
         b.addi("t2", "s3", slot)
-        _emit_int_phase(b, block)
+        _emit_int_phase(b)
 
     def dma_out_y() -> None:
         # y of the oldest in-flight block sits in cw's y slot.
@@ -354,71 +324,65 @@ def build_copift(n: int, block: int = 64, seed: int = 7) -> KernelInstance:
     b.mark("main_start")
 
     # ---- Prologue macro 0: FP phase 0 on block 0 only. ----
-    shape_read_x_only()
-    shape_write(2)
-    _cfg(b, "a0", F_RPTR, 0)
-    arm_write()
-    frep(_emit_phase0)
+    emit_stream_shape(b, 0, x_read)
+    emit_stream_shape(b, 1, ki_w_write)
+    emit_stream_base(b, 0, x_read, "a0")
+    emit_stream_base(b, 1, ki_w_write, "s2")
+    emit_frep(b, "s5", _emit_phase0)
     advance_x()
     rotate_columns()
 
     # ---- Prologue macro 1: FP phase 0 (block 1) + int phase (block 0).
-    shape_read_x_only()
-    _cfg(b, "a0", F_RPTR, 0)
-    arm_write()
-    frep(_emit_phase0)
+    emit_stream_shape(b, 0, x_read)
+    emit_stream_base(b, 0, x_read, "a0")
+    emit_stream_base(b, 1, ki_w_write, "s2")
+    emit_frep(b, "s5", _emit_phase0)
     int_phase()
     advance_x()
     rotate_columns()
 
     # ---- Steady state: macros 2 .. nb-1. ----
-    steady = nb - 2
-    if steady > 0:
-        shape_read_fused()
-        shape_write(3)
-        shape_read_w()
-        b.li("s7", steady)
-        b.label("steady")
-        arm_read_fused()
-        arm_write()
-        arm_read_w()
-
-        def fused_body(sb: ProgramBuilder) -> None:
-            _emit_phase0(sb)
-            _emit_phase2(sb)
-
-        frep(fused_body)
-        int_phase()
-        dma_out_y()
-        advance_x()
-        rotate_columns()
-        b.addi("s7", "s7", -1)
-        b.bnez("s7", "steady")
+    # x+t shape without STRIDE0: that is the rotating t-x pitch below.
+    for field, value in ((F_STATUS, 2), (F_BOUND0, 1),
+                         (F_BOUND1, block - 1), (F_STRIDE1, 8)):
+        b.li("t0", value)
+        b.scfgwi("t0", encode_cfg_imm(field, 0))
+    emit_stream_shape(b, 1, ki_w_y_write)
+    emit_stream_shape(b, 2, w_read)
+    b.li("s7", nb - 2)
+    b.label("steady")
+    b.addi("t1", "s3", 3 * slot)        # stride0 = cr1.t_slot - x block
+    b.sub("t1", "t1", "a0")
+    b.scfgwi("t1", encode_cfg_imm(F_STRIDE0, 0))
+    emit_stream_base(b, 0, xt_read, "a0")
+    emit_stream_base(b, 1, ki_w_y_write, "s2")
+    arm_read_w()
+    emit_frep(b, "s5", _emit_fused_phases)
+    int_phase()
+    dma_out_y()
+    advance_x()
+    rotate_columns()
+    b.addi("s7", "s7", -1)
+    b.bnez("s7", "steady")
 
     # ---- Epilogue macro nb: FP phase 2 (block nb-2) + int (block nb-1).
-    shape_read_t_only()
-    shape_write(2)  # only y is pushed now; use 1-wide fused write below
-    _cfg_imm(b, 1, F_STATUS, 1)
-    _cfg_imm(b, block - 1, F_BOUND0, 1)
-    _cfg_imm(b, 8, F_STRIDE0, 1)
-    shape_read_w()
-    b.addi("t1", "s3", 3 * slot)
-    _cfg(b, "t1", F_RPTR, 0)        # t of block nb-2
-    b.addi("t1", "s2", 2 * slot)
-    _cfg(b, "t1", F_WPTR, 1)        # y slot of cw
+    emit_stream_shape(b, 0, t_read)
+    # Only y is pushed now: the 1-wide y shape overrides the (ki, w)
+    # shape at once; the dead writes stay so the cycle counts hold.
+    emit_stream_shape(b, 1, ki_w_write)
+    emit_stream_shape(b, 1, y_write)
+    emit_stream_shape(b, 2, w_read)
+    arm_t_y()
     arm_read_w()
-    frep(_emit_phase2)
+    emit_frep(b, "s5", _emit_phase2)
     int_phase()
     dma_out_y()
     rotate_columns()
 
     # ---- Epilogue macro nb+1: FP phase 2 (block nb-1). ----
-    b.addi("t1", "s3", 3 * slot)
-    _cfg(b, "t1", F_RPTR, 0)
-    b.addi("t1", "s2", 2 * slot)
-    _cfg(b, "t1", F_WPTR, 1)
+    arm_t_y()
     arm_read_w()
-    frep(_emit_phase2)
+    emit_frep(b, "s5", _emit_phase2)
     dma_out_y()
 
     b.mark("main_end")

@@ -28,12 +28,12 @@ import math
 
 import numpy as np
 
+from ..copift.frep_mapping import emit_frep
+from ..copift.ssr_mapping import (
+    AffineStream, IndirectStream, emit_stream_base, emit_stream_shape,
+)
 from ..isa.program import ProgramBuilder
 from ..sim import Allocator, Memory
-from ..sim.ssr import (
-    F_BOUND0, F_BOUND1, F_IDX_BASE, F_IDX_CFG, F_RPTR, F_STATUS,
-    F_STRIDE0, F_STRIDE1, F_WPTR, encode_cfg_imm,
-)
 from .common import KernelInstance, load_f64_constants
 
 #: 16-entry table over the mantissa interval [1, 2).
@@ -218,26 +218,16 @@ def build_copift(n: int, block: int = 64, seed: int = 11) -> KernelInstance:
     b.li("s6", t_addr)              # table base for the ISSR
     b.lui("s10", _ONE_HI >> 12)
 
-    def cfg_imm(value: int, field: int, ssr: int) -> None:
-        b.li("t0", value)
-        b.scfgwi("t0", encode_cfg_imm(field, ssr))
-
     # Stream shapes are loop-invariant; only bases are re-armed per macro.
     # SSR0: fused (z, k) read - dims (2, block), strides (slot, 8).
-    cfg_imm(2, F_STATUS, 0)
-    cfg_imm(1, F_BOUND0, 0)
-    cfg_imm(slot, F_STRIDE0, 0)
-    cfg_imm(block - 1, F_BOUND1, 0)
-    cfg_imm(8, F_STRIDE1, 0)
+    z_k = AffineStream("z+k", "read", (2, block), (slot, 8))
     # SSR1: ISSR gather of (invc, logc): 2*block u32 indices, T + idx*8.
-    cfg_imm(1, F_STATUS, 1)
-    cfg_imm(2 * block - 1, F_BOUND0, 1)
-    cfg_imm(4, F_STRIDE0, 1)
-    cfg_imm(4 | (3 << 3), F_IDX_CFG, 1)
+    table = IndirectStream("invc+logc", (2 * block,), (4,),
+                           index_symbol="idx", base_symbol="T")
     # SSR2: y write stream, 1-D contiguous.
-    cfg_imm(1, F_STATUS, 2)
-    cfg_imm(block - 1, F_BOUND0, 2)
-    cfg_imm(8, F_STRIDE0, 2)
+    y_out = AffineStream("y", "write", (block,), (8,))
+    for ssr, stream in enumerate((z_k, table, y_out)):
+        emit_stream_shape(b, ssr, stream)
 
     def int_phase() -> None:
         """Dissect one block (59 instructions per 4 elements)."""
@@ -267,17 +257,10 @@ def build_copift(n: int, block: int = 64, seed: int = 11) -> KernelInstance:
 
     def arm_streams() -> None:
         """Point the streams at cr (producer column) and the y cursor."""
-        b.scfgwi("s3", encode_cfg_imm(F_RPTR, 0))
+        emit_stream_base(b, 0, z_k, "s3")
         b.addi("t1", "s3", 2 * slot)
-        b.scfgwi("t1", encode_cfg_imm(F_IDX_BASE, 1))
-        b.scfgwi("s6", encode_cfg_imm(F_RPTR, 1))
-        b.scfgwi("a1", encode_cfg_imm(F_WPTR, 2))
-
-    def frep_fp_phase() -> None:
-        scratch = ProgramBuilder()
-        _emit_fp_phase(scratch)
-        b.frep_o("s5", len(scratch._instructions))
-        b.extend(scratch._instructions)
+        emit_stream_base(b, 1, table, "s6", index_reg="t1")
+        emit_stream_base(b, 2, y_out, "a1")
 
     def swap_columns() -> None:
         b.mv("t1", "s2")
@@ -293,21 +276,20 @@ def build_copift(n: int, block: int = 64, seed: int = 11) -> KernelInstance:
     swap_columns()
 
     # Steady macros 1 .. nb-1: FP phase (block j-1) + int phase (block j).
-    if nb > 1:
-        b.li("s7", nb - 1)
-        b.label("steady")
-        arm_streams()
-        frep_fp_phase()
-        int_phase()
-        b.addi("a0", "a0", slot)
-        b.addi("a1", "a1", slot)
-        swap_columns()
-        b.addi("s7", "s7", -1)
-        b.bnez("s7", "steady")
+    b.li("s7", nb - 1)
+    b.label("steady")
+    arm_streams()
+    emit_frep(b, "s5", _emit_fp_phase)
+    int_phase()
+    b.addi("a0", "a0", slot)
+    b.addi("a1", "a1", slot)
+    swap_columns()
+    b.addi("s7", "s7", -1)
+    b.bnez("s7", "steady")
 
     # Epilogue: FP phase on the final block.
     arm_streams()
-    frep_fp_phase()
+    emit_frep(b, "s5", _emit_fp_phase)
 
     b.mark("main_end")
     b.ssr_disable()

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..copift.transform import TwoPhaseSpec, generate_two_phase
 from ..isa.program import ProgramBuilder
 from ..sim import Allocator, Memory
-from ..sim.ssr import F_BOUND0, F_RPTR, F_STATUS, F_STRIDE0, encode_cfg_imm
 from . import lcg, xoshiro
 from .common import KernelInstance, load_f64_constants
 
@@ -263,93 +263,41 @@ def build_baseline(prng: PrngSpec, integrand: IntegrandSpec, n: int,
 
 def build_copift(prng: PrngSpec, integrand: IntegrandSpec, n: int,
                  block: int = 64, seed: int = 42) -> KernelInstance:
-    """COPIFT variant: 2 phases, double-buffered coordinate columns."""
-    if block % 8 != 0:
-        raise ValueError("block must be a multiple of 8")
-    if n % block != 0:
-        raise ValueError("n must be a multiple of block")
-    nb = n // block
-    if nb < 2:
-        raise ValueError("need at least 2 blocks")
+    """COPIFT variant via :func:`~repro.copift.transform.generate_two_phase`.
 
+    The integer phase, unrolled 8x, writes each (x, y) pair as two u32
+    stream slots; like the paper's MC integer loops it overflows the
+    64-entry L0 loop buffer (§III-B).  Hits accumulate in ``fs0``.
+    """
     memory = Memory()
     alloc = Allocator(memory)
     result = alloc.alloc("hits", 8)
-    # Two columns of interleaved (x, y) coordinate slots (u32 in the
-    # low word of each 8-byte stream element).
-    col_size = 16 * block
-    arena = alloc.alloc("arena", 2 * col_size)
 
-    b = ProgramBuilder(f"{integrand.name}_{prng.name}_copift")
-    load_f64_constants(b, alloc, integrand.fp_consts)
-    prng.emit_init(b, seed)
-    b.li("s2", arena)                   # cw
-    b.li("s3", arena + col_size)        # cr
-    b.li("s5", block - 1)               # FREP reps - 1
-    b.fcvt_d_w("fs0", "zero")           # hit accumulator = 0.0
+    def emit_setup(b: ProgramBuilder) -> None:
+        load_f64_constants(b, alloc, integrand.fp_consts)
+        prng.emit_init(b, seed)
+        b.fcvt_d_w("fs0", "zero")           # hit accumulator = 0.0
 
-    # SSR0: 1-D read of 2*block coordinate elements.
-    b.li("t0", 1)
-    b.scfgwi("t0", encode_cfg_imm(F_STATUS, 0))
-    b.li("t0", 2 * block - 1)
-    b.scfgwi("t0", encode_cfg_imm(F_BOUND0, 0))
-    b.li("t0", 8)
-    b.scfgwi("t0", encode_cfg_imm(F_STRIDE0, 0))
+    def emit_int_element(b: ProgramBuilder, u: int) -> None:
+        x_reg, y_reg = prng.emit_pair(b)
+        b.sw(x_reg, 16 * u, "a7")
+        b.sw(y_reg, 16 * u + 8, "a7")
 
-    def int_phase() -> None:
-        """Generate one block of coordinate pairs into cw.
+    def emit_finalize(b: ProgramBuilder) -> None:
+        b.li("t0", result)
+        b.fsd("fs0", 0, "t0")
 
-        Unrolled 8x: the resulting loop body mirrors the paper's
-        COPIFT integer loops, which exceed the 64-entry L0 loop buffer
-        (only the exp/log integer loops fit — §III-B).
-        """
-        b.mv("a7", "s2")
-        b.addi("t2", "s2", col_size)
-        loop = b.fresh_label("prn")
-        b.label(loop)
-        for u in range(8):
-            x_reg, y_reg = prng.emit_pair(b)
-            b.sw(x_reg, 16 * u, "a7")
-            b.sw(y_reg, 16 * u + 8, "a7")
-        b.addi("a7", "a7", 128)
-        b.bne("a7", "t2", loop)
-
-    def frep_fp_phase() -> None:
-        b.scfgwi("s3", encode_cfg_imm(F_RPTR, 0))
-        scratch = ProgramBuilder()
-        integrand.emit_copift(scratch)
-        b.frep_o("s5", len(scratch._instructions))
-        b.extend(scratch._instructions)
-
-    def swap_columns() -> None:
-        b.mv("t6", "s2")
-        b.mv("s2", "s3")
-        b.mv("s3", "t6")
-
-    b.ssr_enable()
-    b.mark("main_start")
-
-    # Prologue: fill block 0.
-    int_phase()
-    swap_columns()
-
-    # Steady macros: FP test on block j-1 + PRNG for block j.
-    if nb > 1:
-        b.li("s7", nb - 1)
-        b.label("steady")
-        frep_fp_phase()
-        int_phase()
-        swap_columns()
-        b.addi("s7", "s7", -1)
-        b.bnez("s7", "steady")
-
-    # Epilogue: FP test on the final block.
-    frep_fp_phase()
-
-    b.mark("main_end")
-    b.ssr_disable()
-    b.li("t0", result)
-    b.fsd("fs0", 0, "t0")
+    spec = TwoPhaseSpec(
+        name=f"{integrand.name}_{prng.name}",
+        emit_setup=emit_setup,
+        emit_int_element=emit_int_element,
+        emit_fp_body=integrand.emit_copift,
+        pops_per_element=2,
+        pushes_per_element=0,
+        unroll=8,
+        emit_finalize=emit_finalize,
+    )
+    program = generate_two_phase(spec, n, block, alloc).program
 
     def verify(mem: Memory, machine) -> None:
         measured = int(mem.read_f64(result))
@@ -360,6 +308,6 @@ def build_copift(prng: PrngSpec, integrand: IntegrandSpec, n: int,
 
     return KernelInstance(
         name=f"{integrand.name}_{prng.name}", variant="copift",
-        program=b.build(), memory=memory, n=n, block=block,
+        program=program, memory=memory, n=n, block=block,
         dma_active=False, dma_bytes=0, verify=verify,
     )

@@ -2,15 +2,12 @@
 
 Split by execution engine:
 
-* :data:`INT_HANDLERS` — integer-core instructions, as functions
-  ``(machine, instr) -> taken`` mutating machine state; branches return
-  whether they were taken.
-* :data:`INT_BINDERS` — the micro-op form of the same semantics: a
+* :data:`INT_BINDERS` — integer-core instructions as micro-ops: a
   binder ``(instr) -> (machine) -> taken`` that extracts the operand
   register indices and immediate *once*, at decode time, and returns a
   closure the hot loop calls with zero per-step operand resolution
-  (see :mod:`repro.sim.decode`).  Both tables are generated from one
-  set of pure operation functions, so they cannot drift apart.
+  (see :mod:`repro.sim.decode`); branches return whether they were
+  taken.
 * :data:`FP_COMPUTE` — pure value functions for FP-thread instructions
   that write an FP register.  Operand values arrive in role order (FP
   sources first, then integer sources for cross-RF conversions).
@@ -66,19 +63,15 @@ def _to_f32(value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Integer-core handlers
+# Integer-core operations
 # ---------------------------------------------------------------------------
 #
 # The pure operation tables (_RR_OPS/_RI_OPS/_BRANCH_OPS) are the single
 # source of truth for the register-register/-immediate/branch semantics.
-# They are compiled into two callable forms that cannot drift apart:
-#
-# * ``INT_HANDLERS[mnemonic](machine, instr)`` — the interpreter form,
-#   resolving operands on every call (tests, tooling, ad-hoc use);
-# * ``INT_BINDERS[mnemonic](instr) -> (machine)`` — the micro-op form:
-#   operand indices and immediates are extracted once per static
-#   instruction and baked into the returned closure, so the simulator's
-#   hot loop does no per-step operand resolution at all.
+# ``INT_BINDERS`` below compiles them into micro-ops: operand indices and
+# immediates are extracted once per static instruction and baked into
+# the returned closure, so the simulator's hot loop does no per-step
+# operand resolution at all.
 
 def _div(a: int, b: int) -> int:
     if b == 0:
@@ -142,144 +135,6 @@ _BRANCH_OPS = {
     "bltu": lambda a, b: a < b,
     "bgeu": lambda a, b: a >= b,
 }
-
-
-def _rr(op):
-    """Register-register ALU op from a pure (a, b) -> int function."""
-    def handler(m, instr):
-        a = m.iregs[instr.operands[1].index]
-        b = m.iregs[instr.operands[2].index]
-        m.write_ireg(instr.operands[0], op(a, b))
-        return None
-    return handler
-
-
-def _ri(op):
-    """Register-immediate ALU op."""
-    def handler(m, instr):
-        a = m.iregs[instr.operands[1].index]
-        m.write_ireg(instr.operands[0], op(a, instr.imm))
-        return None
-    return handler
-
-
-def _branch(cond):
-    def handler(m, instr):
-        a = m.iregs[instr.operands[0].index]
-        b = m.iregs[instr.operands[1].index]
-        return cond(a, b)
-    return handler
-
-
-INT_HANDLERS = {}
-INT_HANDLERS.update({m: _rr(op) for m, op in _RR_OPS.items()})
-INT_HANDLERS.update({m: _ri(op) for m, op in _RI_OPS.items()})
-INT_HANDLERS.update({m: _branch(op) for m, op in _BRANCH_OPS.items()})
-
-
-def _h_lui(m, instr):
-    m.write_ireg(instr.operands[0], instr.imm << 12)
-    return None
-
-
-def _h_li(m, instr):
-    m.write_ireg(instr.operands[0], instr.imm)
-    return None
-
-
-def _h_mv(m, instr):
-    m.write_ireg(instr.operands[0], m.iregs[instr.operands[1].index])
-    return None
-
-
-def _h_not(m, instr):
-    m.write_ireg(instr.operands[0], ~m.iregs[instr.operands[1].index])
-    return None
-
-
-def _h_nop(m, instr):
-    return None
-
-
-def _h_beqz(m, instr):
-    return m.iregs[instr.operands[0].index] == 0
-
-
-def _h_bnez(m, instr):
-    return m.iregs[instr.operands[0].index] != 0
-
-
-def _h_lw(m, instr):
-    addr = u32(m.iregs[instr.operands[2].index] + instr.imm)
-    m.write_ireg(instr.operands[0], m.memory.read_u32(addr))
-    return None
-
-
-def _h_lh(m, instr):
-    addr = u32(m.iregs[instr.operands[2].index] + instr.imm)
-    value = m.memory.read_u16(addr)
-    if value >= 1 << 15:
-        value -= 1 << 16
-    m.write_ireg(instr.operands[0], value)
-    return None
-
-
-def _h_lbu(m, instr):
-    addr = u32(m.iregs[instr.operands[2].index] + instr.imm)
-    m.write_ireg(instr.operands[0], m.memory.read_u8(addr))
-    return None
-
-
-def _h_sw(m, instr):
-    addr = u32(m.iregs[instr.operands[2].index] + instr.imm)
-    m.memory.write_u32(addr, m.iregs[instr.operands[0].index])
-    return None
-
-
-def _h_sh(m, instr):
-    addr = u32(m.iregs[instr.operands[2].index] + instr.imm)
-    m.memory.write_u16(addr, m.iregs[instr.operands[0].index])
-    return None
-
-
-def _h_sb(m, instr):
-    addr = u32(m.iregs[instr.operands[2].index] + instr.imm)
-    m.memory.write_u8(addr, m.iregs[instr.operands[0].index])
-    return None
-
-
-def _h_amoadd_w(m, instr):
-    """Atomic fetch-and-add on a TCDM word (cluster atomics).
-
-    Atomic by construction: the cluster driver steps one core at a
-    time, so the read-modify-write never interleaves with another
-    core's access to the same word.
-    """
-    addr = u32(m.iregs[instr.operands[2].index] + instr.imm)
-    old = m.memory.read_u32(addr)
-    m.memory.write_u32(addr, u32(old + m.iregs[instr.operands[3].index]))
-    m.write_ireg(instr.operands[0], old)
-    m.counters.amo_ops += 1
-    return None
-
-
-def _h_dma_copy(m, instr):
-    dst = m.iregs[instr.operands[0].index]
-    src = m.iregs[instr.operands[1].index]
-    length = m.iregs[instr.operands[2].index]
-    m.memory.copy_within(dst, src, length)
-    m.counters.dma_bytes_moved += length
-    return None
-
-
-INT_HANDLERS.update({
-    "dma.copy": _h_dma_copy,
-    "amoadd.w": _h_amoadd_w,
-    "lui": _h_lui, "li": _h_li, "mv": _h_mv, "not": _h_not, "nop": _h_nop,
-    "beqz": _h_beqz, "bnez": _h_bnez,
-    "lw": _h_lw, "lh": _h_lh, "lbu": _h_lbu,
-    "sw": _h_sw, "sh": _h_sh, "sb": _h_sb,
-})
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +269,12 @@ def _read_lh(memory, addr):
 
 
 def _bind_amoadd_w(instr):
+    """Atomic fetch-and-add on a TCDM word (cluster atomics).
+
+    Atomic by construction: the cluster driver steps one core at a
+    time, so the read-modify-write never interleaves with another
+    core's access to the same word.
+    """
     d = instr.operands[0].index
     base = instr.operands[2].index
     src = instr.operands[3].index

@@ -100,11 +100,6 @@ class Machine:
     # ------------------------------------------------------------------
     # architectural helpers
     # ------------------------------------------------------------------
-    def write_ireg(self, reg, value: int) -> None:
-        """Write an integer register, honouring the hardwired x0."""
-        if reg.index != 0:
-            self.iregs[reg.index] = value & 0xFFFFFFFF
-
     def _read_index(self, addr: int, size: int) -> int:
         if size == 2:
             return self.memory.read_u16(addr)

@@ -170,7 +170,6 @@ def partition_soc_kernel(kernel_def: KernelDef, n: int,
                          n_clusters: int, n_cores: int,
                          variant: str = "baseline",
                          block: int | None = None,
-                         stage_dma: bool | None = None,
                          writeback: bool = False) -> SocWorkload:
     """Chunk one registered kernel over *n_clusters* x *n_cores*.
 
@@ -181,8 +180,6 @@ def partition_soc_kernel(kernel_def: KernelDef, n: int,
         n_cores: Cores per cluster.
         variant: ``baseline`` or ``copift``.
         block: Requested COPIFT block size (auto-shrunk per chunk).
-        stage_dma: Forwarded to the cluster partitioner (None keeps
-            its per-kernel default).
         writeback: Simulate output write-back: cores drain their
             output regions to the shared L2 through their cluster's
             DMA channel, the drain beats contending on the SoC
@@ -202,7 +199,6 @@ def partition_soc_kernel(kernel_def: KernelDef, n: int,
     cluster_workloads = [
         partition_kernel(kernel_def, slice_n, n_cores,
                          variant=variant, block=block,
-                         stage_dma=stage_dma,
                          first_core=cluster * n_cores,
                          writeback=writeback)
         for cluster in range(n_clusters)
