@@ -18,15 +18,16 @@ Design rules, in order of precedence:
    exists in service of this.
 2. **Demote, don't emulate.**  Lanes are advanced vectorially only
    through operations whose scalar semantics are exactly expressible
-   as array updates (integer ALU/branch/load/store, the FP timeline
-   with its dispatch queue and writeback ports — the ~80% common
-   path).  When a cohort reaches an *edge op* — FREP entry, SSR
-   configuration, DMA/barrier cluster ops, ``div``-family or
-   ``fsqrt`` (which raise per-lane), a computed jump, any undecodable
+   as array updates: integer ALU/branch/load/store, the FP timeline
+   with its dispatch queue and writeback ports, SSR configuration and
+   streams, FREP replays and ``dma.copy``.  When a cohort reaches an
+   *edge op* — cluster DMA and barriers, ``div``-family or ``fsqrt``
+   (which raise per-lane), a computed jump, any undecodable
    instruction — each lane's state is flushed into a freshly built
    ``Machine`` and the scalar :class:`Scheduler` finishes the run from
-   that exact point.  Demotion is transparent: the handover state is,
-   field for field, what a scalar run would hold at that pc.
+   that exact point.  Demotion is transparent: the handover state
+   (registers, SSR movers included) is, field for field, what a
+   scalar run would hold at that pc.
 3. **One timeline, many data.**  A cohort's lanes run one program on
    different data (seeds, ``li`` constants, memory images), so they
    take the same path with the same stalls.  The timing state is
@@ -38,13 +39,22 @@ Design rules, in order of precedence:
 4. **A split demotes the cohort.**  Before an op commits anything, its
    plan computes what could make lanes part ways: a branch outcome,
    load/store addresses and the memory-RAW ready times they see,
-   loaded values and store writes.  If lanes disagree or any lane
-   faults, every lane is demoted at that pc with the op not yet
+   loaded values and store writes, SSR configuration values, FREP
+   repeat counts and ``dma.copy`` ranges.  If lanes disagree or any
+   lane faults, every lane is demoted at that pc with the op not yet
    executed; the scalar engine re-executes it per lane (a store
    already applied to some lanes writes the same bytes again) and
    raises the golden error for a faulting lane.  A load at lane-varying
    addresses (a table lookup) stays shared when every lane sees the
    same ready time.
+5. **An FREP commits whole.**  The scalar engine cannot resume inside a
+   sequencer replay, so the ``frep`` plan proves the entire replay
+   split- and fault-free before it commits: equal repeat counts, a
+   vector form for every body op, every popped stream armed and long
+   enough, every stream address in bounds, and indirect gathers whose
+   ready times are fixed for the replay and equal across lanes.
+   Stream data is gathered per lane up front; pushed elements are
+   written back when the replay ends.
 
 Lanes are grouped into *cohorts* by the structural signature of their
 decoded program — immediate *values* excluded — so a sweep over seeds
@@ -55,6 +65,7 @@ as per-lane data vectors.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 try:
@@ -72,14 +83,19 @@ from .decode import (
     F_STORE,
     F_TO_INT,
     K_FP,
+    K_FREP,
     K_INT,
     K_META,
     S_HANDLER,
     S_JUMP,
     S_RET,
+    S_SCFGWI,
+    S_SSR_DIS,
+    S_SSR_EN,
 )
 from .errors import SimulationError
 from .machine import Machine
+from .ssr import SSR, SSRError
 
 __all__ = ["BatchEngine", "require_numpy"]
 
@@ -94,6 +110,15 @@ def require_numpy() -> None:
             "the batch engine requires numpy (`pip install numpy`); "
             "re-run with batch=None to use the scalar engine"
         )
+
+
+def _uniform(values):
+    """The lanes' one value — an int, or a tuple of ints for a
+    ``(B, k)`` block — or None when lanes differ."""
+    first = values[0]
+    if (values != first).any():
+        return None
+    return int(first) if first.ndim == 0 else tuple(first.tolist())
 
 
 def _op_signature(op) -> tuple:
@@ -116,7 +141,7 @@ def _op_signature(op) -> tuple:
         op.is_branch, op.mem_base_idx, op.imm is None, op.target,
         op.jump_direct, op.aux0, op.aux1, op.aux2, op.cfg_arm,
         op.gather, op.dest_idx, op.width, op.opclass,
-        op.counter, op.error is None, op.frep_error is None,
+        op.counter, op.error is None, op.frep_n, op.frep_error is None,
         op.instr.label,
         tuple(str(operand) for operand in op.instr.operands
               if not isinstance(operand, int)),
@@ -193,6 +218,28 @@ class BatchEngine:
         return cached
 
 
+def _f64_view(data):
+    """A lane memory's bytes as little-endian doubles (no copy)."""
+    return np.frombuffer(data, "<f8", len(data) // 8)
+
+
+class _Stream:
+    """One SSR over a proven op sequence: its shared element addresses
+    and timing, its per-lane element values and a copy of the mover
+    holding the stream state the sequence ends in."""
+
+    __slots__ = ("ssr", "mover", "addrs", "write", "indirect", "pos",
+                 "avail", "ready", "values", "views")
+
+    def __init__(self, ssr: SSR, mover: SSR, addrs: list) -> None:
+        self.ssr = ssr
+        self.mover = mover
+        self.addrs = addrs
+        self.write = ssr.is_write
+        self.indirect = False
+        self.pos = 0
+
+
 class _Cohort:
     """Lanes sharing one program signature: one timeline, B data rows."""
 
@@ -221,9 +268,12 @@ class _Cohort:
         self.iregs = np.zeros((batch, 32), np.int64)
         self.fregs = np.zeros((batch, 32), np.float64)
         self.memories = [engine.instances[i].memory for i in lanes]
+        self.mem_size = min(memory.size for memory in self.memories)
         # The cohort's one timeline: a scalar scheduler bound to the
         # shared program.  Its machine is a placeholder — plans read
-        # and write only its timing state, never its registers.
+        # and write only its timing state and its SSR movers and
+        # enable bit (shared, since their configuration is lane-equal),
+        # never its registers.
         self.sched = Machine(config=engine.config,
                              memory=self.memories[0]).sched
         self.sched.bind(engine.instances[lanes[0]].program,
@@ -262,12 +312,20 @@ class _Cohort:
                 self._demote(k)
 
     def flush_machine(self, k: int) -> Machine:
-        """A Machine mirroring lane *k*'s architectural state."""
+        """A Machine mirroring lane *k*'s architectural state.
+
+        The SSR movers and the enable bit are shared by the cohort
+        (their configuration is lane-equal by construction); each
+        machine gets its own copy of them.
+        """
         instance = self.engine.instances[self.lanes[k]]
         machine = Machine(config=self.engine.config,
                           memory=instance.memory)
         machine.iregs[:] = [int(v) for v in self.iregs[k]]
         machine.fregs[:] = [float(v) for v in self.fregs[k]]
+        shared = self.sched.m
+        machine.ssr_enabled = shared.ssr_enabled
+        machine.ssrs[:] = [copy.deepcopy(ssr) for ssr in shared.ssrs]
         return machine
 
     def _demote(self, k: int) -> None:
@@ -366,13 +424,21 @@ class _Cohort:
                 if not op.jump_direct or op.target is None:
                     return None
                 return self._plan_int(op, mode="jump")
+            if special == S_SCFGWI:
+                if op.aux1 >= len(self.sched.m.ssrs) or op.int_write_idx:
+                    return None
+                return self._plan_int(op, mode="scfgwi")
+            if special in (S_SSR_EN, S_SSR_DIS):
+                return self._plan_int(op, mode="ssr")
             if special != S_HANDLER:
-                # scfgwi / ssr.* / dma.* / cluster.barrier: edge ops.
+                # dma.start / dma.wait / cluster.barrier: edge ops.
                 return None
             return self._plan_int(op)
         if kind == K_FP:
             return self._plan_fp(op)
-        return None                              # K_FREP
+        if kind == K_FREP:
+            return self._plan_frep(op)
+        return None
 
     def _plan_int(self, op, mode: str | None = None):
         mnem = op.mnemonic
@@ -381,11 +447,21 @@ class _Cohort:
         target = op.target
 
         # Resolve the functional form; anything unknown demotes.
-        fn = reader = writer = None
+        fn = reader = writer = ssr = None
         dest = src = a_idx = b_idx = 0
         const_val = None
+        enable = False
+        span_regs = ()
         if mode in ("ret", "jump"):
             pass
+        elif mode == "scfgwi":
+            ssr = self.sched.m.ssrs[op.aux1]
+            src = op.aux2
+        elif mode == "ssr":
+            enable = op.special == S_SSR_EN
+        elif mnem == "dma.copy":
+            mode = "dma"
+            span_regs = [r.index for r in operands]      # dst, src, len
         elif op.is_branch:
             if target is None:
                 return None
@@ -455,6 +531,11 @@ class _Cohort:
         hazard = bool(writes) and sched._int_wb_hazard
         ports = sched._int_wb_ports
         penalty = sched._branch_penalty
+        machine = sched.m
+        field = op.aux0
+        arm = op.cfg_arm
+        memories = self.memories
+        mem_size = self.mem_size
 
         def plan(cur):
             base = start = sched.int_time
@@ -483,6 +564,25 @@ class _Cohort:
                 taken = bool(outcome[0])
                 if (outcome != taken).any():
                     return None
+            elif mode == "scfgwi":
+                word = _uniform(iregs[:, src])
+                if word is None:
+                    return None
+                drain = max(ssr.last_pop_time + 1, sched.fp_time) \
+                    if arm else 0
+                try:
+                    # Raises before touching the SSR, or applies fully.
+                    ssr.write_config(field, word,
+                                     now=max(start, drain) + 1)
+                except SSRError:
+                    return None
+            elif mode == "dma":
+                span = _uniform(iregs[:, span_regs])
+                if span is None:
+                    return None
+                dst, src_addr, length = span
+                if max(dst, src_addr) + length > mem_size:
+                    return None
 
             # Commit on the shared timeline.
             sched._fetch(cur)
@@ -505,6 +605,16 @@ class _Cohort:
                 sched.int_time = start + 1
                 cd["int_issued"] += 1
                 return _HALT_PC
+            if mode == "scfgwi":
+                if drain > start:
+                    cd["stall_ssr_sync"] += drain - start
+                    start = drain
+            elif mode == "ssr":
+                machine.ssr_enabled = enable
+            elif mode == "dma":
+                for memory in memories:
+                    memory.copy_within(dst, src_addr, length)
+                cd["dma_bytes_moved"] += length
 
             if mode == "rr":
                 value = fn(iregs[:, a_idx], iregs[:, b_idx]) & _MASK32
@@ -535,23 +645,54 @@ class _Cohort:
 
         return plan
 
-    def _plan_fp(self, op):
+    def _dispatch(self, op, cur: int) -> int:
+        """Dispatch FP *op* through the core; returns the dispatch cycle."""
+        sched = self.sched
+        cd = sched._cd
+        sched._fetch(cur)
+        disp = sched.int_time
+        queue = sched.fpss_queue
+        while queue and queue[0] < disp:
+            queue.popleft()
+        if len(queue) >= sched._queue_depth:
+            free_at = queue.popleft() + 1
+            if free_at > disp:
+                cd["stall_queue_full"] += free_at - disp
+                disp = free_at
+        reads = op.int_read_idx
+        if reads:
+            base = disp
+            int_ready = sched.int_ready
+            for r in reads:
+                t = int_ready[r]
+                if t > disp:
+                    disp = t
+            if disp > base:
+                cd["stall_raw_int"] += disp - base
+        sched.int_time = disp + 1
+        cd["fp_dispatched"] += 1
+        return disp
+
+    def _fp_issue(self, op):
+        """The FPSS-issue half of *op*, or None without a vector form.
+
+        ``issue(earliest, streams, access)`` mirrors
+        ``Scheduler._fpss_issue`` operand by operand and returns the
+        issue cycle.  *streams* maps SSR indices to the proven
+        :class:`_Stream` elements of the running op or FREP (empty when
+        no stream is touched); *access* is ``(ready, values)`` for a
+        load and the shared address for a store, as checked by the
+        dispatch half.
+        """
         fp_kind = op.fp_op
-        mnem = op.mnemonic
-        compute = reader = writer = None
-        if fp_kind == F_COMPUTE:
-            compute = vo.VEC_FP_COMPUTE.get(mnem)
+        compute = None
+        if fp_kind in (F_COMPUTE, F_TO_INT):
+            table = vo.VEC_FP_COMPUTE if fp_kind == F_COMPUTE \
+                else vo.VEC_FP_TO_INT
+            compute = table.get(op.mnemonic)
             if compute is None:
                 return None
-        elif fp_kind == F_TO_INT:
-            compute = vo.VEC_FP_TO_INT.get(mnem)
-            if compute is None:
-                return None
-        elif fp_kind == F_LOAD:
-            reader = vo.FP_LOAD_READERS[op.width]
-        elif fp_kind == F_STORE:
-            writer = vo.FP_STORE_WRITERS[op.width]
-        else:
+        elif fp_kind not in (F_LOAD, F_STORE):
             return None                          # F_BAD
 
         sched = self.sched
@@ -561,97 +702,317 @@ class _Cohort:
         iregs = self.iregs
         fregs = self.fregs
         gather = op.gather
-        reads = op.int_read_idx
         lat = sched._lat[op.index]
         counter = op.counter
         dest = op.dest_idx
         width = op.width
-        base_idx = op.mem_base_idx
-        imm = self.imms[op.index]
-        depth = sched._queue_depth
         ports = sched._fp_wb_ports
         fp_resp = sched._fp_response_latency
 
-        def plan(cur):
-            values = [fregs[:, idx] if is_fp else iregs[:, idx]
-                      for is_fp, idx in gather]
-
-            # What can split or fault, before anything commits.
-            if fp_kind == F_LOAD:
-                got = self._load(
-                    reader, (iregs[:, base_idx] + imm) & _MASK32, 8)
-                if got is None:
-                    return None
-                ready, loaded = got
-            elif fp_kind == F_STORE:
-                addr = self._store(
-                    writer, (iregs[:, base_idx] + imm) & _MASK32,
-                    values[0])
-                if addr is None:
-                    return None
-
-            # -- dispatch on the integer timeline --------------------
-            sched._fetch(cur)
-            disp = sched.int_time
-            queue = sched.fpss_queue
-            while queue and queue[0] < disp:
-                queue.popleft()
-            if len(queue) >= depth:
-                free_at = queue.popleft() + 1
-                if free_at > disp:
-                    cd["stall_queue_full"] += free_at - disp
-                    disp = free_at
-            if reads:
-                base = disp
-                for r in reads:
-                    t = int_ready[r]
-                    if t > disp:
-                        disp = t
-                if disp > base:
-                    cd["stall_raw_int"] += disp - base
-            sched.int_time = disp + 1
-            cd["fp_dispatched"] += 1
-
-            # -- FPSS issue (earliest = disp + 1, SSRs never armed) --
+        def issue(earliest, streams, access=None):
             start = sched.fp_time
-            if disp + 1 > start:
-                start = disp + 1
+            if earliest > start:
+                start = earliest
+            values = []
             for is_fp, idx in gather:
-                if is_fp:
+                if not is_fp:
+                    values.append(iregs[:, idx])
+                    continue
+                stream = streams.get(idx) if streams else None
+                if stream is not None and not stream.write:
+                    k = stream.pos
+                    stream.pos = k + 1
+                    avail = stream.avail + k
+                    t = stream.ready[k]
+                    if t > avail:
+                        avail = t
+                    if avail > start:
+                        cd["fp_stall_ssr"] += avail - start
+                        start = avail
+                    values.append(stream.values[k])
+                    stream.ssr.last_pop_time = start
+                    cd["ssr_reads"] += 1
+                    if stream.indirect:
+                        cd["ssr_index_fetches"] += 1
+                else:
                     t = fp_ready[idx]
                     if t > start:
                         cd["fp_stall_raw"] += t - start
                         start = t
+                    values.append(fregs[:, idx])
 
             if fp_kind == F_STORE:
-                sched._mem_commit(addr, width, start + lat)
+                sched._mem_commit(access, width, start + lat)
             elif fp_kind == F_TO_INT:
                 if dest:
                     iregs[:, dest] = compute(*values) & _MASK32
                 int_ready[dest] = start + lat + fp_resp
             else:
-                if fp_kind == F_LOAD:
-                    if ready > start:
-                        start = ready
-                    result = loaded
+                stream = streams.get(dest) \
+                    if streams and fp_kind == F_COMPUTE else None
+                if stream is not None and stream.write:
+                    k = stream.pos
+                    stream.pos = k + 1
+                    stream.values[k] = compute(*values)
+                    stream.ssr.last_pop_time = start
+                    cd["ssr_writes"] += 1
+                    sched._mem_commit(stream.addrs[k], 8, start + lat)
                 else:
-                    result = compute(*values)
-                issue, wb = sched._reserve_wb(sched.fp_wb_busy, start,
-                                              lat, ports)
-                if issue > start:
-                    cd["fp_stall_wb_port"] += issue - start
-                    start = issue
-                fregs[:, dest] = result
-                fp_ready[dest] = wb
+                    if fp_kind == F_LOAD:
+                        ready, result = access
+                        if ready > start:
+                            start = ready
+                    else:
+                        result = compute(*values)
+                    issue_at, wb = sched._reserve_wb(
+                        sched.fp_wb_busy, start, lat, ports)
+                    if issue_at > start:
+                        cd["fp_stall_wb_port"] += issue_at - start
+                        start = issue_at
+                    fregs[:, dest] = result
+                    fp_ready[dest] = wb
 
             sched.fp_time = start + 1
             cd["fp_issued"] += 1
             if counter is not None:
                 cd[counter] += 1
-            queue.append(start)
+            return start
+
+        return issue
+
+    def _plan_fp(self, op):
+        issue = self._fp_issue(op)
+        if issue is None:
+            return None
+        fp_kind = op.fp_op
+        reader = vo.FP_LOAD_READERS[op.width] if fp_kind == F_LOAD \
+            else None
+        writer = vo.FP_STORE_WRITERS[op.width] if fp_kind == F_STORE \
+            else None
+        sched = self.sched
+        iregs = self.iregs
+        fregs = self.fregs
+        base_idx = op.mem_base_idx
+        imm = self.imms[op.index]
+        # Only ft0..ft(n-1) are stream registers; other ops skip the
+        # stream proof altogether.
+        n_ssrs = len(sched.m.ssrs)
+        may_stream = any(is_fp and idx < n_ssrs for is_fp, idx in op.gather) \
+            or (fp_kind == F_COMPUTE and op.dest_idx < n_ssrs)
+        body = (op,)
+
+        def plan(cur):
+            # What can split or fault, before anything commits.
+            streams = None
+            if may_stream:
+                streams = self._streams(body, 1)
+                if streams is None:
+                    return None
+            access = None
+            if fp_kind == F_LOAD:
+                access = self._load(
+                    reader, (iregs[:, base_idx] + imm) & _MASK32, 8)
+                if access is None:
+                    return None
+            elif fp_kind == F_STORE:
+                idx = op.gather[0][1]
+                stream = streams.get(idx) if streams else None
+                value = stream.values[0] \
+                    if stream is not None and not stream.write \
+                    else fregs[:, idx]
+                access = self._store(
+                    writer, (iregs[:, base_idx] + imm) & _MASK32, value)
+                if access is None:
+                    return None
+
+            disp = self._dispatch(op, cur)
+            sched.fpss_queue.append(issue(disp + 1, streams, access))
+            if streams:
+                self._finish_streams(streams)
             return cur + 1
 
         return plan
+
+    def _plan_frep(self, op):
+        """``frep.o``: iteration 0 through the queue, then the replay.
+
+        Demotes only at the ``frep`` pc: the scalar engine raises the
+        body errors there, and everything that could split or fault
+        inside the replay is proven before the ``frep`` commits.
+        """
+        n = op.frep_n
+        if n <= 0 or n > self.sched.cfg.frep_buffer_size \
+                or op.frep_error is not None:
+            return None
+        body = op.frep_body
+        issues = [self._fp_issue(bop) for bop in body]
+        if None in issues:
+            return None
+        sched = self.sched
+        cd = sched._cd
+        int_ready = sched.int_ready
+        iregs = self.iregs
+        rs1 = op.aux0
+        dispatch = self._dispatch
+        queue = sched.fpss_queue
+        dispatched = list(zip(body, issues))
+
+        def plan(cur):
+            reps = _uniform(iregs[:, rs1])
+            if reps is None:
+                return None
+            reps += 1
+            streams = self._streams(body, reps)
+            if streams is None:
+                return None
+
+            sched._fetch(cur)
+            start = sched.int_time
+            t = int_ready[rs1]
+            if t > start:
+                cd["stall_raw_int"] += t - start
+                start = t
+            sched.int_time = start + 1
+            cd["int_issued"] += 1
+            cd["csr_ops"] += 1
+            for bop, issue in dispatched:
+                disp = dispatch(bop, bop.index)
+                queue.append(issue(disp + 1, streams))
+            for _ in range(reps - 1):
+                for issue in issues:
+                    issue(0, streams)
+            cd["sequencer_issued"] += (reps - 1) * n
+            if streams:
+                self._finish_streams(streams)
+            return cur + 1 + n
+
+        return plan
+
+    # ------------------------------------------------------------------
+    # SSR streams: shared addresses and timing, per-lane data
+    # ------------------------------------------------------------------
+    def _streams(self, body, reps: int):
+        """Prove *body* x *reps* split- and fault-free on the SSRs.
+
+        Returns ``{ssr index: _Stream}`` ({} when no stream is touched)
+        with every element's address, lane values and data-ready time
+        worked out on a copy of the mover, or None to demote: a stream
+        would run dry, an address faults in some lane, an indirect
+        gather's ready time differs across lanes, or a push in the
+        sequence would overwrite data the sequence pops.  The
+        sequence's own pushes are then the only memory it writes, so
+        what it pops is fixed before it starts.
+        """
+        m = self.sched.m
+        if not m.ssr_enabled:
+            return {}
+        ssrs = m.ssrs
+        n_ssrs = len(ssrs)
+        counts: dict[int, int] = {}
+        for bop in body:
+            for is_fp, idx in bop.gather:
+                if is_fp and idx < n_ssrs and ssrs[idx].armed \
+                        and not ssrs[idx].is_write:
+                    counts[idx] = counts.get(idx, 0) + 1
+            dest = bop.dest_idx
+            if bop.fp_op == F_COMPUTE and dest < n_ssrs \
+                    and ssrs[dest].armed and ssrs[dest].is_write:
+                counts[dest] = counts.get(dest, 0) + 1
+        if not counts:
+            return {}
+
+        size = self.mem_size
+        datas = [memory.data for memory in self.memories]
+        mem_time = self.sched._mem_time
+        streams: dict[int, _Stream] = {}
+        written: set[int] = set()
+        popped: set[int] = set()
+        for idx, per in counts.items():
+            ssr = ssrs[idx]
+            mover = copy.deepcopy(ssr)
+            count = per * reps
+            indirect = mover.indirect
+            addrs = []
+            for _ in range(count):
+                if mover.exhausted:
+                    return None
+                addrs.append(mover.current_index_address() if indirect
+                             else mover.peek_address(None))
+                mover.advance()
+            # Elements are doubles; ISSR indices are 2 or 4 bytes wide
+            # (the scalar index reader raises on any other size).
+            width = mover.cfg.idx_size if indirect else 8
+            if width not in (2, 4, 8) or min(addrs) < 0 \
+                    or max(addrs) + width > size \
+                    or any(a % width for a in addrs):
+                return None
+            at = np.array(addrs, np.int64)
+            stream = _Stream(ssr, mover, addrs)
+            streams[idx] = stream
+            if ssr.is_write:
+                words = set((at >> 2).tolist())
+                if words & written:
+                    return None
+                written |= words
+                written |= set(((at >> 2) + 1).tolist())
+                stream.values = np.empty((count, len(datas)))
+                stream.views = [_f64_view(data) for data in datas]
+                continue
+            if indirect:
+                # Each lane gathers at base + (its index << shift).
+                popped |= set((at >> 2).tolist())
+                dtype = "<u2" if width == 2 else "<u4"
+                index = np.stack(
+                    [np.frombuffer(data, dtype, len(data) // width)
+                     [at // width] for data in datas], axis=1)
+                at = ssr.base + (index.astype(np.int64)
+                                 << mover.cfg.idx_shift)
+                if (at < 0).any() or (at + 8 > size).any() \
+                        or (at & 7).any():
+                    return None
+                times = {a: mem_time(a, 8)
+                         for a in np.unique(at).tolist()}
+                ready = []
+                for row in at.tolist():
+                    first = times[row[0]]
+                    if any(times[a] != first for a in row):
+                        return None
+                    ready.append(first)
+                lane_words = list((at >> 3).T)
+            else:
+                ready = [mem_time(a, 8) for a in addrs]
+                lane_words = [at >> 3] * len(datas)
+            popped |= set((at >> 2).ravel().tolist())
+            popped |= set(((at >> 2) + 1).ravel().tolist())
+            lat = self.sched._lat_fp_load
+            stream.ready = [t + lat if t else 0 for t in ready]
+            stream.avail = (ssr.arm_time + self.sched._ssr_fill_latency
+                            + ssr.seq)
+            stream.indirect = indirect
+            stream.values = np.stack(
+                [_f64_view(data)[words]
+                 for data, words in zip(datas, lane_words)], axis=1)
+        if written & popped:
+            return None
+        return streams
+
+    def _finish_streams(self, streams) -> None:
+        """Commit a proven sequence's stream state and pushed data."""
+        for stream in streams.values():
+            ssr = stream.ssr
+            mover = stream.mover
+            ssr.seq = mover.seq
+            ssr._counters = mover._counters
+            ssr._repeat_left = mover._repeat_left
+            ssr._done = mover._done
+            ssr._offset = mover._offset
+            if stream.write:
+                # Pushes in order: a re-visited address keeps the last.
+                last = {a: k for k, a in enumerate(stream.addrs)}
+                words = np.array(list(last), np.int64) >> 3
+                rows = stream.values[list(last.values())]
+                for k, view in enumerate(stream.views):
+                    view[words] = rows[:, k]
 
     def _plan_meta(self, op):
         mark = self.sched._exec_mark

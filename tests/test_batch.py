@@ -8,9 +8,11 @@ writes and serialized payload bytes.  These tests lock that contract
 across the interesting regimes: homogeneous fleets, cross-seed
 cohorts (per-lane immediates), cohorts whose lanes would split (a
 size sweep, data-dependent branches, a per-lane fault) and so demote
-as a whole, the scalar-fallback demotion path (FREP/SSR kernels),
-generated programs checked against the scalar ``Machine``, and every
-``jobs``/``batch`` sharding combination of :class:`repro.api.Sweep`.
+as a whole, COPIFT cohorts running SSR streams and FREP replays on the
+shared timeline, generated programs (with and without SSR streams,
+FREP and ``dma.copy``) checked against the scalar ``Machine``, and
+every ``jobs``/``batch`` sharding combination of
+:class:`repro.api.Sweep`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.kernels.common import KernelInstance
 from repro.kernels.registry import KERNELS
 from repro.isa import ProgramBuilder
 from repro.sim import CoreConfig, Machine, Memory
+from repro.sim import ssr as ssrdef
 from repro.sim.batch import BatchEngine, program_signature
 
 N = 256
@@ -57,10 +60,10 @@ def batch_records(workloads, batch, jobs: int = 1,
 def test_batch_matches_scalar(kernel, variant):
     """Six kernels x both variants x three seeds: identical records.
 
-    The copift variants exercise the demotion path (FREP/SSR micro-ops
-    have no vector plan); the baselines run vectorized end to end.
-    Seeds only change ``li`` immediates and memory images, so all
-    lanes share one cohort — the per-lane-immediate regime.
+    Both variants run vectorized end to end; the copift variants do so
+    through the SSR, FREP and ``dma.copy`` plans.  Seeds only change
+    ``li`` immediates and memory images, so all lanes share one cohort
+    — the per-lane-immediate regime.
     """
     workloads = [Workload(kernel, variant, n=N, seed=seed)
                  for seed in SEEDS]
@@ -110,19 +113,20 @@ def test_data_divergent_branches_match_scalar():
         assert payload(b) == payload(s)
 
 
-def test_copift_lanes_demote_to_scalar_engine():
-    """FREP/SSR micro-ops have no vector plan: the engine must hand
-    those lanes to the golden scalar Scheduler transparently."""
-    instances = [Workload("logf", "copift", n=N, seed=s).build()
-                 for s in (1, 2)]
-    engine = BatchEngine(instances).run()
-    assert engine.demoted == [True, True]
-    for lane, seed in enumerate((1, 2)):
-        ref, _ = Workload("logf", "copift", n=N,
-                          seed=seed).build().run(check=False)
-        assert engine.results[lane].cycles == ref.cycles
-        assert vars(engine.results[lane].counters) \
-            == vars(ref.counters)
+def test_copift_lanes_stay_vectorized():
+    """COPIFT cohorts run SSR streams, FREP replays and ``dma.copy``
+    on the shared timeline to the end, with scalar-identical
+    results."""
+    seeds = (1, 2, 99)
+    for kernel in ("expf", "logf", "pi_lcg", "poly_xoshiro128p"):
+        instances = [Workload(kernel, "copift", n=N, seed=seed).build()
+                     for seed in seeds]
+        engine = BatchEngine(instances).run()
+        assert engine.demoted == [False] * 3, kernel
+        for lane, seed in enumerate(seeds):
+            ref, _ = Workload(kernel, "copift", n=N,
+                              seed=seed).build().run(check=False)
+            assert engine.results[lane] == ref, (kernel, lane)
 
 
 def test_baseline_lanes_stay_vectorized():
@@ -248,6 +252,50 @@ def test_lookup_stays_shared_only_on_equal_waits(slots, demoted):
     for lane, slot in enumerate(slots):
         ref, _ = _lookup_instance(slot).run(check=False)
         assert engine.results[lane] == ref
+
+
+def _cfg(b, field: int, ssr: int, value: int) -> None:
+    """Write one SSR configuration word through ``t0``."""
+    b.li("t0", value & 0xFFFF_FFFF)
+    b.scfgwi("t0", ssrdef.encode_cfg_imm(field, ssr))
+
+
+def _armed_split(lane: int):
+    """Arm a read and a write stream, pop and push, then branch on a
+    byte that differs between the two lanes; both streams keep going
+    after the branch."""
+    memory = Memory(MEM_SIZE)
+    for k in range(8):
+        memory.write_f64(DATA + 8 * k, 1.5 * k - 2.0)
+    memory.write_u8(IDX, lane)
+    b = ProgramBuilder()
+    for ssr, pointer, base in ((0, ssrdef.F_RPTR, DATA),
+                               (1, ssrdef.F_WPTR, OUT)):
+        _cfg(b, ssrdef.F_BOUND0, ssr, 7)
+        _cfg(b, ssrdef.F_STRIDE0, ssr, 8)
+        _cfg(b, pointer, ssr, base)
+    b.li("a1", IDX)
+    b.emit("ssr.enable")
+    b.mark("main_start")
+    b.fadd_d("fa0", "ft0", "ft0")
+    b.fmv_d("ft1", "fa0")
+    b.lbu("s3", 0, "a1")
+    b.beqz("s3", "skip")
+    b.fadd_d("fa1", "fa1", "ft0")
+    b.label("skip")
+    b.fmul_d("ft1", "ft0", "fa0")
+    b.mark("main_end")
+    b.emit("ssr.disable")
+    b.ret()
+    return b.build(), memory
+
+
+def test_demotion_hands_over_armed_streams():
+    """A cohort that splits while streams are armed hands every SSR's
+    configuration and position to the scalar engine, which then pops
+    and pushes exactly where a scalar run would."""
+    engine = _check_cohort(2, CoreConfig(), 10_000, _armed_split)
+    assert engine.demoted == [True, True]
 
 
 def test_sweep_jobs_batch_grid_identical():
@@ -504,22 +552,17 @@ def lane_programs(draw):
 
 def _lane_state(result, error, machine):
     fregs = [struct.pack("<d", v) for v in machine.fregs]
+    ssrs = [tuple(getattr(ssr, name) for name in ssr.__slots__)
+            for ssr in machine.ssrs]
     return (result, type(error), str(error) if error else None,
-            list(machine.iregs), fregs, bytes(machine.memory.data))
+            list(machine.iregs), fregs, bytes(machine.memory.data),
+            machine.ssr_enabled, ssrs)
 
 
-# Random doubles overflow when the scalar engine rounds them to float32
-# (``.s`` ops, ``fsw``); the result is the intended inf.
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered in cast:RuntimeWarning")
-@settings(max_examples=80, deadline=None)
-@given(lane_programs())
-def test_generated_programs_match_scalar(case):
-    """Every lane of a generated cohort equals a scalar ``Machine`` run:
-    ``RunResult`` (cycles, counters, regions), final registers, memory
-    bytes and error type and message — whether the cohort stays shared
-    to the end or demotes at a split, a fault or ``max_steps``."""
-    lanes, config, max_steps, build = case
+def _check_cohort(lanes, config, max_steps, build):
+    """Every lane of one generated cohort equals a scalar ``Machine``
+    run: ``RunResult`` (cycles, counters, regions), final registers,
+    SSR state, memory bytes and error type and message."""
     instances = [_lane(*build(lane)) for lane in range(lanes)]
     engine = BatchEngine(instances, config=config,
                          max_steps=max_steps).run()
@@ -535,3 +578,270 @@ def test_generated_programs_match_scalar(case):
         assert _lane_state(engine.results[lane], engine.errors[lane],
                            engine.machine(lane)) \
             == _lane_state(result, error, machine), lane
+    return engine
+
+
+# Random doubles overflow when the scalar engine rounds them to float32
+# (``.s`` ops, ``fsw``); the result is the intended inf.
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered in cast:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(lane_programs())
+def test_generated_programs_match_scalar(case):
+    """Generated cohorts match the scalar engine lane for lane, whether
+    the cohort stays shared to the end or demotes at a split, a fault
+    or ``max_steps``."""
+    _check_cohort(*case)
+
+
+#: Stream layout: read streams and indirect gathers start in DATA,
+#: write streams in OUT (or, to overlap a read, in DATA); a stream
+#: starting at END runs off the end of memory.  IDX holds each lane's
+#: own ISSR index array.
+OUT, IDX, END = 0x2800, 0x3800, MEM_SIZE - 0x40
+STREAM_FP = ("ft0", "ft1", "ft2", "fa0", "fa1")
+FREP_OPS = ("fadd.d", "fmul.d", "fsub.d", "fmax.d", "fmadd.d",
+            "fmv.d", "fneg.d", "fadd.s")
+
+
+def _arity(mnem):
+    if mnem == "fmadd.d":
+        return 3
+    return 1 if mnem in ("fmv.d", "fneg.d", "fsqrt.d") else 2
+
+
+@st.composite
+def stream_programs(draw):
+    """Like :func:`lane_programs`, for SSR streams, FREP and dma.copy.
+
+    Up to three SSRs are configured as affine read or write streams of
+    1-2 dimensions or as indirect gathers over per-lane index arrays,
+    then a loop pops and pushes them through plain FP ops and FREP
+    bodies, re-arms streams, toggles ``ssr.enable``, copies with
+    ``dma.copy`` and branches on lane data.  Bases, repeat counts and
+    DMA ranges may differ across lanes (the cohort must demote), and
+    streams may run dry or fault (every lane must raise the golden
+    error).
+    """
+    lanes = draw(st.integers(2, 4))
+    reg = st.sampled_from
+
+    def rarely():
+        return draw(reg((False,) * 7 + (True,)))
+
+    def lane_vals(values):
+        """Mostly one value for every lane, rarely one per lane."""
+        if rarely():
+            return draw(st.lists(values, min_size=lanes,
+                                 max_size=lanes))
+        return [draw(values)] * lanes
+
+    streams = []
+    for ssr in range(3):
+        kind = draw(reg(("none", "read", "write", "indirect")))
+        if kind == "none":
+            continue
+        dims = draw(reg((1,) * 5 + (2,) * 5 + (5,)))   # 5: SSRError
+        shape = [(draw(st.integers(0, 15 if dim == 0 else 3)),
+                  draw(reg((8,) * 6 + (16, -8, 0, 4))))   # 4: faults
+                 for dim in range(min(dims, 2))]
+        # A write stream in DATA may overwrite what a read pops.
+        region = END if rarely() else DATA if kind != "write" \
+            else draw(reg((OUT, OUT, DATA)))
+        base = lane_vals(st.integers(0, 7).map(
+            lambda k, r=region: r + 8 * k))
+        repeat = draw(reg((0, 0, 0, 1)))
+        index_bytes = draw(reg((2, 4)))
+        streams.append((ssr, kind, dims, shape, base, repeat,
+                        index_bytes))
+    # Narrow index ranges make lanes gather from the same words.
+    index_values = st.integers(0, draw(reg((3, 31))))
+    indices = draw(st.lists(
+        st.lists(index_values, min_size=32, max_size=32),
+        min_size=lanes, max_size=lanes))
+    if draw(st.booleans()):
+        indices = [indices[0]] * lanes
+    if rarely():
+        # One lane's gather runs out of memory.
+        indices[-1] = indices[-1][:-1] + [0xFFFF]
+
+    def fp_op(pool):
+        mnem = draw(reg(pool))
+        return (mnem, *(draw(reg(STREAM_FP))
+                        for _ in range(_arity(mnem) + 1)))
+
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(reg(("frep",) * 3 + ("fsqrt", "op", "op", "mem",
+                                         "rearm", "rearm", "ssr", "dma",
+                                         "branch")))
+        if kind in ("frep", "fsqrt"):
+            # fsqrt.d has no vector form: its FREP demotes.
+            pool = FREP_OPS + ("fsqrt.d",) * (kind == "fsqrt")
+            body = [fp_op(pool) for _ in range(draw(st.integers(1, 4)))]
+            steps.append(("frep", lane_vals(st.integers(0, 4)),
+                          body))
+        elif kind == "op":
+            steps.append(("op", fp_op(FREP_OPS)))
+        elif kind == "mem":
+            steps.append(("op", draw(reg((
+                ("fsd", "ft0", 0, "a0"), ("fsd", "ft2", 8, "a0"),
+                ("fld", "ft1", 0, "a0"), ("feq.d", "t2", "ft0", "fa0"),
+                ("fcvt.d.w", "ft2", "t2"))))))
+        elif kind == "rearm":
+            if streams:
+                steps.append(("rearm", draw(reg(streams))))
+        elif kind == "ssr":
+            steps.append(("ssr", draw(reg(("ssr.enable",
+                                            "ssr.disable")))))
+        elif kind == "dma":
+            size = draw(reg((8, 16, 64) * 3 + (0x10000,)))
+            steps.append(("dma", lane_vals(st.integers(0, 7).map(
+                lambda k: OUT + 8 * k)), DATA, size))
+        else:
+            steps.append(("branch", draw(st.integers(0, 63))))
+    trips = draw(st.integers(1, 2))
+    seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=lanes,
+                          max_size=lanes))
+    if draw(st.booleans()):
+        seeds = [seeds[0]] * lanes
+    max_steps = draw(st.sampled_from((200_000_000,) * 7 + (60,)))
+    config = CoreConfig(
+        fpss_queue_depth=draw(st.sampled_from((8, 2))),
+        fp_wb_ports=draw(st.sampled_from((1, 2))),
+        frep_buffer_size=draw(st.sampled_from((16,) * 4 + (2,))),
+        ssr_fill_latency=draw(st.sampled_from((2, 0, 7))),
+        model_l0_icache=draw(st.booleans()))
+
+    def build(lane):
+        b = ProgramBuilder()
+
+        def arm(stream):
+            ssr, kind, _, _, base, _, _ = stream
+            if kind == "indirect":
+                _cfg(b, ssrdef.F_IDX_BASE, ssr, IDX)
+            pointer = ssrdef.F_WPTR if kind == "write" \
+                else ssrdef.F_RPTR
+            _cfg(b, pointer, ssr, base[lane])
+
+        b.li("a0", DATA)
+        for stream in streams:
+            ssr, kind, dims, shape, _, repeat, index_bytes = stream
+            _cfg(b, ssrdef.F_STATUS, ssr, dims)
+            for dim, (bound, stride) in enumerate(shape):
+                _cfg(b, ssrdef.F_BOUND0 + dim, ssr, bound)
+                _cfg(b, ssrdef.F_STRIDE0 + dim, ssr, stride)
+            if repeat:
+                _cfg(b, ssrdef.F_REPEAT, ssr, repeat)
+            if kind == "indirect":
+                _cfg(b, ssrdef.F_IDX_CFG, ssr, index_bytes | (3 << 3))
+            arm(stream)
+        b.emit("ssr.enable")
+        b.li("a2", trips)
+        b.mark("main_start")
+        b.label("loop")
+        for step in steps:
+            if step[0] == "frep":
+                b.li("t1", step[1][lane])
+                b.frep_o("t1", len(step[2]))
+                for op in step[2]:
+                    b.emit(*op)
+            elif step[0] == "op":
+                b.emit(*step[1])
+            elif step[0] == "rearm":
+                arm(step[1])
+            elif step[0] == "ssr":
+                b.emit(step[1])
+            elif step[0] == "dma":
+                b.li("a5", step[1][lane])
+                b.li("a6", step[2])
+                b.li("a7", step[3])
+                b.emit("dma.copy", "a5", "a6", "a7")
+            else:
+                skip = b.fresh_label("skip")
+                b.lbu("s3", step[1], "a0")
+                b.andi("s3", "s3", 1)
+                b.beqz("s3", skip)
+                b.fadd_d("fa0", "fa0", "fa1")
+                b.label(skip)
+        b.addi("a0", "a0", 8)
+        b.addi("a2", "a2", -1)
+        b.bnez("a2", "loop")
+        b.mark("main_end")
+        b.emit("ssr.disable")
+        b.ret()
+        memory = Memory(MEM_SIZE)
+        rng = np.random.default_rng(seeds[lane])
+        memory.data[DATA:MEM_SIZE] = rng.bytes(MEM_SIZE - DATA)
+        for k, index in enumerate(indices[lane]):
+            memory.write_u32(IDX + 4 * k, index)
+        return b.build(), memory
+
+    return lanes, config, max_steps, build
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered in cast:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(stream_programs())
+def test_generated_stream_programs_match_scalar(case):
+    """SSR configuration, stream pops and pushes, FREP replays and
+    ``dma.copy`` match the scalar engine lane for lane — including
+    cohorts that demote at a lane-varying config value, repeat count or
+    DMA range, and lanes whose streams run dry or fault."""
+    _check_cohort(*case)
+
+
+def _frep_case(case: str):
+    """Two-lane cohorts whose ``frep`` proof must refuse the replay.
+
+    ``overlap``: each push overwrites the element the next iteration
+    pops.  ``gather``: lanes gather from words a store just published
+    and from words it did not.  ``off_end``: a read stream runs off
+    the end of memory.  ``dry``: a stream holds fewer elements than
+    the replay pops.  ``reps``: lanes disagree on the repeat count.
+    """
+    def build(lane):
+        memory = Memory(MEM_SIZE)
+        for k in range(16):
+            memory.write_f64(DATA + 8 * k, 0.5 * k + lane)
+        memory.write_u32(IDX, 5 * lane)
+        b = ProgramBuilder()
+
+        read_base = MEM_SIZE - 16 if case == "off_end" else DATA
+        _cfg(b, ssrdef.F_BOUND0, 0, 1 if case == "dry" else 7)
+        _cfg(b, ssrdef.F_STRIDE0, 0, 8)
+        if case == "gather":
+            _cfg(b, ssrdef.F_IDX_CFG, 0, 4 | (3 << 3))
+            _cfg(b, ssrdef.F_IDX_BASE, 0, IDX)
+            _cfg(b, ssrdef.F_STRIDE0, 0, 0)
+        _cfg(b, ssrdef.F_RPTR, 0, read_base)
+        if case == "overlap":
+            _cfg(b, ssrdef.F_BOUND0, 1, 7)
+            _cfg(b, ssrdef.F_STRIDE0, 1, 8)
+            _cfg(b, ssrdef.F_WPTR, 1, DATA + 8)
+        b.li("a0", DATA)
+        b.fsd("fa1", 0, "a0")
+        b.emit("ssr.enable")
+        b.li("t1", 3 + lane if case == "reps" else 3)
+        b.mark("main_start")
+        b.frep_o("t1", 1)
+        b.fadd_d("ft1" if case == "overlap" else "fa0", "ft0", "fa0")
+        b.mark("main_end")
+        b.emit("ssr.disable")
+        b.ret()
+        return b.build(), memory
+
+    return build
+
+
+@pytest.mark.parametrize("case", ("overlap", "gather", "off_end", "dry",
+                                  "reps"))
+def test_frep_proof_refusals_demote_at_frep(case):
+    """A replay that would split, fault or read its own pushes demotes
+    the cohort at the ``frep`` pc, and the scalar engine finishes every
+    lane exactly as a scalar run."""
+    engine = _check_cohort(2, CoreConfig(), 10_000, _frep_case(case))
+    assert engine.demoted == [True, True]
+    cohort = engine._cohorts[0]
+    assert cohort.ops[cohort.sched._pc].mnemonic == "frep.o"
