@@ -17,7 +17,7 @@ compute cluster:
 """
 
 from .config import ClusterConfig
-from .dma import ClusterDma, DmaTransfer
+from .dma import ClusterDma
 from .machine import ClusterMachine, ClusterRunResult
 from .partition import (
     ClusterWorkload,
@@ -37,7 +37,6 @@ __all__ = [
     "ClusterMachine",
     "ClusterRunResult",
     "ClusterWorkload",
-    "DmaTransfer",
     "choose_block",
     "drain_outputs_via_dma",
     "output_region",

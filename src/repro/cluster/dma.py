@@ -16,19 +16,11 @@ beat arbiter (the cluster's link to its L2 window is uncontended), no
 endpoint hooks.  An enclosing SoC swaps in
 :class:`~repro.soc.machine.SocDmaChannel`, the same engine wired to
 the shared interconnect and L2.
-
-``DmaTransfer`` is the historical name of the queued-transfer record;
-it is the engine's :class:`~repro.mem.Transfer` (now carrying the
-stream :class:`~repro.mem.Direction` too).
 """
 
 from __future__ import annotations
 
-from ..mem import Transfer, TransferEngine
-
-#: Compatibility alias: the queued-transfer record predates the unified
-#: engine and was named for this module.
-DmaTransfer = Transfer
+from ..mem import TransferEngine
 
 
 class ClusterDma(TransferEngine):

@@ -32,16 +32,10 @@ from ..sim.config import CoreConfig
 from .config import ClusterConfig
 from .machine import ClusterMachine, ClusterRunResult
 
-#: Simulated L2 window inside each core's memory image (the flat image
-#: doubles as the global address space: TCDM low, L2 high).  Owned by
-#: the unified traffic engine (:mod:`repro.mem`); re-exported here
-#: under its historical name.
-L2_BASE = L2_WINDOW_BASE
-
 #: Drain window inside the per-core L2 address space: output write-back
 #: lands here, above the staged-input window, so one core image can
 #: hold both without overlap.
-L2_DRAIN_BASE = L2_BASE + (1 << 18)
+L2_DRAIN_BASE = L2_WINDOW_BASE + (1 << 18)
 
 #: Per-core seed spacing for chunked PRNG/vector-input generation.
 _SEED_STRIDE = 9973
@@ -88,7 +82,7 @@ def choose_block(chunk: int, requested: int) -> int:
 
 
 def stage_inputs_via_dma(instance: KernelInstance,
-                         l2_base: int = L2_BASE,
+                         l2_base: int = L2_WINDOW_BASE,
                          tile_elems: int = 64) -> KernelInstance:
     """Rebuild *instance* with its input array DMA-staged from L2.
 

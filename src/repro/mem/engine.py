@@ -47,9 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.tcdm import BankedTcdm
 
 #: Simulated L2 window inside each core's memory image (the flat image
-#: doubles as the global address space: TCDM low, L2 high).  Owned by
-#: the traffic engine; ``repro.cluster.partition.L2_BASE`` re-exports
-#: it for compatibility.
+#: doubles as the global address space: TCDM low, L2 high).
 L2_WINDOW_BASE = 1 << 19
 
 #: Bank-arbiter requestor id for DMA beats.  Distinct from every core

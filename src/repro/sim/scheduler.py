@@ -26,6 +26,7 @@ refactor of the original interpreter with bit-identical timing
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 from ..isa.instructions import OpClass
@@ -58,6 +59,14 @@ _HALT_PC = 1 << 60
 
 #: Writeback-reservation sets are trimmed once they exceed this size.
 _WB_TRIM_THRESHOLD = 8192
+
+#: The timing state a run continues from: what :meth:`Scheduler.
+#: _take_timing` copies from another scheduler at the same pc.
+_TIMING_STATE = (
+    "_pc", "_steps", "int_time", "fp_time", "int_ready", "fp_ready",
+    "mem_ready", "int_wb_busy", "fp_wb_busy", "fpss_queue", "counters",
+    "l0", "_region_open", "_regions",
+)
 
 
 class Scheduler:
@@ -236,6 +245,18 @@ class Scheduler:
         return RunResult(cycles=self.now, counters=self.counters.copy(),
                          regions=dict(self._regions))
 
+    def _take_timing(self, other: "Scheduler") -> None:
+        """Continue from a copy of *other*'s timing state.
+
+        Both schedulers are bound to programs of one structure, and
+        this one's machine holds the architectural state *other*'s
+        run has reached: a batch cohort hands its lanes over to the
+        scalar engine this way.
+        """
+        for name in _TIMING_STATE:
+            setattr(self, name, copy.copy(getattr(other, name)))
+        self._cd = self.counters.__dict__
+
     # ------------------------------------------------------------------
     # memory RAW tracking (word-granule publication times)
     # ------------------------------------------------------------------
@@ -257,25 +278,6 @@ class Scheduler:
         """Cold path: bound the writeback-reservation set's size."""
         floor = min(self.int_time, self.fp_time)
         busy.intersection_update({t for t in busy if t >= floor})
-
-    def _reserve_wb(self, busy: set[int], start: int, lat: int,
-                    ports: int) -> tuple[int, int]:
-        """Find the earliest issue ≥ *start* with a free writeback slot.
-
-        Returns (issue, writeback) times; reserves the writeback cycle.
-        With multiple ports the conflict set is per-cycle occupancy —
-        modelled only for the single-port default, which is what the
-        paper's core has.  (The step loop inlines this logic; the
-        batch engine's shared timeline calls this method.)
-        """
-        wb = start + lat
-        if ports == 1:
-            while wb in busy:
-                wb += 1
-        busy.add(wb)
-        if len(busy) > _WB_TRIM_THRESHOLD:
-            self._trim_wb(busy)
-        return wb - lat, wb
 
     # ------------------------------------------------------------------
     # markers

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..cluster.machine import ClusterMachine, ClusterRunResult
-from ..cluster.partition import L2_BASE
-from ..mem import Transfer, TransferEngine
+from ..mem import L2_WINDOW_BASE, Transfer, TransferEngine
 from ..sim.config import CoreConfig
 from ..sim.counters import (
     Counters,
@@ -74,7 +73,7 @@ class SocDmaChannel(TransferEngine):
     def __init__(self, cluster_id: int, interconnect: SocInterconnect,
                  l2: L2Memory | None = None,
                  l2_latency: int = 0,
-                 l2_window_base: int = L2_BASE,
+                 l2_window_base: int = L2_WINDOW_BASE,
                  **kwargs) -> None:
         # l2_latency / l2_window_base live on as the engine's
         # extra_latency / window_base — single storage, so endpoint

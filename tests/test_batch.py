@@ -298,6 +298,53 @@ def test_demotion_hands_over_armed_streams():
     assert engine.demoted == [True, True]
 
 
+def _overlapping_copy(lane: int):
+    """Copy 64 bytes of DATA 8 bytes up, over their own source."""
+    memory = Memory(MEM_SIZE)
+    for k in range(16):
+        memory.write_f64(DATA + 8 * k, k + 0.25 * lane)
+    b = ProgramBuilder()
+    b.li("a5", DATA + 8)
+    b.li("a6", DATA)
+    b.li("a7", 64)
+    b.emit("dma.copy", "a5", "a6", "a7")
+    b.ret()
+    return b.build(), memory
+
+
+def test_overlapping_dma_copy_lands_once_per_lane():
+    """A ``dma.copy`` over its own source shifts every lane's bytes
+    once: the leader's step copies lane 0, the vector update the
+    other lanes."""
+    engine = _check_cohort(2, CoreConfig(), 100, _overlapping_copy)
+    assert engine.demoted == [False, False]
+
+
+def _store_over_pop(lane: int):
+    """``fsw`` a popped double into its own upper half."""
+    memory = Memory(MEM_SIZE)
+    for k in range(8):
+        memory.write_f64(DATA + 8 * k, 1.5 + k + lane)
+    b = ProgramBuilder()
+    _cfg(b, ssrdef.F_BOUND0, 0, 7)
+    _cfg(b, ssrdef.F_STRIDE0, 0, 8)
+    _cfg(b, ssrdef.F_RPTR, 0, DATA)
+    b.li("a0", DATA)
+    b.emit("ssr.enable")
+    b.emit("fsw", "ft0", 4, "a0")
+    b.emit("ssr.disable")
+    b.ret()
+    return b.build(), memory
+
+
+def test_store_over_its_own_pop_reads_first():
+    """The leader's step pops lane 0's element before its store
+    overwrites part of it: the vector store's fault check must leave
+    lane 0's memory as the op found it."""
+    engine = _check_cohort(2, CoreConfig(), 100, _store_over_pop)
+    assert engine.demoted == [False, False]
+
+
 def test_sweep_jobs_batch_grid_identical():
     """The acceptance matrix: payloads identical for every jobs/batch
     combination, including batch groups as the per-task unit."""
@@ -562,11 +609,21 @@ def _lane_state(result, error, machine):
 def _check_cohort(lanes, config, max_steps, build):
     """Every lane of one generated cohort equals a scalar ``Machine``
     run: ``RunResult`` (cycles, counters, regions), final registers,
-    SSR state, memory bytes and error type and message."""
+    SSR state, memory bytes and error type and message.
+
+    The cohort's timing follows its leader, lane 0's own ``Machine``;
+    a cohort that finishes vectorized must also leave the leader's
+    registers equal to lane 0's row of the vector register files."""
     instances = [_lane(*build(lane)) for lane in range(lanes)]
     engine = BatchEngine(instances, config=config,
                          max_steps=max_steps).run()
     assert len(engine._cohorts) == 1
+    cohort = engine._cohorts[0]
+    if not any(engine.demoted):
+        leader = cohort.leader
+        assert leader.iregs == cohort.iregs[0].tolist()
+        assert np.array(leader.fregs).view(np.int64).tolist() \
+            == cohort.fregs[0].view(np.int64).tolist()
     for lane in range(lanes):
         program, memory = build(lane)
         machine = Machine(config=config, memory=memory)
@@ -695,9 +752,13 @@ def stream_programs(draw):
             steps.append(("ssr", draw(reg(("ssr.enable",
                                             "ssr.disable")))))
         elif kind == "dma":
-            size = draw(reg((8, 16, 64) * 3 + (0x10000,)))
+            # A copy within DATA mostly overlaps its source: applied
+            # twice, it shifts the bytes twice.
+            dst = draw(reg((OUT, DATA)))
+            size = 64 if dst == DATA \
+                else draw(reg((8, 16, 64) * 3 + (0x10000,)))
             steps.append(("dma", lane_vals(st.integers(0, 7).map(
-                lambda k: OUT + 8 * k)), DATA, size))
+                lambda k, d=dst: d + 8 * k)), DATA, size))
         else:
             steps.append(("branch", draw(st.integers(0, 63))))
     trips = draw(st.integers(1, 2))
@@ -844,4 +905,4 @@ def test_frep_proof_refusals_demote_at_frep(case):
     engine = _check_cohort(2, CoreConfig(), 10_000, _frep_case(case))
     assert engine.demoted == [True, True]
     cohort = engine._cohorts[0]
-    assert cohort.ops[cohort.sched._pc].mnemonic == "frep.o"
+    assert cohort.ops[cohort.pc].mnemonic == "frep.o"

@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import BankedTcdm, BankStats, ClusterDma
-from repro.cluster.dma import DmaTransfer
 from repro.mem import (
     DMA_REQUESTOR,
     Direction,
     L2_WINDOW_BASE,
     StreamStats,
-    Transfer,
     TransferEngine,
 )
 from repro.sim.memory import MemoryError_
@@ -72,7 +70,6 @@ class TestTransferEngineTiming:
         # No timing logic of their own: both use the engine's start.
         assert "start" not in ClusterDma.__dict__
         assert "start" not in SocDmaChannel.__dict__
-        assert DmaTransfer is Transfer
 
     def test_direction_classification(self):
         engine = TransferEngine()

@@ -154,14 +154,15 @@ class TestSocDmaChannel:
         assert channel.bytes_moved == plain.bytes_moved
 
     def test_l2_traffic_counted(self):
-        from repro.cluster.partition import L2_BASE
+        from repro.mem import L2_WINDOW_BASE
 
         l2 = L2Memory()
         channel = SocDmaChannel(
             cluster_id=0, interconnect=SocInterconnect(n_clusters=1),
             l2=l2, bandwidth=8, setup_latency=16)
-        channel.start(0, 0x1000, L2_BASE, 256, now=0)     # L2 -> TCDM
-        channel.start(0, L2_BASE + 0x400, 0x1000, 64, now=0)
+        l2_base = L2_WINDOW_BASE
+        channel.start(0, 0x1000, l2_base, 256, now=0)     # L2 -> TCDM
+        channel.start(0, l2_base + 0x400, 0x1000, 64, now=0)
         assert l2.bytes_read == 256
         assert l2.bytes_written == 64
 
