@@ -76,6 +76,25 @@ class Fig2Data:
     def peak_speedup(self) -> float:
         return max(r.measurement.speedup for r in self.rows)
 
+    def worst_error(self, metric: str) -> tuple[Fig2Row, float]:
+        """The kernel farthest from the paper in *metric* (``speedup``
+        or ``energy_improvement``) and its error, measured/paper - 1."""
+        def error(row: Fig2Row) -> float:
+            return (getattr(row.measurement, metric)
+                    / getattr(row, f"paper_{metric}") - 1)
+        row = max(self.rows, key=lambda r: abs(error(r)))
+        return row, error(row)
+
+
+def worst_error_line(data: Fig2Data) -> str:
+    """One line naming the worst per-kernel error behind each geomean."""
+    parts = []
+    for label, metric in (("speedup", "speedup"),
+                          ("energy improvement", "energy_improvement")):
+        row, error = data.worst_error(metric)
+        parts.append(f"{label} {row.name} {error:+.0%}")
+    return "worst per-kernel error vs paper: " + "; ".join(parts)
+
 
 def generate(n: int = 4096, config: CoreConfig | None = None,
              energy_model: EnergyModel | None = None,
@@ -171,6 +190,7 @@ def render(data: Fig2Data) -> str:
         f"geomean energy improvement: "
         f"{data.geomean_energy_improvement:.2f}x (paper: 1.37x)"
     )
+    lines.append(worst_error_line(data))
     return "\n".join(lines)
 
 

@@ -94,6 +94,8 @@ def generate_report(n: int = 2048, full_fig3: bool = False,
         f"{data.geomean_power_increase:.2f} / 1.07, energy "
         f"improvement {data.geomean_energy_improvement:.2f} / 1.37.",
         "",
+        fig2.worst_error_line(data) + ".",
+        "",
     ]
 
     # --- Figure 3 ---------------------------------------------------------

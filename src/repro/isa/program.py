@@ -21,6 +21,7 @@ with :meth:`ProgramBuilder.emit` as the explicit underlying entry point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -140,10 +141,15 @@ class Instruction:
         return self.render()
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def make_instruction(mnemonic: str, *operands) -> Instruction:
     """Build an :class:`Instruction`, validating operand kinds.
 
     Register operands may be given as names or :class:`Register` objects.
+    Equal calls share one instruction: instructions are immutable
+    values, and kernels emit the same ones for every seed, size and
+    core, so building each once per process saves most of a program
+    build.
     """
     spec = get_spec(mnemonic)
     if len(operands) != len(spec.roles):

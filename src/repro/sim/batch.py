@@ -38,7 +38,11 @@ Design rules, in order of precedence:
    ports, the FPSS dispatch queue, the L0 window, the SSR movers,
    counters and regions all come from the scalar code path.  Beside
    the leader only the register files, the memories and per-op
-   immediates are per lane.
+   immediates are per lane.  A stretch of ops whose plans only update
+   registers (no split check, memory or control) is stepped, once
+   hot, as the leader's compiled run (:mod:`repro.sim.blocks`, the
+   rules of ``step()``, locked to it by ``tests/test_blocks.py``),
+   with every lane's updates applied after it in order.
 4. **Plans hold split checks and lane data, never timing.**  Before
    the leader steps, an op's plan checks everything that could make
    lanes part ways or make the step raise: a branch outcome,
@@ -99,6 +103,7 @@ from .decode import (
     S_SSR_DIS,
     S_SSR_EN,
 )
+from .blocks import Run
 from .machine import Machine
 from .ssr import SSRError
 
@@ -115,6 +120,10 @@ def require_numpy() -> None:
             "the batch engine requires numpy (`pip install numpy`); "
             "re-run with batch=None to use the scalar engine"
         )
+
+
+def _no_update() -> None:
+    """The lane update of a register-only op writing ``x0``."""
 
 
 def _uniform(values):
@@ -283,7 +292,17 @@ class _Cohort:
 
         for k, i in enumerate(lanes):
             engine._lane_of[i] = (self, k)
+        #: The lane update of each op whose plan only updates registers
+        #: (no split check, no memory, no control), else None.
+        self.updates: list = [None] * len(self.ops)
         self.plans = [self._compile(op) for op in self.ops]
+        #: stops[pc]: the end of the register-only stretch from pc.
+        self.stops = list(range(len(self.ops)))
+        for pc in reversed(range(len(self.ops))):
+            if self.updates[pc] is not None:
+                self.stops[pc] = self.stops[pc + 1] \
+                    if pc + 1 < len(self.ops) else pc + 1
+        self.spans: dict[int, Run] = {}
 
     # ------------------------------------------------------------------
     # run loop and lane lifecycle
@@ -291,16 +310,38 @@ class _Cohort:
     def run(self) -> None:
         sched = self.sched
         plans = self.plans
+        updates = self.updates
+        stops = self.stops
         n_ops = len(plans)
         max_steps = self.engine.max_steps
         pc = steps = 0
+        entry = True
         # A plan steps the leader and returns True, or returns False to
         # demote the cohort at *pc* with the op uncommitted; the scalar
-        # engine raises the max_steps error itself.
+        # engine raises the max_steps error itself.  Entered at its
+        # start or by a jump, a stretch of register-only plans runs
+        # once hot as the leader's compiled run (repro.sim.blocks, the
+        # rules of its step()), then every lane's updates in order.
         while pc < n_ops and steps < max_steps:
+            stop = stops[pc]
+            if entry and stop - pc > 1 and steps + stop - pc <= max_steps:
+                span = self.spans.get(pc)
+                if span is None:
+                    span = self.spans[pc] = Run(
+                        sched._ops, pc, sched.cfg, True, stop)
+                fn = span.enter(sched)
+                if fn is not None:
+                    end = sched._pc = fn(sched)
+                    sched._steps += end - pc
+                    for update in updates[pc:end]:
+                        update()
+                    steps += end - pc
+                    pc = end
+                    continue
             plan = plans[pc]
             if plan is None or not plan():
                 break
+            entry = sched._pc != pc + 1 or updates[pc] is None
             pc = sched._pc
             steps += 1
         self.pc = pc
@@ -536,39 +577,40 @@ class _Cohort:
             else:
                 value = cfn(imm)
 
-            def plan():
-                step()
+            def update():
                 iregs[:, dest] = value
-                return True
         elif mnem in vo.VEC_UNARY:
             fn = vo.VEC_UNARY[mnem]
             a_idx = operands[1].index
 
-            def plan():
-                step()
+            def update():
                 iregs[:, dest] = fn(iregs[:, a_idx]) & _MASK32
-                return True
         elif mnem in vo.VEC_RR:
             fn = vo.VEC_RR[mnem]
             a_idx = operands[1].index
             b_idx = operands[2].index
 
-            def plan():
-                step()
+            def update():
                 iregs[:, dest] = fn(iregs[:, a_idx],
                                     iregs[:, b_idx]) & _MASK32
-                return True
         elif mnem in vo.VEC_RI:
             fn = vo.VEC_RI[mnem]
             a_idx = operands[1].index
 
-            def plan():
-                step()
+            def update():
                 iregs[:, dest] = fn(iregs[:, a_idx], imm) & _MASK32
-                return True
         else:
             return None
-        return plan if dest else stepped
+        if not dest:
+            self.updates[op.index] = _no_update
+            return stepped
+        self.updates[op.index] = update
+
+        def plan():
+            step()
+            update()
+            return True
+        return plan
 
     def _fp_apply(self, op):
         """The lane-data half of compute *op*, or None without a

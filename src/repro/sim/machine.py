@@ -23,7 +23,7 @@ This is the substitution for the paper's RTL/QuestaSim setup (see
 DESIGN.md §2): every effect the evaluation discusses is modelled as a
 first-class mechanism rather than calibrated afterwards.
 
-Execution is split in three layers (one file each):
+Execution is split in four layers (one file each):
 
 * :class:`~repro.sim.decode.DecodedProgram` — per-*static*-instruction
   resolution into flat micro-op records (bound handlers, operand
@@ -31,7 +31,13 @@ Execution is split in three layers (one file each):
   so cluster cores and sweep reruns decode once;
 * :class:`~repro.sim.scheduler.Scheduler` — the two issue timelines,
   scoreboards, writeback ports, dispatch queue, memory-RAW times,
-  regions and counters: all *timing* state and the hot step loop;
+  regions and counters: all *timing* state and the per-op step path,
+  the golden reference;
+* :mod:`~repro.sim.blocks` — compiled runs: ``Scheduler.drain`` runs
+  a hot run of straight-line code (up to a branch or jump, or a whole
+  ``frep`` loop) as generated Python with the same rules, once the
+  per-op path has executed it about ``blocks.K`` times its length;
+  ``step()`` and machines with a TCDM, obs sink or trace stay per-op;
 * :class:`Machine` (this module) — architectural state (register files,
   memory, SSR movers) and the stable ``bind``/``step``/``result``/
   ``run`` API the cluster driver and all tooling program against.

@@ -8,20 +8,17 @@ state (register files, memory, SSR movers) stays on the owning
 :class:`~repro.sim.machine.Machine`, which the bound functional handlers
 mutate.
 
-The hot loop works exclusively on :class:`~repro.sim.decode.MicroOp`
-records: no dict lookups, no operand-role walks, no ``instr.spec``
-attribute chains — every per-instruction invariant was resolved at
-decode time.  :meth:`bind` additionally snapshots the per-config
-scalars (latencies by pc, port counts, queue depth, branch penalty) and
-the architectural-state containers into flat attributes, so the
-per-step code touches plain locals and list indexing only.  The
-configuration and the machine's cluster hooks are treated as immutable
-between ``bind`` and the end of the run (true everywhere in the repo).
-
-The cycle-assignment rules are documented on
-:class:`~repro.sim.machine.Machine`; this class is a performance
-refactor of the original interpreter with bit-identical timing
-(``tests/test_golden.py`` locks that in).
+Per-instruction invariants were resolved at decode time
+(:class:`~repro.sim.decode.MicroOp`), and :meth:`bind` snapshots the
+per-config scalars and the architectural-state containers into flat
+attributes; the configuration and the cluster hooks are treated as
+immutable between ``bind`` and the end of the run.  :meth:`drain` runs
+a hot run of straight-line code as generated Python
+(:mod:`repro.sim.blocks`: compiled once the per-op path has executed it
+about ``K`` times its length).  The per-op methods stay the golden
+reference, locked to the compiled runs by ``tests/test_blocks.py`` and
+to the original interpreter by ``tests/test_golden.py``; the
+cycle-assignment rules are documented on :class:`~repro.sim.machine.Machine`.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import copy
 from collections import deque
 
 from ..isa.instructions import OpClass
-from .counters import Counters, RegionMeasurement, RunResult
+from .counters import Counters, RegionMeasurement, RunResult, sum_counters
 from .decode import (
     DecodedProgram,
     F_COMPUTE,
@@ -50,6 +47,7 @@ from .decode import (
     S_SSR_DIS,
     S_SSR_EN,
 )
+from .blocks import RunTable
 from .errors import SimulationError
 from .icache import L0Cache
 from ..obs.timeline import TraceEvent
@@ -149,9 +147,7 @@ class Scheduler:
     @property
     def now(self) -> int:
         """Current elapsed time over both issue timelines."""
-        int_time = self.int_time
-        fp_time = self.fp_time
-        return int_time if int_time >= fp_time else fp_time
+        return max(self.int_time, self.fp_time)
 
     @property
     def finished(self) -> bool:
@@ -184,10 +180,7 @@ class Scheduler:
         op = self._ops[pc]
         self._steps += 1
         if self._steps > self._max_steps:
-            raise SimulationError(
-                f"exceeded max_steps={self._max_steps} at pc={pc} "
-                f"({op.instr.render()})"
-            )
+            raise self._over_steps(pc)
         kind = op.kind
         if kind == K_INT:
             pc = self._step_int(op, pc)
@@ -205,9 +198,8 @@ class Scheduler:
     def drain(self) -> None:
         """Step until the bound program finishes.
 
-        Semantically ``while self.step(): pass``, written as one tight
-        loop with pc/steps in locals — this is the standalone-run hot
-        path (the cluster driver interleaves :meth:`step` instead).
+        Semantically ``while self.step(): pass``, one run at a time: a
+        hot run executes as generated code (:mod:`repro.sim.blocks`).
         """
         ops = self._ops
         n_ops = self._n_ops
@@ -216,29 +208,42 @@ class Scheduler:
         steps = self._steps
         step_int = self._step_int
         step_fp = self._step_fp
+        table = RunTable(self)
         try:
             while pc < n_ops:
-                op = ops[pc]
-                steps += 1
-                if steps > max_steps:
-                    raise SimulationError(
-                        f"exceeded max_steps={max_steps} at pc={pc} "
-                        f"({op.instr.render()})"
-                    )
-                kind = op.kind
-                if kind == K_INT:
-                    pc = step_int(op, pc)
-                elif kind == K_FP:
-                    step_fp(op, pc)
-                    pc += 1
-                elif kind == K_FREP:
-                    pc = self._exec_frep(op, pc)
-                else:                           # K_META
-                    self._exec_mark(op)
-                    pc += 1
+                run = table.runs[pc] or table.new(pc)
+                fn = run.enter(self)
+                if fn is not None and steps + run.steps <= max_steps:
+                    # A run that raises records its own pc and steps.
+                    self._steps = steps
+                    pc = None
+                    pc = fn(self)
+                    steps += run.steps
+                    continue
+                for _ in range(run.steps):
+                    op = ops[pc]
+                    steps += 1
+                    if steps > max_steps:
+                        raise self._over_steps(pc)
+                    kind = op.kind
+                    if kind == K_INT:
+                        pc = step_int(op, pc)
+                    elif kind == K_FP:
+                        step_fp(op, pc)
+                        pc += 1
+                    elif kind == K_FREP:
+                        pc = self._exec_frep(op, pc)
+                    else:                       # K_META
+                        self._exec_mark(op)
+                        pc += 1
         finally:
-            self._pc = pc
-            self._steps = steps
+            if pc is not None:
+                self._pc = pc
+                self._steps = steps
+
+    def _over_steps(self, pc: int) -> SimulationError:
+        return SimulationError(f"exceeded max_steps={self._max_steps} at "
+                               f"pc={pc} ({self._ops[pc].instr.render()})")
 
     def result(self) -> RunResult:
         """Measurements of everything executed since construction."""
@@ -296,15 +301,9 @@ class Scheduler:
             delta = self.counters.delta(start_counters)
             if name in self._regions:
                 prev = self._regions[name]
-                merged = Counters(**{
-                    k: getattr(prev.counters, k) + getattr(delta, k)
-                    for k in vars(delta)
-                })
-                self._regions[name] = RegionMeasurement(
-                    name, prev.cycles + cycles, merged
-                )
-            else:
-                self._regions[name] = RegionMeasurement(name, cycles, delta)
+                delta = sum_counters((prev.counters, delta))
+                cycles += prev.cycles
+            self._regions[name] = RegionMeasurement(name, cycles, delta)
         else:
             raise SimulationError(
                 f"mark label must end in _start/_end: {label!r}"

@@ -102,6 +102,18 @@ class TestFig2:
         text = fig2.render(data)
         assert "Figure 2a" in text
         assert "geomean speedup" in text
+        # The worst per-kernel paper error, recomputed from the rows.
+        parts = []
+        for label, measured, paper in (
+                ("speedup", "speedup", "paper_speedup"),
+                ("energy improvement", "energy_improvement",
+                 "paper_energy_improvement")):
+            errors = {r.name: getattr(r.measurement, measured)
+                      / getattr(r, paper) - 1 for r in data.rows}
+            worst = max(errors, key=lambda name: abs(errors[name]))
+            parts.append(f"{label} {worst} {errors[worst]:+.0%}")
+        assert text.splitlines()[-1] == (
+            "worst per-kernel error vs paper: " + "; ".join(parts))
 
 
 @pytest.fixture(scope="module")
