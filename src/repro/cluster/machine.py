@@ -9,27 +9,32 @@ cores with the shared-resource timing models of this package:
   :class:`~repro.cluster.dma.ClusterDma` engine,
 * ``cluster.barrier`` parks a core until every active core arrives.
 
-Execution is event-driven: the driver repeatedly steps the core whose
-integer issue timeline is furthest behind, so cores advance roughly in
-lock-step simulated time and shared-resource claims line up with the
-cycles they model.  The runnable cores sit in a heap keyed
-``(int_time, core_id)`` — ties break by core id — and only the stepped
-core's key is replaced, since a step moves no other core's clock.  A
-core parked at a barrier leaves the heap for a side list but still
-holds the cluster's clock: :attr:`ClusterMachine.laggard_time` is the
-minimum over the heap top and the parked cores.  Once every unfinished
-core is parked, the next step releases the barrier and pushes the
-parked cores back at the release time.  Functional state is per-core —
-each core binds its own program over its own (or an explicitly shared)
-memory image — which keeps correctness independent of the stepping
-interleave; only *timing* couples the cores.  With a single core and
-no DMA/barrier instructions the composition is cycle-identical to a
-bare ``Machine`` run.
+The reference order is the per-op one of :meth:`ClusterMachine.step`:
+step the core whose integer issue timeline is furthest behind, so
+shared-resource claims line up with the cycles they model.  Runnable
+cores sit in a heap keyed ``(int_time, core_id)``; a core parked at a
+barrier leaves it but holds the cluster's clock
+(:attr:`~ClusterMachine.laggard_time`), and once every unfinished core
+is parked the next step releases the barrier.
+
+:meth:`~ClusterMachine.run` keeps that order for every *shared* step
+(one that touches the TCDM, the DMA engine, a barrier, memory or an
+armed SSR stream) and lets the picked core run its *private* steps
+ahead, compiled (:meth:`Scheduler.drain
+<repro.sim.scheduler.Scheduler.drain>`).  Before a shared step the
+core yields unless the per-op driver would pick it now: its key is the
+least in the heap and, inside a SoC, its cluster's key the least too,
+one *horizon* its ``int_time`` must stay below.  This is exact: a
+private step touches only its own core, so it commutes with every step
+of another core, and as keys only grow, the core with the least key
+has every earlier step of the others behind it.  A fault in a step
+begun at or past the horizon is held until that core's turn.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 
 from ..isa.program import Program
@@ -43,6 +48,7 @@ from ..sim.counters import (
 )
 from ..sim.machine import Machine, SimulationError
 from ..sim.memory import Memory
+from ..sim.scheduler import NO_HORIZON
 from .config import ClusterConfig
 from .dma import ClusterDma
 from .tcdm import BankedTcdm
@@ -121,8 +127,7 @@ class ClusterMachine:
         self.barrier_count = 0
         #: Index within an enclosing SocMachine (0 standalone).
         self.cluster_id = 0
-        #: Runnable cores as ``(int_time, core_id)``; its top is the
-        #: next core to step.
+        #: Runnable cores as ``(int_time, core_id)``, the next on top.
         self._heap: list[tuple[int, int]] = []
         #: Cores parked at the pending barrier, and their minimum
         #: ``int_time`` (None while none is parked).
@@ -131,6 +136,8 @@ class ClusterMachine:
         self._finished: list[Machine] = []
         self._scheds: list = []
         self._bound = False
+        #: Compiled runs the cores share (repro.sim.blocks.RunTable).
+        self.runs: dict = {}
         #: Structured-event sink (repro.obs.ObsSink); None when off.
         self.obs = None
         #: Scope this cluster emits under (``soc/cluster{c}`` inside a
@@ -158,7 +165,7 @@ class ClusterMachine:
         machine.core_id = len(self.cores)
         machine.tcdm = self.tcdm
         machine.dma = self.dma
-        machine.cluster = self
+        machine.cluster = weakref.proxy(self)
         if self.obs is not None:
             machine.attach_obs(
                 self.obs, f"{self.obs_scope}/core{machine.core_id}")
@@ -172,9 +179,7 @@ class ClusterMachine:
     def attach_obs(self, sink, scope: str = "cluster0") -> None:
         """Observe the whole cluster: cores, TCDM banks, DMA, barriers.
 
-        Cores added later inherit the sink (an enclosing SoC attaches
-        before the workload populates the cluster).  Pass ``None`` to
-        detach.
+        Cores added later inherit the sink.  Pass ``None`` to detach.
         """
         self.obs = sink
         self.obs_scope = scope
@@ -185,12 +190,9 @@ class ClusterMachine:
             machine.attach_obs(sink, f"{scope}/core{machine.core_id}")
 
     def enable_trace(self) -> list[list]:
-        """Record issue events on every core (present and future).
-
-        Returns the per-core event lists, in core order — the list for
-        a core added after this call appears as cores are added (read
-        ``cores[k].trace`` for the live view).
-        """
+        """Record issue events on every core (present and future);
+        returns the present cores' event lists (``cores[k].trace`` is
+        the live view)."""
         self._tracing = True
         return [machine.enable_trace() for machine in self.cores]
 
@@ -232,9 +234,7 @@ class ClusterMachine:
         self._heap = [(sched.int_time, k)
                       for k, sched in enumerate(self._scheds)]
         heapq.heapify(self._heap)
-        self._parked = []
-        self._parked_time = None
-        self._finished = []
+        self._parked, self._parked_time, self._finished = [], None, []
         self._bound = True
 
     @property
@@ -245,10 +245,9 @@ class ClusterMachine:
     def laggard_time(self) -> int:
         """Issue time of the core furthest behind (the cluster's clock).
 
-        Barrier-parked cores keep their arrival-time clock, so a fully
-        parked cluster reports the time its pending release resolves
-        around — which is what an enclosing SoC driver should order on.
-        A finished cluster reports its latest core's issue time.
+        Barrier-parked cores keep their arrival-time clock, which an
+        enclosing SoC driver orders on.  A finished cluster reports its
+        latest core's issue time.
         """
         parked = self._parked_time
         if self._heap:
@@ -258,14 +257,14 @@ class ClusterMachine:
             return parked
         return max((m.sched.int_time for m in self.cores), default=0)
 
-    def step(self) -> bool:
-        """Advance the cluster by one dynamic instruction (or one
-        barrier release) on the laggard core.
+    def step(self, bound: int | None = None) -> bool:
+        """Release the pending barrier, or advance the laggard core.
 
-        Returns False once every core has finished.  The driver talks
-        to the cores' schedulers directly rather than through the
-        Machine facade's delegating properties (this loop runs once per
-        dynamic instruction).
+        With no *bound* by one dynamic instruction: the per-op
+        reference.  Else the core runs ahead to its horizon (see the
+        module docstring); *bound* is the laggard time from which an
+        enclosing SoC would step another cluster.  Returns False once
+        every core has finished.
         """
         heap = self._heap
         if not heap:
@@ -273,20 +272,25 @@ class ClusterMachine:
             if not parked:
                 return False
             self._release_barrier(parked, self._finished)
-            for machine in parked:
-                heapq.heappush(heap, (machine.sched.int_time,
-                                      machine.core_id))
-            self._parked = []
-            self._parked_time = None
+            heap[:] = sorted((m.sched.int_time, m.core_id) for m in parked)
+            self._parked, self._parked_time = [], None
             return True
-        # Step the core furthest behind on its issue timeline so
-        # shared-resource claims happen in (approximate) cycle order;
-        # ties break by core id.  A step moves only the stepped core's
-        # int_time (a release only the parked cores'), so every other
-        # key in the heap stays exact.
+        # A step moves only the stepped core's int_time (a release only
+        # the parked cores'), so every other key in the heap stays exact.
         k = heap[0][1]
         sched = self._scheds[k]
-        if not sched.step():
+        if bound is None:
+            alive = sched.step()
+        else:
+            if sched.held is not None:
+                raise sched.held[1]
+            horizon = runner_up(heap)
+            parked = self._parked_time
+            if bound < horizon and (parked is None or parked >= bound):
+                horizon = bound
+            sched.drain(horizon)
+            alive = sched.barrier_wait or not sched.finished
+        if not alive:
             heapq.heappop(heap)
             self._finished.append(self.cores[k])
         elif sched.barrier_wait:
@@ -296,7 +300,8 @@ class ClusterMachine:
             if parked is None or sched.int_time < parked:
                 self._parked_time = sched.int_time
         else:
-            heapq.heapreplace(heap, (sched.int_time, k))
+            held = sched.held
+            heapq.heapreplace(heap, (held[0] if held else sched.int_time, k))
         return bool(heap or self._parked)
 
     def result(self) -> ClusterRunResult:
@@ -320,6 +325,16 @@ class ClusterMachine:
     def run(self, max_steps: int = 200_000_000) -> ClusterRunResult:
         """Run every core to completion and aggregate measurements."""
         self.bind(max_steps)
-        while self.step():
+        while self.step(NO_HORIZON):
             pass
         return self.result()
+
+
+def runner_up(heap: list) -> int:
+    """The least time at which the top ``(time, id)`` entry of *heap*
+    no longer orders first (:data:`NO_HORIZON` if nothing follows)."""
+    if len(heap) < 2:
+        return NO_HORIZON
+    time, ident = heap[1] if len(heap) == 2 or heap[1] < heap[2] \
+        else heap[2]
+    return time + (heap[0][1] < ident)

@@ -14,11 +14,17 @@ Arbitration granularity follows the core model's structure:
   most one LSU/SSR request per engine per cycle, and its private request
   port is already serialized, so same-core claims share the cycle.  This
   also keeps a 1-core cluster cycle-identical to a bare ``Machine``;
-* cross-core claims are first-come-first-served in *simulation* order.
-  The cluster driver steps the earliest-in-time core first, so claim
-  order tracks cycle order closely (exact for lock-step cores); an
-  ``frep`` burst may claim a span of future cycles ahead of its peers,
-  which makes the arbitration approximate but deterministic.
+* cross-core claims are first-come-first-served in *simulation* order:
+  the per-op order of :meth:`ClusterMachine.step
+  <repro.cluster.machine.ClusterMachine.step>`, which steps the
+  earliest-in-time core first, so claim order tracks cycle order closely
+  (exact for lock-step cores); an ``frep`` burst may claim a span of
+  future cycles ahead of its peers, which makes the arbitration
+  approximate but deterministic.  ``ClusterMachine.run`` lets a core
+  run its private steps ahead, but every access here is a shared step,
+  made only while the core's ``(int_time, core_id)`` is the least key
+  (and, in a SoC, its cluster's key too), so the claims arrive in the
+  per-op order with the per-op cycles.
 """
 
 from __future__ import annotations
@@ -68,13 +74,6 @@ class BankedTcdm:
         word = (addr >> 2) + core_id * self.bank_stagger_words
         return word % self.n_banks
 
-    def _banks_touched(self, core_id: int, addr: int,
-                       nbytes: int) -> range:
-        first = (addr >> 2) + core_id * self.bank_stagger_words
-        last = ((addr + nbytes - 1) >> 2) + \
-            core_id * self.bank_stagger_words
-        return range(first, last + 1)
-
     # ------------------------------------------------------------------
     def access(self, core_id: int, addr: int, nbytes: int,
                cycle: int, requestor: int | None = None) -> int:
@@ -93,13 +92,17 @@ class BankedTcdm:
             return cycle
         if requestor is None:
             requestor = core_id
-        words = self._banks_touched(core_id, addr, nbytes)
+        shift = core_id * self.bank_stagger_words
+        first = (addr >> 2) + shift
         n = self.n_banks
         claims = self._claims
+        last = ((addr + nbytes - 1) >> 2) + shift
+        banks = [first % n] if last == first \
+            else [w % n for w in range(first, last + 1)]
         grant = cycle
         while True:
-            for w in words:
-                owner = claims[w % n].get(grant)
+            for bank in banks:
+                owner = claims[bank].get(grant)
                 if owner is not None and owner != requestor:
                     grant += 1
                     break
@@ -108,17 +111,17 @@ class BankedTcdm:
         delay = grant - cycle
         obs = self.obs
         if obs is not None:
-            obs.emit(self.obs_scope, f"bank{words[0] % n}",
+            obs.emit(self.obs_scope, f"bank{banks[0]}",
                      "conflict" if delay else "grant", grant, 1,
                      "tcdm", {"core": core_id, "stall": delay})
-        for w in words:
-            bank = w % n
+        stats = self.stats
+        for bank in banks:
             claims[bank][grant] = requestor
-            self._claim_count += 1
-            stats = self.stats[bank]
-            stats.grants += 1
-            stats.stall_cycles += delay
+            bank_stats = stats[bank]
+            bank_stats.grants += 1
+            bank_stats.stall_cycles += delay
             delay = 0  # attribute the stall to the first touched bank
+        self._claim_count += len(banks)
         if self._claim_count > (1 << 20):
             self._prune(grant)
         return grant

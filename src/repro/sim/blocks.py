@@ -28,8 +28,21 @@ depends on), so a run whose source is cached uses it from its first
 entry.  An entry whose writeback reservations could cross the
 scheduler's trim threshold runs per-op, so generated code never trims.
 The per-op path stays the golden reference: cold runs, ``step()`` and
-machines with a TCDM, obs sink or trace never leave it, and
+machines with an obs sink or trace never leave it, and
 ``tests/test_blocks.py`` checks the two paths against each other.
+
+Compiled runs also cover the cores of a cluster, which have a TCDM.
+There loads, stores, SSR pops and pushes and ``frep`` replays arbitrate
+through ``tcdm.access`` and add ``stall_tcdm``/``fp_stall_tcdm`` as the
+per-op path does.  A run is then a generator: before a shared op it
+waits, locals and all, while its core is at or past the driver's
+horizon, and resumes when the driver picks the core again
+(:mod:`repro.cluster.machine` tells why that is exact).  Waiting in
+place, not leaving, keeps lock-step cores, which wait at almost every
+shared op, from paying a run's entry and exit each time or compiling
+every suffix of a run.  ``tests/test_multicore.py`` checks them against
+the per-op cluster driver.  Machines without a TCDM get the same
+source as before.
 """
 
 from __future__ import annotations
@@ -41,10 +54,14 @@ from .decode import (
     F_BAD,
     F_COMPUTE,
     F_LOAD,
+    F_STORE,
     F_TO_INT,
     K_FP,
     K_FREP,
     K_INT,
+    S_BARRIER,
+    S_DMA_START,
+    S_DMA_WAIT,
     S_HANDLER,
     S_JUMP,
 )
@@ -65,8 +82,8 @@ _M = 0xFFFFFFFF
 #: Stall counters a run keeps in locals, in local-name order (c0, c1..).
 _STALLS = ("stall_raw_int", "stall_mem_raw", "stall_wb_port",
            "stall_queue_full", "fp_stall_raw", "fp_stall_ssr",
-           "fp_stall_wb_port")
-_RAW, _MEM_RAW, _WB, _QUEUE, _FP_RAW, _FP_SSR, _FP_WB = (
+           "fp_stall_wb_port", "stall_tcdm", "fp_stall_tcdm")
+_RAW, _MEM_RAW, _WB, _QUEUE, _FP_RAW, _FP_SSR, _FP_WB, _TCDM, _FP_TCDM = (
     f"c{i}" for i in range(len(_STALLS)))
 
 #: Integer ops written in-line: mnemonic -> value before the mask.
@@ -103,6 +120,23 @@ def _plus(start: tuple[str, int], delta: int) -> str:
         else f"{var} - {-offset}"
 
 
+def _shared(op, reads, writes) -> bool:
+    """Whether *op* may touch what other cores of a cluster also use:
+    the TCDM, the DMA engine, a barrier or memory (``dma.copy``, and
+    ``amoadd.w`` as a load), or an FP register in *reads* or *writes*,
+    those that may be read or write streams."""
+    kind = op.kind
+    if kind == K_INT:
+        return (op.is_load or op.is_store or op.mnemonic == "dma.copy"
+                or op.special in (S_DMA_START, S_DMA_WAIT, S_BARRIER))
+    if kind == K_FP:
+        return op.fp_op in (F_LOAD, F_STORE) or any(
+            is_fp and idx in reads for is_fp, idx in op.gather) or (
+            op.fp_op == F_COMPUTE and op.dest_idx in writes)
+    return kind == K_FREP and any(_shared(bop, reads, writes)
+                                  for bop in op.frep_body)
+
+
 def _compilable(op, cfg) -> bool:
     kind = op.kind
     if kind == K_INT:
@@ -121,13 +155,18 @@ class Run:
     """The run entered at one pc, its heat and its compiled functions.
 
     *stop*, if given, ends the run before that pc (the batch engine's
-    register-only stretches)."""
+    register-only stretches).  *shared*, if given, tells the ops that
+    may touch a cluster's shared resources: the run is :attr:`shared`
+    if its first op is one, and the per-op path runs its first
+    :attr:`span` steps, up to the next such op, before it checks the
+    horizon again."""
 
     __slots__ = ("ops", "head", "end", "steps", "frep", "sens",
-                 "int_adds", "fp_adds", "heat", "sources", "fns")
+                 "int_adds", "fp_adds", "heat", "sources", "fns",
+                 "shared", "span")
 
     def __init__(self, ops: list, head: int, cfg, hot: bool,
-                 stop: int | None = None) -> None:
+                 stop: int | None = None, shared=None) -> None:
         self.head = head
         self.frep = None
         top = []
@@ -148,7 +187,11 @@ class Run:
         self.ops = top
         self.end = max(pc, head + 1)
         #: The run's steps (an frep loop is one).
-        self.steps = max(len(top), 1)
+        self.steps = self.span = max(len(top), 1)
+        self.shared = shared is not None and shared(ops[head])
+        if shared is not None:
+            self.span = next((i for i, op in enumerate(top)
+                              if i and shared(op)), self.steps)
         fp_ops = [op for op in top if op.kind == K_FP] + list(
             self.frep.frep_body if self.frep is not None else ())
         self.sens = sorted({
@@ -217,19 +260,36 @@ class Run:
 
 
 class RunTable:
-    """Runs of the bound program by entry pc, built as control arrives."""
+    """Runs of the bound program by entry pc, built as control arrives.
 
-    __slots__ = ("sched", "runs", "hot")
+    On a core with a TCDM every op an obs sink sees is shared (the
+    sink's event order is), else those :func:`_shared` names, and the
+    cores of a cluster that run the same code share its runs."""
+
+    __slots__ = ("runs", "hot", "shared", "pool")
 
     def __init__(self, sched) -> None:
-        self.sched = sched
         self.runs: list = [None] * sched._n_ops
-        self.hot = (sched._tcdm is None and sched._trace is None
-                    and sched._obs is None)
+        self.hot = sched._trace is None and sched._obs is None
+        streams = range(sched._n_ssrs)
+        self.shared = self.pool = None
+        if sched._tcdm is not None:
+            self.shared = (lambda op: True) if sched._obs is not None \
+                else (lambda op: _shared(op, streams, streams))
+            self.pool = getattr(sched.m.cluster, "runs", None)
 
-    def new(self, pc: int) -> Run:
-        sched = self.sched
-        run = self.runs[pc] = Run(sched._ops, pc, sched.cfg, self.hot)
+    def new(self, sched, pc: int) -> Run:
+        ops = sched._ops
+        run = Run(ops, pc, sched.cfg, self.hot, shared=self.shared)
+        if self.pool is not None:
+            # Heat, sources and compiled functions alike; these fields
+            # fix an op's operands given its mnemonic.
+            run = self.pool.setdefault(
+                (pc, run.end, sched._obs is None, self.hot,
+                 *((op.mnemonic, op.imm, op.int_read_idx,
+                    op.int_write_idx, op.gather, op.dest_idx, op.target)
+                   for op in ops[pc:run.end])), run)
+        self.runs[pc] = run
         return run
 
 
@@ -297,6 +357,13 @@ class _Writer:
     register ready: ``settled_int``/``settled_fp`` hold such registers
     and their RAW checks are left out until the register is rewritten
     with a later ready time.
+
+    On a core with a TCDM (``shared``) memory ops and stream pops and
+    pushes arbitrate through ``tcdm.access`` as the per-op path does,
+    the run is a generator that waits before every op after the first
+    that touches a shared resource in this stream state while the core
+    is at or past the horizon ``H`` (:meth:`wait`), and a step that may
+    raise first notes its issue time in ``i0`` for a held fault.
     """
 
     def __init__(self, sched, run: Run, key: int) -> None:
@@ -309,11 +376,17 @@ class _Writer:
         self.fill = sched._ssr_fill_latency
         self.lat_fp_load = sched._lat_fp_load
         self.response = sched._fp_response_latency
+        self.shared = sched._tcdm is not None
         self.streams: dict[int, int] = {}
         code = key
         for i in reversed(run.sens):
             self.streams[i] = code % 4 if code else _OFF
             code //= 4
+        #: The read and the write streams of this stream state.
+        self.stream_regs = ([i for i, s in self.streams.items()
+                             if s in (_READ, _GATHER)],
+                            [i for i, s in self.streams.items()
+                             if s == _WRITE])
         self.lines: list[str] = []
         self.indent = "        "
         self.names: dict[str, object] = {"U": _unwind, "RUN": run,
@@ -336,6 +409,11 @@ class _Writer:
         for op in self.run.ops:
             self.pc = op.index
             self.step += 1
+            if self.shared:
+                if op.index > self.run.head and _shared(
+                        op, *self.stream_regs):
+                    self.wait()
+                at, marks = len(self.lines), len(self.marks)
             if op.kind == K_FREP:
                 per_rep = self.frep(op, op.index)
             elif op.kind == K_FP:
@@ -344,7 +422,24 @@ class _Writer:
                 self.int_op(op, op.index)
                 if op.is_branch or op.special == S_JUMP:
                     term = op
+            if self.shared and len(self.marks) > marks:
+                self.lines.insert(at, self.indent + "i0 = it")
         return per_rep, term
+
+    # -- shared resources (cores with a TCDM) ---------------------------
+    def wait(self) -> None:
+        """Wait here while the core is at or past the horizon: the
+        driver reads its key and resumes it with a new horizon in its
+        turn."""
+        self.put("if it >= H:")
+        self.put("    S.int_time = it")
+        self.put("    H = yield")
+
+    def tcdm(self, width, stall: str) -> None:
+        """Arbitrate the access of *width* bytes at ``a`` from ``s``."""
+        if self.shared:
+            self.put(f"if (g := TA(CID, a, {width}, s)) > s: "
+                     f"{self.stall(stall)} += g - s; s = g")
 
     # -- emission helpers ---------------------------------------------
     def put(self, line: str) -> None:
@@ -424,6 +519,10 @@ class _Writer:
             self.put("if a & 3 and (u := mr.get((a >> 2) + 1, 0)) > t: "
                      "t = u")
             self.put(f"if t > s: {self.stall(_MEM_RAW)} += t - s; s = t")
+        if self.shared and (op.is_load or op.is_store):
+            if not op.is_load:
+                self.put(f"a = {addr}")
+            self.tcdm(4, _TCDM)
         lat = self.lat[pc]
         writes = op.int_write_idx
         start = ("s", 0)
@@ -547,6 +646,7 @@ class _Writer:
                 ssr = f"R{dest}"
                 self.mark(fetched)
                 self.put(f"a = {ssr}.peek_address(RI)")
+                self.tcdm(8, _FP_TCDM)
                 self.put(f"mem.write_f64(a, {result})")
                 self.put(f"{ssr}.advance()")
                 self.put(f"{ssr}.last_pop_time = s")
@@ -563,6 +663,7 @@ class _Writer:
             self.put(f"a = {self.address(op)}")
             self.probe8("a")
             self.put("if p > s: s = p")
+            self.tcdm(op.width, _FP_TCDM)
             issued = self.wb_port("fb", self.fp_ports, lat, _FP_WB)
             if issued[0] != "s":
                 self.put(f"s = {_plus(issued, 0)}")
@@ -573,6 +674,7 @@ class _Writer:
             self.settle(self.settled_fp, (dest,), lat)
         else:                                       # F_STORE
             self.put(f"a = {self.address(op)}")
+            self.tcdm(op.width, _FP_TCDM)
             self.mark(fetched)
             write = "write_f64" if op.width == 8 else "write_f32"
             self.put(f"mem.{write}(a, {values[0]})")
@@ -596,6 +698,7 @@ class _Writer:
         self.put(f"if p and p + {self.lat_fp_load} > av: "
                  f"av = p + {self.lat_fp_load}")
         self.put(f"if av > s: {self.stall(_FP_SSR)} += av - s; s = av")
+        self.tcdm(8, _FP_TCDM)
         value = f"v{self.vals}"
         self.vals += 1
         self.put(f"{value} = mem.read_f64(a)")
@@ -648,7 +751,8 @@ _PROLOGUE = (("it", "S.int_time"), ("ft", "S.fp_time"),
              ("X", "S._iregs"), ("F", "S._fregs"), ("mr", "S.mem_ready"),
              ("ib", "S.int_wb_busy"), ("fb", "S.fp_wb_busy"),
              ("q", "S.fpss_queue"), ("mem", "S._mem"), ("m", "S.m"),
-             ("RI", "S._read_index"))
+             ("RI", "S._read_index"), ("H", "S.horizon"),
+             ("TA", "S._tcdm.access"), ("CID", "S._core_id"))
 
 
 def source(sched, run: Run, key: int) -> tuple[str, dict]:
@@ -660,10 +764,14 @@ def source(sched, run: Run, key: int) -> tuple[str, dict]:
     fetches = last - head + 1
     stalls = sorted(w.stalls)
     stall_names = tuple(_STALLS[int(c[1:])] for c in stalls)
-    epi = ["    except BaseException:",
+    # A waiting run that is dropped unfinished (another core faulted)
+    # writes nothing back: Exception, not BaseException, for those.
+    epi = [f"    except {'Exception' if w.shared else 'BaseException'}:",
            "        U(S, RUN, KEY, k, r, it, ft, "
-           f"({''.join(c + ', ' for c in stalls)}))",
-           "        raise",
+           f"({''.join(c + ', ' for c in stalls)}))"]
+    if w.shared:
+        epi.append("        S._fault_time = i0")
+    epi += ["        raise",
            "    S.fp_time = ft", "    cd = S._cd"]
     epi += [f"    cd[{name!r}] += {c}"
             for name, c in zip(stall_names, stalls)]
@@ -695,6 +803,10 @@ def source(sched, run: Run, key: int) -> tuple[str, dict]:
             epi += ["    S.int_time = it", f"    return {pc + 1}"]
         else:
             epi += ["    " + line for line in taken]
+    if w.shared:
+        # A generator: it yields None to wait, then its next pc.
+        epi = [line.replace("return ", "yield ") + "; return"
+               if "return " in line else line for line in epi]
     body = w.lines or ["        pass"]
     used = set(re.findall(r"[A-Za-z_]\w*", "\n".join(body + epi)))
     pro = ["def run(S):"]
@@ -705,7 +817,7 @@ def source(sched, run: Run, key: int) -> tuple[str, dict]:
             pro.append(f"    R{i} = S._ssrs[{i}]")
             if w.streams[i] != _WRITE:
                 pro.append(f"    e{i} = R{i}.arm_time + {w.fill}")
-    pro.append("    k = r = n = 0")
+    pro.append("    k = r = n = i0 = 0" if w.shared else "    k = r = n = 0")
     if stalls:
         pro.append(f"    {' = '.join(stalls)} = 0")
     pro.append("    try:")

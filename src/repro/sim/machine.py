@@ -37,7 +37,7 @@ Execution is split in four layers (one file each):
   a hot run of straight-line code (up to a branch or jump, or a whole
   ``frep`` loop) as generated Python with the same rules, once the
   per-op path has executed it about ``blocks.K`` times its length;
-  ``step()`` and machines with a TCDM, obs sink or trace stay per-op;
+  ``step()`` and machines with an obs sink or trace stay per-op;
 * :class:`Machine` (this module) — architectural state (register files,
   memory, SSR movers) and the stable ``bind``/``step``/``result``/
   ``run`` API the cluster driver and all tooling program against.
@@ -81,7 +81,8 @@ class Machine:
         self.tcdm = None
         #: Cluster DMA engine (bandwidth/latency model), or None.
         self.dma = None
-        #: Owning ClusterMachine (barrier coordination), or None.
+        #: Owning ClusterMachine (barrier coordination), or None; a
+        #: weak proxy, so the cluster and its cores hold no cycle.
         self.cluster = None
         self.reset_timing()
 
@@ -102,16 +103,6 @@ class Machine:
         self.obs_scope = scope
         self.sched._obs = sink
         self.sched._obs_scope = scope
-
-    # ------------------------------------------------------------------
-    # architectural helpers
-    # ------------------------------------------------------------------
-    def _read_index(self, addr: int, size: int) -> int:
-        if size == 2:
-            return self.memory.read_u16(addr)
-        if size == 4:
-            return self.memory.read_u32(addr)
-        raise SimulationError(f"unsupported ISSR index size {size}")
 
     # ------------------------------------------------------------------
     # timing state (owned by the Scheduler; delegated for compatibility)

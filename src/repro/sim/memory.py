@@ -16,6 +16,8 @@ import struct
 
 import numpy as np
 
+from .errors import SimulationError
+
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F32 = struct.Struct("<f")
@@ -99,6 +101,14 @@ class Memory:
         if addr < 0 or addr + 4 > self.size or addr & 3:
             self._check(addr, 4, align=4)
         _U32.pack_into(self.data, addr, value & 0xFFFFFFFF)
+
+    def read_index(self, addr: int, size: int) -> int:
+        """An indirect SSR's index word (16 or 32 bits)."""
+        if size == 2:
+            return self.read_u16(addr)
+        if size == 4:
+            return self.read_u32(addr)
+        raise SimulationError(f"unsupported ISSR index size {size}")
 
     def read_u64(self, addr: int) -> int:
         if addr < 0 or addr + 8 > self.size or addr & 7:

@@ -15,15 +15,19 @@ attributes; the configuration and the cluster hooks are treated as
 immutable between ``bind`` and the end of the run.  :meth:`drain` runs
 a hot run of straight-line code as generated Python
 (:mod:`repro.sim.blocks`: compiled once the per-op path has executed it
-about ``K`` times its length).  The per-op methods stay the golden
+about ``K`` times its length), and under a cluster driver stops at the
+horizon before a shared step.  The per-op methods stay the golden
 reference, locked to the compiled runs by ``tests/test_blocks.py`` and
-to the original interpreter by ``tests/test_golden.py``; the
-cycle-assignment rules are documented on :class:`~repro.sim.machine.Machine`.
+``tests/test_multicore.py`` and to the original interpreter by
+``tests/test_golden.py``; the cycle-assignment rules are documented on
+:class:`~repro.sim.machine.Machine`, which :attr:`Scheduler.m` refers
+to by weak proxy (no reference cycle keeps a finished machine alive).
 """
 
 from __future__ import annotations
 
 import copy
+import weakref
 from collections import deque
 
 from ..isa.instructions import OpClass
@@ -57,6 +61,8 @@ _HALT_PC = 1 << 60
 
 #: Writeback-reservation sets are trimmed once they exceed this size.
 _WB_TRIM_THRESHOLD = 8192
+#: The :meth:`Scheduler.drain` horizon of a core no other core waits on.
+NO_HORIZON = 1 << 62
 
 #: The timing state a run continues from: what :meth:`Scheduler.
 #: _take_timing` copies from another scheduler at the same pc.
@@ -83,14 +89,14 @@ class Scheduler:
         # machine snapshot
         "_iregs", "_fregs", "_mem", "_ssrs", "_n_ssrs", "_tcdm",
         "_core_id", "_read_index", "_trace", "_obs", "_obs_scope",
+        "horizon", "held", "_fault_time", "_table", "_waiting",  # drain()
     )
 
     def __init__(self, machine) -> None:
-        self.m = machine
+        self.m = weakref.proxy(machine)
         cfg = machine.config
         self.cfg = cfg
-        self.int_time = 0
-        self.fp_time = 0
+        self.int_time = self.fp_time = 0
         self.int_ready = [0] * 32
         self.fp_ready = [0] * 32
         self.mem_ready: dict[int, int] = {}
@@ -111,9 +117,7 @@ class Scheduler:
         self._ops: list = []
         self._n_ops = 0
         self._lat: list[int] = []
-        self._pc = 0
-        self._steps = 0
-        self._max_steps = 0
+        self._pc = self._steps = self._max_steps = self._fault_time = 0
         self._snapshot_config()
         self._snapshot_machine()
 
@@ -138,7 +142,7 @@ class Scheduler:
         self._n_ssrs = len(m.ssrs)
         self._tcdm = m.tcdm
         self._core_id = m.core_id
-        self._read_index = m._read_index
+        self._read_index = m.memory.read_index
         self._trace = m.trace
         self._obs = m.obs
         self._obs_scope = m.obs_scope
@@ -169,6 +173,8 @@ class Scheduler:
         self._steps = 0
         self._max_steps = max_steps
         self.barrier_wait = False
+        #: ``(issue time, error)`` of a fault drain() holds back.
+        self.held = self._table = self._waiting = None
         self._snapshot_config()
         self._snapshot_machine()
 
@@ -195,51 +201,61 @@ class Scheduler:
         self._pc = pc
         return True
 
-    def drain(self) -> None:
+    def drain(self, horizon: int = NO_HORIZON) -> None:
         """Step until the bound program finishes.
 
         Semantically ``while self.step(): pass``, one run at a time: a
         hot run executes as generated code (:mod:`repro.sim.blocks`).
+        Below *horizon* the per-op cluster driver would step this core:
+        at or past it the core stops before a shared step (a compiled
+        run waits, to resume on the next call); it also stops once a
+        barrier parks it, and holds a fault in a step begun at or past
+        it as :attr:`held`, for the driver to raise in its turn.
         """
-        ops = self._ops
         n_ops = self._n_ops
         max_steps = self._max_steps
-        pc = self._pc
-        steps = self._steps
-        step_int = self._step_int
-        step_fp = self._step_fp
-        table = RunTable(self)
+        step = self.step
+        table = self._table or RunTable(self)
+        self._table = table
+        self.horizon = horizon
+        t0 = None
         try:
-            while pc < n_ops:
-                run = table.runs[pc] or table.new(pc)
-                fn = run.enter(self)
-                if fn is not None and steps + run.steps <= max_steps:
+            while True:
+                if self._waiting is not None:
+                    run, gen = self._waiting
+                    if (pc := gen.send(horizon)) is None:
+                        break
+                    self._waiting = None
+                elif (pc := self._pc) >= n_ops:
+                    break
+                else:
+                    run = table.runs[pc] or table.new(self, pc)
+                    if run.shared and self.int_time >= horizon:
+                        break
+                    fn = run.enter(self)
+                    if fn is None or self._steps + run.steps > max_steps:
+                        for _ in range(run.span):
+                            t0 = self.int_time
+                            step()
+                        if self.barrier_wait:
+                            break
+                        continue
                     # A run that raises records its own pc and steps.
-                    self._steps = steps
-                    pc = None
+                    t0 = None
                     pc = fn(self)
-                    steps += run.steps
-                    continue
-                for _ in range(run.steps):
-                    op = ops[pc]
-                    steps += 1
-                    if steps > max_steps:
-                        raise self._over_steps(pc)
-                    kind = op.kind
-                    if kind == K_INT:
-                        pc = step_int(op, pc)
-                    elif kind == K_FP:
-                        step_fp(op, pc)
-                        pc += 1
-                    elif kind == K_FREP:
-                        pc = self._exec_frep(op, pc)
-                    else:                       # K_META
-                        self._exec_mark(op)
-                        pc += 1
-        finally:
-            if pc is not None:
+                    if table.shared is not None:    # a generator
+                        gen, pc = pc, next(pc)
+                        if pc is None:
+                            self._waiting = (run, gen)
+                            break
                 self._pc = pc
-                self._steps = steps
+                self._steps += run.steps
+        except Exception as exc:
+            self._waiting = None
+            start = self._fault_time if t0 is None else t0
+            if start < horizon:
+                raise
+            self.held = (start, exc)
 
     def _over_steps(self, pc: int) -> SimulationError:
         return SimulationError(f"exceeded max_steps={self._max_steps} at "
@@ -251,13 +267,9 @@ class Scheduler:
                          regions=dict(self._regions))
 
     def _take_timing(self, other: "Scheduler") -> None:
-        """Continue from a copy of *other*'s timing state.
-
-        Both schedulers are bound to programs of one structure, and
-        this one's machine holds the architectural state *other*'s
-        run has reached: a batch cohort hands its lanes over to the
-        scalar engine this way.
-        """
+        """Continue from a copy of *other*'s timing state (both bound
+        to programs of one structure, this machine holding the state
+        *other*'s run reached): how a batch cohort hands lanes over."""
         for name in _TIMING_STATE:
             setattr(self, name, copy.copy(getattr(other, name)))
         self._cd = self.counters.__dict__
@@ -316,11 +328,9 @@ class Scheduler:
                         start: int) -> None:
         """Queue a tile transfer; publish the data at its completion.
 
-        The copy is applied immediately (program order) so functional
-        state never depends on transfer timing; consumers observe the
-        modelled completion through the memory-RAW publication times,
-        which is what makes double-buffered pipelines overlap compute
-        with transfers.
+        The copy is applied at once, so functional state never depends
+        on transfer timing; consumers see the modelled completion
+        through the memory-RAW publication times.
         """
         m = self.m
         obs = self._obs
@@ -346,14 +356,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # integer core
     # ------------------------------------------------------------------
-    def _fetch(self, pc: int) -> None:
-        # L0 loop-buffer check; _step_int/_step_fp inline this copy.
-        l0 = self.l0
-        if l0.enabled and l0._lo <= pc <= l0._hi:
-            self._cd["icache_l0_hits"] += 1
-        else:
-            self._cd["icache_l0_misses"] += 1
-
     def _step_int(self, op, pc: int) -> int:
         cd = self._cd
         m = self.m
@@ -428,13 +430,9 @@ class Scheduler:
                 raise SimulationError(f"no such SSR: {op.aux1}")
             ssr = self._ssrs[op.aux1]
             if op.cfg_arm:
-                # Re-arming a data mover requires the previous stream
-                # to have drained; software guards the reconfiguration
-                # with an FPU fence, so the write blocks until the FPSS
-                # pipeline is idle.  This is the per-block SSR
-                # programming / buffer-switching overhead behind
-                # Fig. 3's block-size trade-off (and the exp kernel's
-                # deviation in Fig. 2a).
+                # Re-arming a mover waits for its stream to drain (an
+                # FPU fence): the per-block SSR programming overhead
+                # behind Fig. 3's block-size trade-off.
                 drain = max(ssr.last_pop_time + 1, self.fp_time)
                 if drain > start:
                     cd["stall_ssr_sync"] += drain - start
@@ -757,7 +755,9 @@ class Scheduler:
         body = op.frep_body
 
         # The frep instruction itself occupies one integer issue slot.
-        self._fetch(pc)
+        l0 = self.l0
+        cd["icache_l0_hits" if l0.enabled and l0._lo <= pc <= l0._hi
+           else "icache_l0_misses"] += 1
         start = self.int_time
         rs1 = op.aux0
         t = self.int_ready[rs1]

@@ -10,30 +10,26 @@ package:
 * staged data lives in one shared :class:`~repro.soc.l2.L2Memory`
   (capacity enforcement, read/write traffic accounting).
 
-Execution is event-driven the same way a cluster steps its cores: the
-driver repeatedly steps the *cluster* whose laggard core is furthest
-behind in simulated time, and that cluster in turn steps its own
-laggard core — so interconnect claims line up with the cycles they
-model across the whole SoC.  The clusters sit in a heap keyed
-``(laggard_time, cluster_id)`` — ties break by cluster id — and the
-stepped cluster's key is replaced after every step, since stepping one
-cluster moves no other cluster's clock.  Inside the cluster the core
-order is ``(int_time, core_id)``, and barrier-parked cores hold their
-cluster's laggard clock (see :mod:`repro.cluster.machine`).
-Functional state stays per-core, exactly as in the cluster layer, so
-correctness is independent of the stepping interleave; only timing
-couples the clusters.  With a single cluster and the default
-(uncontended) interconnect the composition is cycle-identical to a
-bare ``ClusterMachine``.
+Execution follows the cluster layer one level up: the per-op order
+steps the *cluster* whose laggard core is furthest behind, keyed
+``(laggard_time, cluster_id)`` in a heap, and that cluster steps its
+laggard core; barrier-parked cores hold their cluster's clock.
+:meth:`SocMachine.run` keeps that order for every shared step, which is
+all the interconnect and the L2 see, while the picked core runs its
+private steps ahead (see :mod:`repro.cluster.machine` for why that is
+exact).  With a single cluster and the default (uncontended)
+interconnect the composition is cycle-identical to a bare
+``ClusterMachine``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
-from ..cluster.machine import ClusterMachine, ClusterRunResult
+from ..cluster.machine import ClusterMachine, ClusterRunResult, runner_up
 from ..mem import L2_WINDOW_BASE, Transfer, TransferEngine
 from ..sim.config import CoreConfig
 from ..sim.counters import (
@@ -82,31 +78,28 @@ class SocDmaChannel(TransferEngine):
                          arbiter=interconnect.transfer,
                          extra_latency=l2_latency,
                          window_base=l2_window_base,
-                         on_complete=self._note_l2,
+                         on_complete=None if l2 is None else partial(
+                             _note_l2, l2, interconnect, l2_window_base,
+                             cluster_id),
                          **kwargs)
         self.cluster_id = cluster_id
         self.interconnect = interconnect
         self.l2 = l2
 
-    def _note_l2(self, transfer: Transfer) -> None:
-        """Tally a transfer's L2-window endpoints on the shared L2."""
-        if self.l2 is None:
-            return
-        obs = self.interconnect.obs
-        if transfer.src >= self.window_base:
-            self.l2.note_read(transfer.nbytes)
+
+def _note_l2(l2: L2Memory, interconnect: SocInterconnect, window_base: int,
+             cluster_id: int, transfer: Transfer) -> None:
+    """Tally a transfer's L2-window endpoints on the shared *l2* (bound
+    by value, so a channel holds no reference cycle through its hook)."""
+    obs = interconnect.obs
+    for addr, note, name in ((transfer.src, l2.note_read, "read"),
+                             (transfer.dst, l2.note_write, "write")):
+        if addr >= window_base:
+            note(transfer.nbytes)
             if obs is not None:
-                obs.emit(self.interconnect.obs_scope, "l2", "l2.read",
+                obs.emit(interconnect.obs_scope, "l2", "l2." + name,
                          transfer.done, 0, "l2",
-                         {"bytes": transfer.nbytes,
-                          "cluster": self.cluster_id})
-        if transfer.dst >= self.window_base:
-            self.l2.note_write(transfer.nbytes)
-            if obs is not None:
-                obs.emit(self.interconnect.obs_scope, "l2", "l2.write",
-                         transfer.done, 0, "l2",
-                         {"bytes": transfer.nbytes,
-                          "cluster": self.cluster_id})
+                         {"bytes": transfer.nbytes, "cluster": cluster_id})
 
 
 @dataclass
@@ -190,13 +183,10 @@ class SocMachine:
         """Observe the whole SoC: interconnect links, L2 traffic and
         every cluster (present and future) with its cores, banks and
         DMA channel.  Pass ``None`` to detach."""
-        self.obs = sink
-        self.obs_scope = scope
-        self.interconnect.obs = sink
-        self.interconnect.obs_scope = scope
+        self.obs = self.interconnect.obs = sink
+        self.obs_scope = self.interconnect.obs_scope = scope
         for cluster in self.clusters:
-            cluster.attach_obs(
-                sink, f"{scope}/cluster{cluster.cluster_id}")
+            cluster.attach_obs(sink, f"{scope}/cluster{cluster.cluster_id}")
 
     def enable_trace(self) -> list[list[list]]:
         """Record issue events on every core of every cluster (present
@@ -214,10 +204,8 @@ class SocMachine:
         :class:`SocDmaChannel` wired to this SoC's interconnect/L2.
         """
         if len(self.clusters) >= self.config.n_clusters:
-            raise ValueError(
-                f"SoC is configured for {self.config.n_clusters} "
-                f"clusters"
-            )
+            raise ValueError(f"SoC is configured for "
+                             f"{self.config.n_clusters} clusters")
         cc = cluster_config or self.config.cluster
         cluster_id = len(self.clusters)
         channel = SocDmaChannel(
@@ -245,20 +233,16 @@ class SocMachine:
     def run(self, max_steps: int = 200_000_000) -> SocRunResult:
         """Run every cluster to completion and aggregate measurements."""
         if not self.clusters:
-            raise ValueError("SoC has no clusters; call add_cluster "
-                             "first")
+            raise ValueError("SoC has no clusters; call add_cluster first")
         clusters = self.clusters
         for cluster in clusters:
             cluster.bind(max_steps)
-        # Step the cluster whose laggard core is furthest behind, so
-        # cross-cluster interconnect claims happen in (approximate)
-        # cycle order.  Ties break by cluster id: deterministic.
         heap = [(c.laggard_time, c.cluster_id) for c in clusters]
         heapq.heapify(heap)
         while heap:
             c = heap[0][1]
             cluster = clusters[c]
-            if cluster.step():
+            if cluster.step(runner_up(heap)):
                 heapq.heapreplace(heap, (cluster.laggard_time, c))
             else:
                 heapq.heappop(heap)

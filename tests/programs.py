@@ -11,12 +11,16 @@ runs (``repro.sim.blocks``) compile as soon as they are entered.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import struct
 
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterMachine
+from repro.cluster.tcdm import BankedTcdm
 from repro.isa import ProgramBuilder
+from repro.mem import TransferEngine
 from repro.sim import CoreConfig, Memory, blocks
 from repro.sim import ssr as ssrdef
 
@@ -37,6 +41,52 @@ def compiled(k: int = 0):
         yield entries
     finally:
         blocks.K, blocks.Run._bind = saved_k, saved_bind
+
+@contextlib.contextmanager
+def shared_calls():
+    """Log every call the simulation makes on a shared resource, in
+    order: each TCDM access and its grant, each DMA start and fence,
+    and each barrier release with every parked core's arrival.  TCDMs
+    and DMA engines are labelled in order of first use."""
+    log, labels = [], {}
+    access, start = BankedTcdm.access, TransferEngine.start
+    fence, release = (TransferEngine.core_drain_time,
+                      ClusterMachine._release_barrier)
+
+    def label(obj):
+        return labels.setdefault(id(obj), len(labels))
+
+    def logged_access(tcdm, core_id, addr, nbytes, cycle, requestor=None):
+        grant = access(tcdm, core_id, addr, nbytes, cycle, requestor)
+        log.append(("tcdm", label(tcdm), core_id, addr, nbytes, cycle,
+                    requestor, grant))
+        return grant
+
+    def logged_start(dma, core_id, dst, src, nbytes, now):
+        done = start(dma, core_id, dst, src, nbytes, now)
+        log.append(("dma.start", label(dma), core_id, dst, src, nbytes,
+                    now, done))
+        return done
+
+    def logged_fence(dma, core_id):
+        done = fence(dma, core_id)
+        log.append(("dma.wait", label(dma), core_id, done))
+        return done
+
+    def logged_release(cluster, waiting, finished):
+        log.append(("release", cluster.cluster_id, sorted(
+            (m.core_id, m.barrier_arrival) for m in waiting)))
+        return release(cluster, waiting, finished)
+
+    BankedTcdm.access, TransferEngine.start = logged_access, logged_start
+    TransferEngine.core_drain_time = logged_fence
+    ClusterMachine._release_barrier = logged_release
+    try:
+        yield log
+    finally:
+        BankedTcdm.access, TransferEngine.start = access, start
+        TransferEngine.core_drain_time = fence
+        ClusterMachine._release_barrier = release
 
 #: Memory layout of a generated lane: ``a0`` walks DATA (uniform
 #: addresses); ``a1`` points into TABLE at a per-lane offset (lane-
@@ -416,3 +466,154 @@ def stream_programs(draw):
         return b.build(), memory
 
     return lanes, config, max_steps, build
+
+
+#: Multi-core layout, one memory per cluster: core ``c`` keeps its
+#: words at ``PRIVATE + c * STRIDE`` (the same banks for every core, so
+#: their accesses conflict) and copies them to ``COPY + c * STRIDE``;
+#: every core adds to and reads the words at SHARED.
+PRIVATE, COPY, SHARED, STRIDE, CLUSTER_MEM = (0x400, 0x1400, 0x3F00,
+                                              0x100, 0x4000)
+PRIVATE_OPS = (("add", "t0", "t0", "t1"), ("xor", "t1", "t1", "t0"),
+               ("mul", "t2", "t0", "t6"), ("addi", "t3", "t3", 5),
+               ("srli", "t4", "t0", 3), ("fadd.d", "fa0", "fa0", "fa1"),
+               ("fmul.d", "fa1", "fa1", "fa0"),
+               ("fmadd.d", "fa2", "fa0", "fa1", "fa2"),
+               ("fcvt.d.w", "fa3", "t0"), ("feq.d", "t5", "fa0", "fa1"))
+
+
+@st.composite
+def cluster_programs(draw):
+    """Programs for the cores of a cluster or SoC that share TCDM banks.
+
+    A loop of drawn steps: private stretches of a per-core random
+    length, loads and stores (integer and FP) on banks every core
+    uses, ``amoadd.w`` on and loads of shared words, ``dma.start``
+    with or without ``dma.wait``, and ``cluster.barrier``; sometimes
+    ``fsqrt.d`` of a negative value faults inside a private stretch on
+    two cores.  Returns ``(max_steps, build)`` where ``build(core)``
+    emits core ``core``'s program.
+    """
+    reg = st.sampled_from
+    steps = []
+    for _ in range(draw(st.integers(2, 8))):
+        kind = draw(reg(("private",) * 4 + ("load", "store", "fld",
+                                             "fsd", "amo", "shared",
+                                             "dma", "barrier")))
+        if kind == "private":
+            steps.append((kind, draw(st.lists(reg(PRIVATE_OPS),
+                                              min_size=8, max_size=8)),
+                          draw(st.lists(st.integers(0, 8), min_size=8,
+                                        max_size=8))))
+        elif kind == "dma":
+            steps.append((kind, draw(reg((8, 24, 64))), draw(st.booleans())))
+        else:
+            steps.append((kind, 8 * draw(st.integers(0, 3))))
+    faults = None
+    if draw(reg((False, False, True))):
+        faults = {draw(st.integers(0, 7)): draw(st.integers(0, 8)),
+                  draw(st.integers(0, 7)): draw(st.integers(0, 8))}
+        steps.insert(draw(st.integers(0, len(steps))), ("fault",))
+    trips = draw(st.integers(1, 3))
+    max_steps = draw(reg((200_000_000,) * 5 + (40, 150)))
+
+    def build(core):
+        b = ProgramBuilder()
+        b.li("a0", PRIVATE + core * STRIDE)
+        b.li("a1", SHARED)
+        b.li("a3", COPY + core * STRIDE)
+        b.li("t6", core + 1)
+        b.li("t0", 3 * core + 1)
+        b.li("t1", 7)
+        b.fcvt_d_w("fa0", "t6")
+        b.fcvt_d_w("fa1", "t1")
+        b.li("t5", -1 - core)
+        b.fcvt_d_w("fa7", "t5")
+        b.li("a2", trips)
+        b.label("loop")
+        for step in steps:
+            kind = step[0]
+            if kind == "private":
+                for op in step[1][:step[2][core % 8]]:
+                    b.emit(*op)
+            elif kind == "fault":
+                if core in faults:
+                    for op in PRIVATE_OPS[:faults[core]]:
+                        b.emit(*op)
+                    b.fsqrt_d("fa4", "fa7")
+            elif kind == "load":
+                b.lw("t0", step[1], "a0")
+            elif kind == "store":
+                b.sw("t1", step[1], "a0")
+            elif kind == "fld":
+                b.fld("fa2", step[1], "a0")
+            elif kind == "fsd":
+                b.fsd("fa0", step[1], "a0")
+            elif kind == "amo":
+                b.emit("amoadd.w", "t2", step[1], "a1", "t6")
+            elif kind == "shared":
+                b.lw("t3", step[1], "a1")
+            elif kind == "dma":
+                b.li("a4", step[1])
+                b.emit("dma.start", "a3", "a0", "a4")
+                if step[2]:
+                    b.emit("dma.wait")
+            else:
+                b.cluster_barrier()
+        b.addi("a2", "a2", -1)
+        b.bnez("a2", "loop")
+        b.emit("dma.wait")
+        b.ret()
+        return b.build()
+
+    return max_steps, build
+
+
+def per_op_run(machine, max_steps: int) -> None:
+    """Run a ClusterMachine or SocMachine one op at a time: the per-op
+    reference order (:meth:`ClusterMachine.step`), clusters picked by
+    ``(laggard_time, cluster_id)``."""
+    clusters = getattr(machine, "clusters", [machine])
+    for cluster in clusters:
+        cluster.bind(max_steps)
+    heap = [(c.laggard_time, c.cluster_id) for c in clusters]
+    heapq.heapify(heap)
+    while heap:
+        c = heap[0][1]
+        if clusters[c].step():
+            heapq.heapreplace(heap, (clusters[c].laggard_time, c))
+        else:
+            heapq.heappop(heap)
+
+
+def cluster_state(machine, error) -> tuple[list, list]:
+    """What a cluster or SoC run leaves behind that the run-ahead and
+    per-op drivers must agree on: the error, memory and the shared
+    resources' statistics; then every core's registers, counters, issue
+    times, pc and steps (which, after an error, may differ by private
+    steps run ahead)."""
+    clusters = getattr(machine, "clusters", [machine])
+    shared = [type(error), str(error) if error else None]
+    cores = []
+    memories = {}
+    for cluster in clusters:
+        dma = cluster.dma
+        shared.append((cluster.barrier_count,
+                       [(s.grants, s.stall_cycles)
+                        for s in cluster.tcdm.stats],
+                       dma.bytes_moved, dma.busy_cycles, dma.transfers,
+                       dma._core_done))
+        for core in cluster.cores:
+            sched = core.sched
+            cores.append((list(core.iregs),
+                          [struct.pack("<d", v) for v in core.fregs],
+                          dict(vars(sched.counters)), sched.int_time,
+                          sched.fp_time, sched._pc, sched._steps,
+                          sched.barrier_wait))
+            memories[id(core.memory)] = core.memory
+    shared += [bytes(memory.data) for memory in memories.values()]
+    if hasattr(machine, "interconnect"):
+        shared.append([(s.grants, s.stall_cycles)
+                       for s in machine.interconnect.stats])
+        shared.append((machine.l2.bytes_read, machine.l2.bytes_written))
+    return shared, cores

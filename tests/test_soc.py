@@ -22,7 +22,6 @@ from repro.isa.program import ProgramBuilder
 from repro.kernels.common import MAIN_REGION
 from repro.kernels.registry import KERNELS, kernel
 from repro.sim import Memory, MemoryError_
-from repro.sim.scheduler import Scheduler
 from repro.soc import (
     L2Memory,
     SocConfig,
@@ -32,6 +31,8 @@ from repro.soc import (
     SocWorkload,
     partition_soc_kernel,
 )
+
+from programs import shared_calls
 
 
 class TestSocConfig:
@@ -374,29 +375,16 @@ def _min_scan_run(self, max_steps: int = 200_000_000):
 
 
 def _stepping(monkeypatch, run):
-    """The ``(cluster_id, core_id)`` step and barrier-release sequence
-    of *run()* and its result, under the heap driver and then under
-    :func:`_min_scan_run`."""
-    log = []
-    step, release = Scheduler.step, ClusterMachine._release_barrier
-
-    def logged_step(sched):
-        log.append((sched.m.cluster.cluster_id, sched._core_id))
-        return step(sched)
-
-    def logged_release(cluster, waiting, done):
-        log.append((cluster.cluster_id, "release"))
-        return release(cluster, waiting, done)
-
-    monkeypatch.setattr(Scheduler, "step", logged_step)
-    monkeypatch.setattr(ClusterMachine, "_release_barrier", logged_release)
-    heap_result = run()
-    heap_log, log[:] = log[:], []
-    with monkeypatch.context() as patch:
+    """The shared-resource calls of *run()* (:func:`programs.
+    shared_calls`) and its result, under the run-ahead drivers and then
+    under :func:`_min_scan_run`."""
+    with shared_calls() as heap_log:
+        heap_result = run()
+    with shared_calls() as scan_log, monkeypatch.context() as patch:
         patch.setattr(ClusterMachine, "run", _min_scan_run)
         patch.setattr(SocMachine, "run", _min_scan_run)
         scan_result = run()
-    return heap_log, heap_result, log, scan_result
+    return heap_log, heap_result, scan_log, scan_result
 
 
 def _barrier_rounds(core: int, rounds: int = 5):
@@ -420,12 +408,15 @@ def _barrier_rounds(core: int, rounds: int = 5):
     return b.build()
 
 
-def _spin(iters: int, barrier: bool = False):
-    """Count to *iters*, then optionally wait at a cluster barrier."""
+def _spin(iters: int, barrier: bool = False, load: bool = False):
+    """Count to *iters*, loading a word each time if *load*, then
+    optionally wait at a cluster barrier."""
     b = ProgramBuilder()
     b.li("a1", 0)
     b.li("a2", iters)
     b.label("spin")
+    if load:
+        b.lw("t0", 0, "zero")
     b.addi("a1", "a1", 1)
     b.bne("a1", "a2", "spin")
     if barrier:
@@ -456,8 +447,9 @@ def _barrier_machine(rung: str):
 
 
 class TestHeapStepping:
-    """The laggard heaps step exactly the core sequence of the linear
-    scans they replaced, so cycles and claim order cannot move."""
+    """The run-ahead drivers make exactly the shared-resource calls of
+    the per-op linear scans they replaced, in the same order and with
+    the same arguments, so cycles and claim order cannot move."""
 
     @pytest.mark.parametrize("rung", sorted(_RUNGS))
     @pytest.mark.parametrize("name,variant", [("expf", "copift"),
@@ -492,9 +484,10 @@ class TestHeapStepping:
 
     def test_parked_core_holds_its_cluster_clock(self, monkeypatch):
         """Cluster 0's core 0 parks at once; its core 1 spins far ahead
-        of cluster 1.  The parked core is the SoC laggard, so the SoC
-        keeps stepping cluster 0 although its only runnable core is
-        ahead of every core of cluster 1."""
+        of cluster 1, whose core loads a word every iteration.  The
+        parked core is the SoC laggard, so cluster 0's barrier is
+        released, a shared step, while cluster 1's core is unfinished
+        and far behind the last arrival."""
         def build():
             cc = ClusterConfig(n_cores=2, model_bank_conflicts=False)
             soc = SocMachine(SocConfig(n_clusters=2, cluster=cc))
@@ -504,23 +497,23 @@ class TestHeapStepping:
             parks.li("a0", 1)
             first.add_core(parks.build(), Memory(1 << 12))
             first.add_core(_spin(40, barrier=True), Memory(1 << 12))
-            second.add_core(_spin(30), Memory(1 << 12))
+            second.add_core(_spin(30, load=True), Memory(1 << 12))
             return soc
 
         ahead = []
-        step = Scheduler.step
+        release = ClusterMachine._release_barrier
 
-        def watch(sched):
-            if sched.m.cluster.cluster_id == 0 and sched._core_id == 1:
-                other = soc.clusters[1].cores[0].sched
-                if not other.finished:
-                    ahead.append(sched.int_time > other.int_time)
-            return step(sched)
+        def watch(cluster, waiting, finished):
+            other = soc.clusters[1].cores[0].sched
+            if cluster.cluster_id == 0 and not other.finished:
+                arrival = max(m.barrier_arrival for m in waiting)
+                ahead.append(arrival > other.int_time + 40)
+            return release(cluster, waiting, finished)
 
         soc = build()
-        monkeypatch.setattr(Scheduler, "step", watch)
+        monkeypatch.setattr(ClusterMachine, "_release_barrier", watch)
         soc.run()
-        assert any(ahead)
+        assert ahead == [True]
         monkeypatch.undo()
         heap_log, heap, scan_log, scan = _stepping(
             monkeypatch, lambda: build().run())
