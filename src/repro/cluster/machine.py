@@ -28,7 +28,9 @@ one *horizon* its ``int_time`` must stay below.  This is exact: a
 private step touches only its own core, so it commutes with every step
 of another core, and as keys only grow, the core with the least key
 has every earlier step of the others behind it.  A fault in a step
-begun at or past the horizon is held until that core's turn.
+begun at or past the horizon is held until that core's turn.  Cores
+take micro-ops and compiled runs from process-wide stores, not from
+the cluster (:mod:`repro.sim.decode`, :mod:`repro.sim.blocks`).
 """
 
 from __future__ import annotations
@@ -136,8 +138,6 @@ class ClusterMachine:
         self._finished: list[Machine] = []
         self._scheds: list = []
         self._bound = False
-        #: Compiled runs the cores share (repro.sim.blocks.RunTable).
-        self.runs: dict = {}
         #: Structured-event sink (repro.obs.ObsSink); None when off.
         self.obs = None
         #: Scope this cluster emits under (``soc/cluster{c}`` inside a
@@ -227,8 +227,8 @@ class ClusterMachine:
         if not self.cores:
             raise ValueError("cluster has no cores; call add_core first")
         for machine, program in zip(self.cores, self._programs):
-            # Cores sharing one Program object share its decode: the
-            # DecodedProgram cache rides on the Program itself.
+            # Cores share the micro-ops and compiled runs of equal
+            # code process-wide (repro.sim.decode, repro.sim.blocks).
             machine.bind(program, max_steps)
         self._scheds = [m.sched for m in self.cores]
         self._heap = [(sched.int_time, k)

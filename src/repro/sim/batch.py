@@ -77,6 +77,7 @@ as per-lane data vectors.
 from __future__ import annotations
 
 import copy
+import weakref
 
 try:
     import numpy as np
@@ -103,7 +104,7 @@ from .decode import (
     S_SSR_DIS,
     S_SSR_EN,
 )
-from .blocks import Run
+from .blocks import RunTable
 from .machine import Machine
 from .ssr import SSRError
 
@@ -253,7 +254,7 @@ class _Cohort:
     """Lanes sharing one program signature: one timeline, B data rows."""
 
     def __init__(self, engine: BatchEngine, lanes: list[int]) -> None:
-        self.engine = engine
+        self.engine = weakref.proxy(engine)     # no cycle: see run()
         self.lanes = lanes
         batch = len(lanes)
         self.batch = batch
@@ -302,7 +303,8 @@ class _Cohort:
             if self.updates[pc] is not None:
                 self.stops[pc] = self.stops[pc + 1] \
                     if pc + 1 < len(self.ops) else pc + 1
-        self.spans: dict[int, Run] = {}
+        #: The leader's register-only stretches, from the run pool.
+        self.spans = RunTable(self.sched)
 
     # ------------------------------------------------------------------
     # run loop and lane lifecycle
@@ -311,6 +313,8 @@ class _Cohort:
         sched = self.sched
         plans = self.plans
         updates = self.updates
+        # Closures over the cohort: no cycle keeps lane memories alive.
+        self.plans = self.updates = None
         stops = self.stops
         n_ops = len(plans)
         max_steps = self.engine.max_steps
@@ -325,10 +329,8 @@ class _Cohort:
         while pc < n_ops and steps < max_steps:
             stop = stops[pc]
             if entry and stop - pc > 1 and steps + stop - pc <= max_steps:
-                span = self.spans.get(pc)
-                if span is None:
-                    span = self.spans[pc] = Run(
-                        sched._ops, pc, sched.cfg, True, stop)
+                span = self.spans.runs[pc] or self.spans.new(sched, pc,
+                                                             stop)
                 fn = span.enter(sched)
                 if fn is not None:
                     end = sched._pc = fn(sched)

@@ -21,12 +21,14 @@ the :class:`~repro.sim.memory.Memory` methods and SSRs through
 raises leaves what the per-op path leaves: the handler writes back the
 locals, the static counters up to the faulting op and its pc.
 
-Selection is by heat: a run compiles once the per-op path has executed
-it about :data:`K` times its static length.  Code objects are cached
-process-wide, keyed by their source (which embeds every constant it
-depends on), so a run whose source is cached uses it from its first
-entry.  An entry whose writeback reservations could cross the
-scheduler's trim threshold runs per-op, so generated code never trims.
+Selection is by process-wide heat: a run compiles once the per-op path
+has executed it about :data:`K` times its static length, counted over
+every core, cluster and cell of the process.  Runs live in one bounded
+pool, keyed by their pc, their code and a timing signature of every
+configuration value their source embeds, so equal code on other cores
+or in later cells shares one run's heat and compiled functions.  An
+entry whose writeback reservations could cross the scheduler's trim
+threshold runs per-op, so generated code never trims.
 The per-op path stays the golden reference: cold runs, ``step()`` and
 machines with an obs sink or trace never leave it, and
 ``tests/test_blocks.py`` checks the two paths against each other.
@@ -67,16 +69,17 @@ from .decode import (
 )
 
 #: A run compiles once the per-op path has executed about K times its
-#: static length.  Compiling costs ~0.1 ms per op and the per-op path
-#: ~3 us per instruction; see CHANGES.md for the measurements.
+#: static length, counted per process.  Compiling costs ~0.1 ms per op
+#: and the per-op path ~3 us per instruction; see CHANGES.md for the
+#: measurements.
 K = 80
-#: Code objects kept process-wide (least recently used dropped first).
-CACHE_SIZE = 256
+#: Runs kept process-wide (least recently used dropped first): the
+#: ``fig2_core``, ``soc_ladder`` and ``serve_replay`` cells enter 2.4k.
+POOL_SIZE = 4096
 
-_CODE: dict[str, object] = {}
-#: Fingerprints of the runs compiled so far (cheap, inexact keys that
-#: only decide whether a first entry looks its source up).
-_SEEN: dict[tuple, None] = {}
+#: Every run built so far, by its code and what its code depends on
+#: (see :meth:`RunTable.new`).
+_POOL: dict[tuple, "Run"] = {}
 
 _M = 0xFFFFFFFF
 #: Stall counters a run keeps in locals, in local-name order (c0, c1..).
@@ -151,41 +154,44 @@ def _compilable(op, cfg) -> bool:
             and 0 < op.frep_n <= cfg.frep_buffer_size)
 
 
+def _extent(ops: list, head: int, cfg, stop: int) -> tuple[list, int]:
+    """The ops of the run entered at *head*, ending before *stop*, and
+    the pc after it."""
+    top = []
+    pc = head
+    while pc < stop and _compilable(ops[pc], cfg):
+        op = ops[pc]
+        if op.kind == K_FREP:
+            if not top:                 # an frep loop is a run of its own
+                top.append(op)
+                pc += 1 + op.frep_n
+            break
+        top.append(op)
+        pc += 1
+        if op.is_branch or op.special == S_JUMP:
+            break
+    return top, max(pc, head + 1)
+
+
 class Run:
     """The run entered at one pc, its heat and its compiled functions.
 
-    *stop*, if given, ends the run before that pc (the batch engine's
-    register-only stretches).  *shared*, if given, tells the ops that
-    may touch a cluster's shared resources: the run is :attr:`shared`
-    if its first op is one, and the per-op path runs its first
-    :attr:`span` steps, up to the next such op, before it checks the
-    horizon again."""
+    *top* are its ops (none for an op that never compiles) and *end*
+    the pc after it.  *shared*, if given, tells the ops that may touch
+    a cluster's shared resources: the run is :attr:`shared` if its
+    first op is one, and the per-op path runs its first :attr:`span`
+    steps, up to the next such op, before it checks the horizon
+    again."""
 
     __slots__ = ("ops", "head", "end", "steps", "frep", "sens",
-                 "int_adds", "fp_adds", "heat", "sources", "fns",
-                 "shared", "span")
+                 "int_adds", "fp_adds", "heat", "fns", "shared", "span")
 
-    def __init__(self, ops: list, head: int, cfg, hot: bool,
-                 stop: int | None = None, shared=None) -> None:
+    def __init__(self, ops: list, head: int, top: list, end: int, cfg,
+                 hot: bool, shared=None) -> None:
         self.head = head
-        self.frep = None
-        top = []
-        pc = head
-        stop = len(ops) if stop is None else stop
-        while pc < stop and _compilable(ops[pc], cfg):
-            op = ops[pc]
-            if op.kind == K_FREP:
-                if not top:             # an frep loop is a run of its own
-                    top.append(op)
-                    self.frep = op
-                    pc += 1 + op.frep_n
-                break
-            top.append(op)
-            pc += 1
-            if op.is_branch or op.special == S_JUMP:
-                break
+        self.frep = top[0] if top and top[0].kind == K_FREP else None
         self.ops = top
-        self.end = max(pc, head + 1)
+        self.end = end
         #: The run's steps (an frep loop is one).
         self.steps = self.span = max(len(top), 1)
         self.shared = shared is not None and shared(ops[head])
@@ -206,7 +212,6 @@ class Run:
         self.fp_adds = sum(1 for op in fp_ops
                            if op.fp_op in (F_COMPUTE, F_LOAD))
         self.heat = 0
-        self.sources: dict = {}
         self.fns = {} if hot and top else None
 
     def enter(self, sched):
@@ -228,29 +233,14 @@ class Run:
         return fn
 
     def _warm(self, sched, key):
-        found = self.sources.get(key)
-        hot = self.heat >= K * (self.end - self.head)
-        if not found and (hot or found is None
-                          and self._fingerprint(key) in _SEEN):
-            # A run like one compiled before may find its code cached
-            # from its first entry (False: not worth looking yet).
-            found = source(sched, self, key)
-        self.sources[key] = found or False
-        if found:
-            code = _CODE.pop(found[0], None)
-            if code is None and hot:
-                code = compile(found[0], "<repro.sim.blocks run>", "exec")
-            if code is not None:
-                _remember(_CODE, found[0], code)
-                _remember(_SEEN, self._fingerprint(key), None)
-                return self._bind(key, code, found[1])
         frep = self.frep
-        self.heat += (self.end - self.head) if frep is None else (
-            1 + (sched._iregs[frep.aux0] + 1) * frep.frep_n)
-        return None
-
-    def _fingerprint(self, key: int) -> tuple:
-        return (self.head, key, *(op.mnemonic for op in self.ops))
+        if self.heat < K * (self.end - self.head):
+            self.heat += (self.end - self.head) if frep is None else (
+                1 + (sched._iregs[frep.aux0] + 1) * frep.frep_n)
+            return None
+        text, names = source(sched, self, key)
+        return self._bind(key, compile(text, "<repro.sim.blocks run>",
+                                       "exec"), names)
 
     def _bind(self, key, code, names: dict):
         env = dict(names)
@@ -260,35 +250,40 @@ class Run:
 
 
 class RunTable:
-    """Runs of the bound program by entry pc, built as control arrives.
+    """Runs of the bound program by entry pc, taken from the pool as
+    control arrives.
 
     On a core with a TCDM every op an obs sink sees is shared (the
-    sink's event order is), else those :func:`_shared` names, and the
-    cores of a cluster that run the same code share its runs."""
+    sink's event order is), else those :func:`_shared` names."""
 
-    __slots__ = ("runs", "hot", "shared", "pool")
+    __slots__ = ("runs", "hot", "shared", "key")
 
     def __init__(self, sched) -> None:
         self.runs: list = [None] * sched._n_ops
         self.hot = sched._trace is None and sched._obs is None
         streams = range(sched._n_ssrs)
-        self.shared = self.pool = None
+        self.shared = None
         if sched._tcdm is not None:
             self.shared = (lambda op: True) if sched._obs is not None \
                 else (lambda op: _shared(op, streams, streams))
-            self.pool = getattr(sched.m.cluster, "runs", None)
+        #: What every run of this bind depends on besides its code.
+        self.key = (sched._signature, sched._obs is None, self.hot)
 
-    def new(self, sched, pc: int) -> Run:
+    def new(self, sched, pc: int, stop: int | None = None) -> Run:
+        """The run entered at *pc*, ending before *stop* if given (the
+        batch engine's register-only stretches).  Runs of equal code at
+        equal pcs under an equal timing signature are one pooled run,
+        whose heat and compiled functions cores, clusters and cells
+        share."""
         ops = sched._ops
-        run = Run(ops, pc, sched.cfg, self.hot, shared=self.shared)
-        if self.pool is not None:
-            # Heat, sources and compiled functions alike; these fields
-            # fix an op's operands given its mnemonic.
-            run = self.pool.setdefault(
-                (pc, run.end, sched._obs is None, self.hot,
-                 *((op.mnemonic, op.imm, op.int_read_idx,
-                    op.int_write_idx, op.gather, op.dest_idx, op.target)
-                   for op in ops[pc:run.end])), run)
+        top, end = _extent(ops, pc, sched.cfg,
+                           len(ops) if stop is None else stop)
+        key = (self.key, stop, pc, end, *(op.ident for op in ops[pc:end]))
+        run = _POOL.pop(key, None) or Run(ops, pc, top, end, sched.cfg,
+                                          self.hot, self.shared)
+        _POOL[key] = run
+        if len(_POOL) > POOL_SIZE:
+            del _POOL[next(iter(_POOL))]
         self.runs[pc] = run
         return run
 
@@ -304,14 +299,6 @@ def _mode(sched, sens) -> int:
         key = key * 4 + (_OFF if not ssr.armed else _WRITE if ssr.is_write
                          else _GATHER if ssr.indirect else _READ)
     return key
-
-
-def _remember(cache: dict, key, value) -> None:
-    """Insert *key* as the most recently used; drop the least recently
-    used beyond :data:`CACHE_SIZE`."""
-    cache[key] = value
-    if len(cache) > CACHE_SIZE:
-        del cache[next(iter(cache))]
 
 
 def _l0_hits(l0, lo: int, hi: int) -> int:

@@ -16,12 +16,12 @@ loop consumes with plain list indexing:
 * FREP bodies are pre-sliced and statically validated;
 * the activity-counter field name for the op's class is attached.
 
-Decoding is cached on the :class:`~repro.isa.program.Program` object, so
-a program bound to N cluster cores (or re-run across sweep variants) is
-decoded once, not N times.  A decoded program is config-independent:
-per-config latencies are resolved by the scheduler at bind time.
-Programs are treated as immutable after first decode (nothing in the
-repo mutates a built ``Program``).
+Decoding is done once per instruction per process: a bounded memo keyed
+by pc, (interned) instruction and branch target gives the programs of
+every core, cell and sweep variant the same micro-ops for equal code.
+A decoded program is config-independent: per-config latencies are
+resolved by the scheduler at bind time.  Programs and micro-ops are
+treated as immutable after decode (nothing in the repo mutates them).
 
 Bit-for-bit timing compatibility with the original interpreter is a hard
 requirement (locked in by ``tests/test_golden.py``); every precomputed
@@ -95,13 +95,18 @@ class MicroOp:
         # FP side
         "gather", "fp_op", "compute", "dest_idx", "width",
         # FREP
-        "frep_n", "frep_body", "frep_error",
+        "frep_n", "frep_body", "frep_error", "ident",
     )
 
-    def __init__(self, index: int, instr: Instruction) -> None:
+    def __init__(self, index: int, instr: Instruction,
+                 target: int | None = None) -> None:
         spec = instr.spec
         self.index = index
         self.instr = instr
+        #: What the op's compiled code depends on (a label by target).
+        self.ident = (spec.mnemonic, target, *(
+            None if isinstance(o, str) else getattr(o, "index", o)
+            for o in instr.operands))
         self.mnemonic = spec.mnemonic
         self.opclass = spec.opclass
         self.counter = ACTIVITY_COUNTER.get(spec.opclass)
@@ -115,7 +120,7 @@ class MicroOp:
         self.mem_base_idx = (instr.mem_base.index
                              if instr.mem_base is not None else 0)
         self.imm = instr.imm
-        self.target = None
+        self.target = target
         self.jump_direct = False
         self.error = None
         self.aux0 = self.aux1 = self.aux2 = 0
@@ -226,6 +231,16 @@ class MicroOp:
             )
 
 
+#: Micro-ops decoded so far, by ``(pc, id(instr), target)``, least
+#: recently used first.  An entry holds its instruction (interned by
+#: ``make_instruction``), so an id is not reused while it lives.
+_MEMO: dict[tuple, MicroOp] = {}
+#: Entries kept: the twelve Figure-2 programs, the ``soc_ladder`` rungs,
+#: the 36 ``serve_replay`` cells (whose cores differ in their ``li``
+#: constants) and the ``seed_fleet`` sweep decode 4.4k.
+MEMO_SIZE = 8192
+
+
 class DecodedProgram:
     """A program resolved to micro-ops, cached on the Program object."""
 
@@ -233,17 +248,24 @@ class DecodedProgram:
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        ops = [MicroOp(i, instr)
-               for i, instr in enumerate(program.instructions)]
+        memo = _MEMO
+        ops = []
+        for i, instr in enumerate(program.instructions):
+            # Branch/jump targets (the interpreter resolved these on
+            # every bind; undefined labels raise the same KeyError).
+            target = program.target(instr.label) \
+                if instr.label is not None and instr.spec.opclass in (
+                    OpClass.BRANCH, OpClass.JUMP) else None
+            key = (i, id(instr), target)
+            op = memo.pop(key, None) or MicroOp(i, instr, target)
+            if op.kind != K_FREP:       # an frep's body is per program
+                memo[key] = op
+            ops.append(op)
+        while len(memo) > MEMO_SIZE:
+            del memo[next(iter(memo))]
         self.ops = ops
         n_ops = len(ops)
         for op in ops:
-            instr = op.instr
-            # Branch/jump targets (the interpreter resolved these on
-            # every bind; undefined labels raise the same KeyError).
-            if instr.label is not None and op.opclass in (
-                    OpClass.BRANCH, OpClass.JUMP):
-                op.target = program.target(instr.label)
             # FREP bodies: pre-slice and statically validate.  The
             # config-dependent buffer-size check stays with the
             # scheduler; error precedence there matches the original
@@ -280,8 +302,8 @@ class DecodedProgram:
         """Decode *program*, reusing a previous decode when available.
 
         The cache rides on the Program instance itself, so its lifetime
-        is exactly the program's and cluster cores sharing one Program
-        decode it once.
+        is exactly the program's; equal instructions of other programs
+        share their micro-ops through the process-wide memo.
         """
         cached = program.__dict__.get("_decoded_cache")
         if cached is None:

@@ -14,7 +14,7 @@ per-config scalars and the architectural-state containers into flat
 attributes; the configuration and the cluster hooks are treated as
 immutable between ``bind`` and the end of the run.  :meth:`drain` runs
 a hot run of straight-line code as generated Python
-(:mod:`repro.sim.blocks`: compiled once the per-op path has executed it
+(:mod:`repro.sim.blocks`: compiled once the process has run it per-op
 about ``K`` times its length), and under a cluster driver stops at the
 horizon before a shared step.  The per-op methods stay the golden
 reference, locked to the compiled runs by ``tests/test_blocks.py`` and
@@ -85,7 +85,7 @@ class Scheduler:
         # config snapshot
         "_lat_fp_load", "_int_wb_hazard", "_int_wb_ports",
         "_fp_wb_ports", "_queue_depth", "_branch_penalty",
-        "_ssr_fill_latency", "_fp_response_latency",
+        "_ssr_fill_latency", "_fp_response_latency", "_signature",
         # machine snapshot
         "_iregs", "_fregs", "_mem", "_ssrs", "_n_ssrs", "_tcdm",
         "_core_id", "_read_index", "_trace", "_obs", "_obs_scope",
@@ -177,6 +177,14 @@ class Scheduler:
         self.held = self._table = self._waiting = None
         self._snapshot_config()
         self._snapshot_machine()
+        #: What compiled runs read of config and machine (their pool
+        #: key; the frep buffer size only decides where a run ends).
+        self._signature = (
+            tuple(map(latencies.get, OpClass)), self._int_wb_hazard,
+            self._int_wb_ports, self._fp_wb_ports, self._queue_depth,
+            self._branch_penalty, self._ssr_fill_latency,
+            self._fp_response_latency, self.l0.enabled,
+            self.cfg.ssr_count, self._tcdm is not None)
 
     def step(self) -> bool:
         """Execute one dynamic instruction; False once finished."""

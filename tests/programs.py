@@ -5,7 +5,8 @@ SSR streams, FREP bodies and ``dma.copy``; both return ``(lanes, config,
 max_steps, build)`` where ``build(lane)`` emits one lane's program and
 memory.  :func:`_lane_state` is everything a run leaves behind that two
 execution paths must agree on; :func:`compiled` makes the scheduler's
-runs (``repro.sim.blocks``) compile as soon as they are entered.
+runs (``repro.sim.blocks``) compile as soon as they are entered, in a
+run pool and micro-op memo of their own.
 """
 
 from __future__ import annotations
@@ -21,26 +22,28 @@ from repro.cluster import ClusterMachine
 from repro.cluster.tcdm import BankedTcdm
 from repro.isa import ProgramBuilder
 from repro.mem import TransferEngine
-from repro.sim import CoreConfig, Memory, blocks
+from repro.sim import CoreConfig, Memory, blocks, decode
 from repro.sim import ssr as ssrdef
 
 
 @contextlib.contextmanager
 def compiled(k: int = 0):
-    """Compile runs once hot by threshold *k* (0: at first entry);
-    yields a list that collects every compiled run's entry pc."""
-    saved_k, saved_bind = blocks.K, blocks.Run._bind
+    """Compile runs once hot by threshold *k* (0: at first entry), from
+    a fresh run pool and micro-op memo (the process's own are restored
+    on exit); yields a list that collects every compiled run's entry
+    pc."""
+    saved = blocks.K, blocks.Run._bind, blocks._POOL, decode._MEMO
     entries = []
 
     def bind(run, key, code, names):
         entries.append(run.head)
-        return saved_bind(run, key, code, names)
+        return saved[1](run, key, code, names)
 
-    blocks.K, blocks.Run._bind = k, bind
+    blocks.K, blocks.Run._bind, blocks._POOL, decode._MEMO = k, bind, {}, {}
     try:
         yield entries
     finally:
-        blocks.K, blocks.Run._bind = saved_k, saved_bind
+        blocks.K, blocks.Run._bind, blocks._POOL, decode._MEMO = saved
 
 @contextlib.contextmanager
 def shared_calls():

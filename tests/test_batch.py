@@ -17,6 +17,7 @@ every ``jobs``/``batch`` sharding combination of
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -162,6 +163,28 @@ def test_verify_sees_batch_memory_and_machine():
     batched = batch_records(workloads, batch=4, check=True)
     for s, b in zip(scalar, batched):
         assert payload(b) == payload(s)
+
+
+def test_finished_sweep_leaves_no_lane_memory_live():
+    """With the collector off, no lane ``Memory`` of a finished
+    ``Sweep(batch=...)``, its check pass included, stays live: no
+    reference cycle (cohort and engine, cohort and its plan closures)
+    holds one until a collection."""
+    workloads = [Workload(k, v, n=128, seed=s)
+                 for k in ("logf", "pi_lcg")
+                 for v in ("baseline", "copift") for s in (1, 2)]
+
+    def live() -> int:
+        return sum(1 for obj in gc.get_objects() if type(obj) is Memory)
+    gc.collect()
+    gc.disable()
+    try:
+        before = live()
+        batch_records(workloads, batch="auto", check=True)
+        after = live()
+    finally:
+        gc.enable()
+    assert after == before
 
 
 def _lane(program, memory: Memory) -> KernelInstance:

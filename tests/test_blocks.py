@@ -8,24 +8,32 @@ the ``RunResult``, the error type and message, registers, float bits,
 memory bytes, SSR state and every piece of timing state the scheduler
 keeps (issue times, counters, scoreboards, writeback reservations, the
 dispatch queue, memory-RAW times, the L0 window, pc and steps) — also
-when the run raises part-way through.
+when the run raises part-way through.  The last tests cover what is
+kept per process: the micro-op memo, and the run pool's heat, bound and
+key, which must make a run's result independent of what ran before.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
+from repro.api import VARIANTS, Workload, parse_backend
+from repro.cluster import ClusterConfig, ClusterMachine
 from repro.isa import ProgramBuilder
 from repro.isa.instructions import OpClass
 from repro.kernels import KERNELS
 from repro.obs import ObsSink
-from repro.sim import CoreConfig, Machine, Memory, blocks
+from repro.sim import CoreConfig, DecodedProgram, Machine, Memory, blocks, \
+    decode
 from repro.sim import ssr as ssrdef
 from repro.sim.config import DEFAULT_LATENCIES
+from repro.sim.scheduler import Scheduler
 
-from programs import DATA, MEM_SIZE, _cfg, _lane_state, compiled, \
-    lane_programs, stream_programs
+from programs import DATA, MEM_SIZE, _cfg, _lane_state, cluster_state, \
+    compiled, lane_programs, per_op_run, stream_programs
 
 
 def _timing(machine):
@@ -372,24 +380,232 @@ def test_kernels_under_each_config(kernel, variant, config):
     assert entries
 
 
-def test_hot_sources_are_shared_and_bounded():
-    """A run's code is cached by source: a second build of the same
-    kernel compiles nothing, and the cache stays within its bound."""
-    def build():
+def test_hot_runs_are_shared_process_wide_and_bounded(monkeypatch):
+    """Heat and compiled code are per process: later builds of the
+    same kernel (new ``Program`` objects) compile only runs their own
+    entries made hot, until one compiles nothing, yet enters its hot
+    runs compiled and steps fewer ops per-op; the pool stays within its
+    bound, also when that bound is small."""
+    counted = []
+    step = Scheduler.step
+
+    def counting(sched):
+        counted.append(None)
+        return step(sched)
+    monkeypatch.setattr(Scheduler, "step", counting)
+
+    def cell():
+        counted.clear()
         instance = KERNELS["pi_lcg"].build_copift(512)
-        return instance.program, instance.memory
-    _state(*build(), CoreConfig(), 200_000_000, "run", blocks.K)
-    before = dict(blocks._CODE)
-    _, entries, _ = _state(*build(), CoreConfig(), 200_000_000, "run",
-                           blocks.K)
-    assert entries and blocks._CODE.keys() == before.keys()
-    assert len(blocks._CODE) <= blocks.CACHE_SIZE
+        return Machine().run(instance.program), len(counted)
+
+    with compiled(blocks.K) as entries:
+        first, cold = cell()
+        for _ in range(5):
+            bound = len(entries)
+            again, warm = cell()
+            assert again == first
+            if len(entries) == bound:
+                break
+        assert bound and len(entries) == bound and warm < cold
+        assert len(blocks._POOL) <= blocks.POOL_SIZE
+    monkeypatch.setattr(blocks, "POOL_SIZE", 4)
+    with compiled(blocks.K):
+        assert cell()[0] == first and cell()[0] == first
+        assert len(blocks._POOL) <= 4
 
 
-def test_cold_runs_stay_per_op():
-    """Code entered fewer than ``K`` times never compiles."""
+def test_cold_runs_stay_per_op_until_hot_in_the_process():
+    """Heat is counted per process: a loop entered ``K / 2`` times per
+    cell stays per-op in the first two cells (``K`` entries, not past
+    it) and compiles in the third, which leaves the same state."""
     build = _loop(_WALK, blocks.K // 2)
-    blocks._CODE.clear()
-    _, entries, _ = _state(*build(), CoreConfig(), 200_000_000, "run",
-                           blocks.K)
-    assert not entries
+    reference, _, _ = _state(*build(), CoreConfig(), 200_000_000, "step")
+    with compiled(blocks.K) as entries:
+        for cell in range(3):
+            program, memory = build()
+            machine = Machine(memory=memory)
+            result = machine.run(program)
+            assert _lane_state(result, None, machine) \
+                + (_timing(machine),) == reference
+            assert bool(entries) == (cell == 2)
+
+
+# ----------------------------------------------------------------------
+# Process-wide state: the micro-op memo and the run pool
+# ----------------------------------------------------------------------
+def _signature_loop():
+    """A loop whose timing reads every field of the run pool's timing
+    signature: a multiply beside ALU writes (integer writeback port),
+    an SSR read stream armed just before it (fill latency), FP ops of
+    mixed latency (FP writeback port, loads), a divide chain (dispatch
+    queue), an FP-to-integer compare read back at once (response
+    latency), ``ft2`` as a plain register (SSR count), an ``frep`` of
+    two (sequencer buffer) and a taken branch (penalty, L0)."""
+    b = ProgramBuilder()
+    b.li("a0", DATA)
+    b.li("a2", 12)
+    b.fld("fa1", 8, "a0")
+    _cfg(b, ssrdef.F_BOUND0, 0, 11)
+    _cfg(b, ssrdef.F_STRIDE0, 0, 8)
+    _cfg(b, ssrdef.F_RPTR, 0, DATA)
+    b.emit("ssr.enable")
+    b.label("loop")
+    b.lw("t0", 0, "a0")
+    b.mul("t1", "t0", "t0")
+    b.addi("t2", "t0", 1)
+    b.addi("t6", "t0", 2)
+    b.fadd_d("fa0", "ft0", "fa1")
+    b.fmadd_d("fa2", "fa0", "fa1", "fa2")
+    b.fmul_d("fa3", "fa1", "fa1")
+    b.fsub_d("fa5", "fa1", "ft2")
+    b.fdiv_d("fa4", "fa4", "fa1")
+    b.flt_d("t3", "fa0", "fa1")
+    b.add("t4", "t3", "t1")
+    b.li("t5", 1)
+    b.frep_o("t5", 2)
+    b.fadd_d("fa6", "fa6", "fa1")
+    b.fmul_d("fa7", "fa7", "fa1")
+    b.addi("a0", "a0", 8)
+    b.addi("a2", "a2", -1)
+    b.bnez("a2", "loop")
+    b.emit("ssr.disable")
+    b.ret()
+    memory = Memory(MEM_SIZE)
+    for k in range(0, 0x200, 8):
+        memory.write_f64(DATA + k, 0.25 * k + 1.0)
+    return b.build(), memory
+
+
+#: One config per field of the timing signature, each changing one.
+_SIGNATURE_FIELDS = {
+    "latencies": CoreConfig(latencies={
+        **DEFAULT_LATENCIES, OpClass.MUL: 5, OpClass.FP_FMA: 5,
+        OpClass.FP_LOAD: 4}),
+    "model_int_wb_hazard": CoreConfig(model_int_wb_hazard=False),
+    "int_wb_ports": CoreConfig(int_wb_ports=2),
+    "fp_wb_ports": CoreConfig(fp_wb_ports=2),
+    "fpss_queue_depth": CoreConfig(fpss_queue_depth=1),
+    "taken_branch_penalty": CoreConfig(taken_branch_penalty=3),
+    "ssr_fill_latency": CoreConfig(ssr_fill_latency=40),
+    "fp_response_latency": CoreConfig(fp_response_latency=4),
+    "model_l0_icache": CoreConfig(model_l0_icache=False),
+    "ssr_count": CoreConfig(ssr_count=2),
+    "frep_buffer_size": CoreConfig(frep_buffer_size=1),
+}
+
+
+def _outcomes(config, per_op: bool):
+    """The loop on a bare core and on ``cluster:1``: the per-op
+    reference or ``run()``, which takes its runs from the pool."""
+    program, memory = _signature_loop()
+    machine = Machine(config=config, memory=memory)
+    result = error = None
+    try:
+        if per_op:
+            machine.bind(program, 200_000_000)
+            while machine.step():
+                pass
+            result = machine.result()
+        else:
+            result = machine.run(program)
+    except Exception as exc:
+        error = exc
+    bare = _lane_state(result, error, machine) + (_timing(machine),)
+    program, memory = _signature_loop()
+    cluster = ClusterMachine(ClusterConfig(n_cores=1), core_config=config)
+    cluster.add_core(program, memory)
+    error = None
+    try:
+        if per_op:
+            per_op_run(cluster, 200_000_000)
+        else:
+            cluster.run()
+    except Exception as exc:
+        error = exc
+    return bare, cluster_state(cluster, error)
+
+
+def test_run_pool_key_covers_the_timing_signature():
+    """The loop compiled under one config, then run under another that
+    differs in one signature field (either way round), on a bare core
+    and on a ``cluster:1`` core (a TCDM): each run equals its per-op
+    reference, so no pooled run compiled for other timing is reused."""
+    default = (CoreConfig(), _outcomes(CoreConfig(), per_op=True))
+    for name, config in _SIGNATURE_FIELDS.items():
+        changed = (config, _outcomes(config, per_op=True))
+        assert changed[1][0] != default[1][0], name
+        for order in ((default, changed), (changed, default)):
+            with compiled(0) as entries:
+                for cfg, reference in order:
+                    assert _outcomes(cfg, per_op=False) == reference, name
+                assert entries
+
+
+def test_observed_machines_stay_per_op_in_a_warm_pool():
+    """Runs compiled for a plain machine are not entered by one with an
+    obs sink or a trace: their events equal those of a cold pool."""
+    def events(warm: bool):
+        with compiled(0) as entries:
+            if warm:
+                _outcomes(CoreConfig(), per_op=False)
+            bound = len(entries)
+            (program, memory), (again, copy) = (_signature_loop(),
+                                                _signature_loop())
+            observed, traced = Machine(memory=memory), Machine(memory=copy)
+            sink = ObsSink()
+            observed.attach_obs(sink)
+            trace = traced.enable_trace()
+            observed.run(program)
+            traced.run(again)
+            assert len(entries) == bound and bool(bound) == warm
+        return sink.events, trace
+    assert events(warm=True) == events(warm=False)
+
+
+def test_equal_instructions_at_equal_pcs_share_micro_ops(monkeypatch):
+    """The memo shares a micro-op between programs whose instructions
+    at a pc are equal and resolve to equal targets, and only then; it
+    stays within its bound."""
+    def build(skip: int):
+        b = ProgramBuilder()
+        b.li("t0", 3)
+        b.beqz("t0", "out")
+        for _ in range(skip):
+            b.addi("t1", "t1", 1)
+        b.label("out")
+        b.ret()
+        return b.build()
+    with compiled():
+        one, same, other = (DecodedProgram.of(build(skip)).ops
+                            for skip in (1, 1, 2))
+        assert all(a is b for a, b in zip(one, same))
+        assert one[0] is other[0] and one[2] is other[2]
+        assert one[1] is not other[1]
+        assert (one[1].target, other[1].target) == (3, 4)
+        monkeypatch.setattr(decode, "MEMO_SIZE", 2)
+        assert len(DecodedProgram.of(build(3)).ops) == 6
+        assert len(decode._MEMO) == 2
+
+
+def test_serve_cells_are_independent_of_pool_history():
+    """The 36 cells ``serve_replay`` misses on (six kernels, two
+    variants, core, ``cluster:4`` and ``soc:2x4+wb``, n=512) give the
+    same record bytes run in either order from one pool as each from an
+    empty pool."""
+    cells = [(Workload(kernel, variant, n=512), spec)
+             for spec in ("core", "cluster:4", "soc:2x4+wb")
+             for kernel in sorted(KERNELS) for variant in VARIANTS]
+
+    def record(workload, spec):
+        run = parse_backend(spec).run(workload, check=False)
+        return json.dumps(run.to_json(), sort_keys=True)
+    alone = []
+    for cell in cells:
+        with compiled(blocks.K):
+            alone.append(record(*cell))
+    with compiled(blocks.K):
+        forward = [record(*cell) for cell in cells]
+    with compiled(blocks.K):
+        backward = [record(*cell) for cell in reversed(cells)]
+    assert forward == alone and backward[::-1] == alone

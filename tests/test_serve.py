@@ -61,7 +61,10 @@ class TestFingerprint:
 
     def test_content_addressed_not_path_addressed(self, tmp_path,
                                                   monkeypatch):
-        # A byte-identical copy elsewhere names the same model.
+        # A byte-identical copy elsewhere names the same model.  The
+        # live fingerprint is taken fresh, just before the copy, so an
+        # edit made earlier in the process cannot fail the comparison.
+        monkeypatch.setattr(fp_mod, "_FINGERPRINT", None)
         live = timing_fingerprint()
         copy = self._copy_package(tmp_path)
         assert self._fingerprint_of(copy, monkeypatch) == live
