@@ -207,14 +207,13 @@ class TransferEngine:
                      start: int) -> int:
         """Claim TCDM bank-cycles for every beat; returns the cycle the
         last beat's banks were granted."""
-        tcdm = self._tcdm
+        claim = self._tcdm.port(core_id, DMA_REQUESTOR)
         bandwidth = self.bandwidth
         t = start
         offset = 0
         while offset < nbytes:
             beat = min(bandwidth, nbytes - offset)
-            t = tcdm.access(core_id, addr + offset, beat, t + 1,
-                            requestor=DMA_REQUESTOR)
+            t = claim(addr + offset, beat, t + 1)
             offset += beat
         return t
 

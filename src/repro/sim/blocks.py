@@ -35,8 +35,10 @@ machines with an obs sink or trace never leave it, and
 
 Compiled runs also cover the cores of a cluster, which have a TCDM.
 There loads, stores, SSR pops and pushes and ``frep`` replays arbitrate
-through ``tcdm.access`` and add ``stall_tcdm``/``fp_stall_tcdm`` as the
-per-op path does.  A run is then a generator: before a shared op it
+through ``TA(a, width, s)``, the core's TCDM claim port
+(:meth:`BankedTcdm.port <repro.cluster.tcdm.BankedTcdm.port>`) that the
+scheduler binds, and add ``stall_tcdm``/``fp_stall_tcdm`` as the per-op
+path does.  A run is then a generator: before a shared op it
 waits, locals and all, while its core is at or past the driver's
 horizon, and resumes when the driver picks the core again
 (:mod:`repro.cluster.machine` tells why that is exact).  Waiting in
@@ -263,7 +265,7 @@ class RunTable:
         self.hot = sched._trace is None and sched._obs is None
         streams = range(sched._n_ssrs)
         self.shared = None
-        if sched._tcdm is not None:
+        if sched._claim is not None:
             self.shared = (lambda op: True) if sched._obs is not None \
                 else (lambda op: _shared(op, streams, streams))
         #: What every run of this bind depends on besides its code.
@@ -346,11 +348,11 @@ class _Writer:
     with a later ready time.
 
     On a core with a TCDM (``shared``) memory ops and stream pops and
-    pushes arbitrate through ``tcdm.access`` as the per-op path does,
-    the run is a generator that waits before every op after the first
-    that touches a shared resource in this stream state while the core
-    is at or past the horizon ``H`` (:meth:`wait`), and a step that may
-    raise first notes its issue time in ``i0`` for a held fault.
+    pushes arbitrate through the claim port ``TA`` as the per-op path
+    does, the run is a generator that waits before every op after the
+    first that touches a shared resource in this stream state while the
+    core is at or past the horizon ``H`` (:meth:`wait`), and a step that
+    may raise first notes its issue time in ``i0`` for a held fault.
     """
 
     def __init__(self, sched, run: Run, key: int) -> None:
@@ -363,7 +365,7 @@ class _Writer:
         self.fill = sched._ssr_fill_latency
         self.lat_fp_load = sched._lat_fp_load
         self.response = sched._fp_response_latency
-        self.shared = sched._tcdm is not None
+        self.shared = sched._claim is not None
         self.streams: dict[int, int] = {}
         code = key
         for i in reversed(run.sens):
@@ -425,7 +427,7 @@ class _Writer:
     def tcdm(self, width, stall: str) -> None:
         """Arbitrate the access of *width* bytes at ``a`` from ``s``."""
         if self.shared:
-            self.put(f"if (g := TA(CID, a, {width}, s)) > s: "
+            self.put(f"if (g := TA(a, {width}, s)) > s: "
                      f"{self.stall(stall)} += g - s; s = g")
 
     # -- emission helpers ---------------------------------------------
@@ -739,7 +741,7 @@ _PROLOGUE = (("it", "S.int_time"), ("ft", "S.fp_time"),
              ("ib", "S.int_wb_busy"), ("fb", "S.fp_wb_busy"),
              ("q", "S.fpss_queue"), ("mem", "S._mem"), ("m", "S.m"),
              ("RI", "S._read_index"), ("H", "S.horizon"),
-             ("TA", "S._tcdm.access"), ("CID", "S._core_id"))
+             ("TA", "S._claim"))
 
 
 def source(sched, run: Run, key: int) -> tuple[str, dict]:

@@ -87,7 +87,7 @@ class Scheduler:
         "_fp_wb_ports", "_queue_depth", "_branch_penalty",
         "_ssr_fill_latency", "_fp_response_latency", "_signature",
         # machine snapshot
-        "_iregs", "_fregs", "_mem", "_ssrs", "_n_ssrs", "_tcdm",
+        "_iregs", "_fregs", "_mem", "_ssrs", "_n_ssrs", "_claim",
         "_core_id", "_read_index", "_trace", "_obs", "_obs_scope",
         "horizon", "held", "_fault_time", "_table", "_waiting",  # drain()
     )
@@ -140,7 +140,8 @@ class Scheduler:
         self._mem = m.memory
         self._ssrs = m.ssrs
         self._n_ssrs = len(m.ssrs)
-        self._tcdm = m.tcdm
+        #: The core's TCDM claim port (None without a TCDM).
+        self._claim = None if m.tcdm is None else m.tcdm.port(m.core_id)
         self._core_id = m.core_id
         self._read_index = m.memory.read_index
         self._trace = m.trace
@@ -184,7 +185,7 @@ class Scheduler:
             self._int_wb_ports, self._fp_wb_ports, self._queue_depth,
             self._branch_penalty, self._ssr_fill_latency,
             self._fp_response_latency, self.l0.enabled,
-            self.cfg.ssr_count, self._tcdm is not None)
+            self.cfg.ssr_count, self._claim is not None)
 
     def step(self) -> bool:
         """Execute one dynamic instruction; False once finished."""
@@ -398,10 +399,10 @@ class Scheduler:
                 start = t
 
         # Banked-TCDM bank arbitration (cluster simulations only).
-        tcdm = self._tcdm
-        if tcdm is not None and (is_load or op.is_store):
+        claim = self._claim
+        if claim is not None and (is_load or op.is_store):
             addr = (iregs[op.mem_base_idx] + op.imm) & _MASK32
-            grant = tcdm.access(self._core_id, addr, 4, start)
+            grant = claim(addr, 4, start)
             if grant > start:
                 cd["stall_tcdm"] += grant - start
                 start = grant
@@ -583,7 +584,7 @@ class Scheduler:
         cd = self._cd
         m = self.m
         fregs = self._fregs
-        tcdm = self._tcdm
+        claim = self._claim
         start = self.fp_time
         if earliest > start:
             start = earliest
@@ -613,9 +614,8 @@ class Scheduler:
                     if avail > start:
                         cd["fp_stall_ssr"] += avail - start
                         start = avail
-                    if tcdm is not None:
-                        grant = tcdm.access(self._core_id, addr, 8,
-                                            start)
+                    if claim is not None:
+                        grant = claim(addr, 8, start)
                         if grant > start:
                             cd["fp_stall_tcdm"] += grant - start
                             start = grant
@@ -644,8 +644,8 @@ class Scheduler:
                 if (ssr_on and dest < n_ssrs) else None
             if ssr is not None and ssr.armed and ssr.is_write:
                 addr = ssr.peek_address(self._read_index)
-                if tcdm is not None:
-                    grant = tcdm.access(self._core_id, addr, 8, start)
+                if claim is not None:
+                    grant = claim(addr, 8, start)
                     if grant > start:
                         cd["fp_stall_tcdm"] += grant - start
                         start = grant
@@ -674,9 +674,8 @@ class Scheduler:
             t = self._mem_time(addr, 8)
             if t > start:
                 start = t
-            if tcdm is not None:
-                grant = tcdm.access(self._core_id, addr, op.width,
-                                    start)
+            if claim is not None:
+                grant = claim(addr, op.width, start)
                 if grant > start:
                     cd["fp_stall_tcdm"] += grant - start
                     start = grant
@@ -702,8 +701,8 @@ class Scheduler:
             addr = (self._iregs[op.mem_base_idx] + op.imm) & _MASK32
             value = values[0]
             width = op.width
-            if tcdm is not None:
-                grant = tcdm.access(self._core_id, addr, width, start)
+            if claim is not None:
+                grant = claim(addr, width, start)
                 if grant > start:
                     cd["fp_stall_tcdm"] += grant - start
                     start = grant

@@ -23,6 +23,12 @@ With ``weights=None`` the arbiter degrades to plain FCFS under the
 per-cycle cap — the contended-but-unweighted baseline the ``--policy``
 flag calls ``fifo``/``priority`` (without ``+qos``).
 
+:meth:`QosArbiter.transfer` places beats as the cycle-by-cycle search
+would, without visiting every cycle: the beats that fit in one cycle
+are placed together, and a window whose quota the class has used up is
+skipped in one step.  Grants, statistics, pruning and the starvation
+error are those of the per-cycle search.
+
 A class with weight 0 owns no slots and is never granted; the
 :attr:`~QosArbiter.max_wait` starvation guard turns that (or any
 misconfigured arbiter that stops granting) into a one-line
@@ -36,6 +42,11 @@ from ..mem import StreamStats
 from .arrival import TrafficError
 
 __all__ = ["QosArbiter", "QosClassStats"]
+
+#: The quota of every class in FCFS mode: never reached.
+_UNLIMITED = 1 << 62
+#: Claims after which claims far in the past are dropped.
+PRUNE_AT = 1 << 20
 
 
 class QosClassStats(StreamStats):
@@ -138,39 +149,66 @@ class QosArbiter:
         The ``TransferEngine.arbiter`` contract: returns the cycle the
         last beat lands (> *start* for any positive beat count; equal
         to *start* for an empty transfer).
+
+        Each beat takes the first cycle at or after the previous beat's
+        where the link and the class's window quota have room.  A
+        window whose quota is used up is skipped in one step, and the
+        beats that fit in one cycle are placed together.
         """
-        cls = self.class_of(stream_id)
+        cls = self._bound.get(stream_id, 0)
         stats = self.stats[cls]
         stats.transfers += 1
         if nbeats <= 0:
             return start
         link_cap = self.link_cap
         window = self.window
-        quota = self.quota[cls] if self.quota is not None else None
+        quota = self.quota[cls] if self.quota is not None else _UNLIMITED
         claims = self._claims
         mine = self._window_claims[cls]
         deadline = start + self.max_wait
         t = start + 1                       # first beat lands next cycle
-        for _ in range(nbeats):
-            while claims.get(t, 0) >= link_cap \
-                    or (quota is not None
-                        and mine.get(t // window, 0) >= quota):
-                t += 1
-                if t > deadline:
-                    share = ("unweighted" if quota is None
-                             else f"quota {quota}/window")
-                    raise TrafficError(
-                        f"QoS starvation: stream {stream_id} (class "
-                        f"{cls}, {share}) waited > {self.max_wait} "
-                        f"cycles for a beat slot requested at cycle "
-                        f"{start}"
-                    )
-            claims[t] = claims.get(t, 0) + 1
-            mine[t // window] = mine.get(t // window, 0) + 1
-            self._claim_count += 1
+        get = claims.get
+        on_link = get(t, 0)                 # beats granted at t
+        w = t // window
+        edge = (w + 1) * window             # first cycle of window w + 1
+        used = mine.get(w, 0)               # class beats in window w
+        left = nbeats
+        while True:
+            if used < quota and on_link < link_cap:
+                fit = link_cap - on_link     # beats that fit at t
+                if quota - used < fit:
+                    fit = quota - used
+                if left < fit:
+                    fit = left
+                on_link += fit
+                used += fit
+                left -= fit
+                claims[t] = on_link
+                mine[w] = used
+                if not left:
+                    break
+            if used < quota and t + 1 < edge:
+                t += 1                      # the link is full at t
+            else:                           # on to window w + 1
+                t = edge
+                edge += window
+                w += 1
+                used = mine.get(w, 0)
+            if t > deadline:
+                self._claim_count += nbeats - left
+                share = ("unweighted" if self.quota is None
+                         else f"quota {quota}/window")
+                raise TrafficError(
+                    f"QoS starvation: stream {stream_id} (class "
+                    f"{cls}, {share}) waited > {self.max_wait} "
+                    f"cycles for a beat slot requested at cycle "
+                    f"{start}"
+                )
+            on_link = get(t, 0)
+        self._claim_count += nbeats
         stats.grants += nbeats
         stats.stall_cycles += max(0, t - self._ideal_done(nbeats, start))
-        if self._claim_count > (1 << 20):
+        if self._claim_count > PRUNE_AT:
             self._prune(t)
         return t
 

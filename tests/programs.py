@@ -48,22 +48,29 @@ def compiled(k: int = 0):
 @contextlib.contextmanager
 def shared_calls():
     """Log every call the simulation makes on a shared resource, in
-    order: each TCDM access and its grant, each DMA start and fence,
-    and each barrier release with every parked core's arrival.  TCDMs
-    and DMA engines are labelled in order of first use."""
+    order: each TCDM claim (through any claim port, DMA beats included)
+    and its grant, each DMA start and fence, and each barrier release
+    with every parked core's arrival.  TCDMs and DMA engines are
+    labelled in order of first use.  Only ports taken inside the
+    context are logged, so build and bind machines inside it;
+    :func:`assert_claims_logged` checks that nothing was missed."""
     log, labels = [], {}
-    access, start = BankedTcdm.access, TransferEngine.start
+    port, start = BankedTcdm.port, TransferEngine.start
     fence, release = (TransferEngine.core_drain_time,
                       ClusterMachine._release_barrier)
 
     def label(obj):
         return labels.setdefault(id(obj), len(labels))
 
-    def logged_access(tcdm, core_id, addr, nbytes, cycle, requestor=None):
-        grant = access(tcdm, core_id, addr, nbytes, cycle, requestor)
-        log.append(("tcdm", label(tcdm), core_id, addr, nbytes, cycle,
-                    requestor, grant))
-        return grant
+    def logged_port(tcdm, core_id, requestor=None):
+        claim = port(tcdm, core_id, requestor)
+
+        def logged_claim(addr, nbytes, cycle):
+            grant = claim(addr, nbytes, cycle)
+            log.append(("tcdm", label(tcdm), core_id, addr, nbytes,
+                        cycle, requestor, grant))
+            return grant
+        return logged_claim
 
     def logged_start(dma, core_id, dst, src, nbytes, now):
         done = start(dma, core_id, dst, src, nbytes, now)
@@ -81,15 +88,29 @@ def shared_calls():
             (m.core_id, m.barrier_arrival) for m in waiting)))
         return release(cluster, waiting, finished)
 
-    BankedTcdm.access, TransferEngine.start = logged_access, logged_start
+    BankedTcdm.port, TransferEngine.start = logged_port, logged_start
     TransferEngine.core_drain_time = logged_fence
     ClusterMachine._release_barrier = logged_release
     try:
         yield log
     finally:
-        BankedTcdm.access, TransferEngine.start = access, start
+        BankedTcdm.port, TransferEngine.start = port, start
         TransferEngine.core_drain_time = fence
         ClusterMachine._release_barrier = release
+
+
+def assert_claims_logged(log, machine) -> None:
+    """Guard for :func:`shared_calls`: the TCDM claims in *log* account
+    for every bank grant of *machine*'s TCDMs (a claim of bytes
+    ``addr..addr+nbytes-1`` is one grant per touched word), so a claim
+    path the log cannot see fails here instead of passing vacuously."""
+    clusters = getattr(machine, "clusters", [machine])
+    grants = sum(cluster.tcdm.total_accesses for cluster in clusters)
+    claims = [entry for entry in log if entry[0] == "tcdm"]
+    words = sum(((addr + nbytes - 1) >> 2) - (addr >> 2) + 1
+                for _, _, _, addr, nbytes, *_ in claims)
+    assert words == grants, (len(claims), words, grants)
+
 
 #: Memory layout of a generated lane: ``a0`` walks DATA (uniform
 #: addresses); ``a1`` points into TABLE at a per-lane offset (lane-

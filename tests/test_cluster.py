@@ -3,13 +3,19 @@
 Covers the edge cases the cluster model promises: single-core barriers,
 DMA transfers overrunning the TCDM capacity, bank-conflict counter
 correctness with two cores hammering one bank, and bit-identical
-1-core-cluster vs bare-``Machine`` runs.
+1-core-cluster vs bare-``Machine`` runs.  The TCDM claim ports are
+checked against the one-method claim rule kept here as a reference.
 """
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     BankedTcdm,
+    BankStats,
     ClusterConfig,
     ClusterDma,
     ClusterMachine,
@@ -17,9 +23,11 @@ from repro.cluster import (
     choose_block,
     partition_kernel,
 )
+from repro.cluster import tcdm as tcdm_module
 from repro.isa.program import ProgramBuilder
 from repro.kernels.common import MAIN_REGION
 from repro.kernels.registry import kernel
+from repro.mem import DMA_REQUESTOR
 from repro.sim import Machine, Memory, MemoryError_, SimulationError
 
 
@@ -79,6 +87,142 @@ class TestBankedTcdm:
         t = BankedTcdm(n_banks=1, bank_stagger_words=0, enabled=False)
         assert t.access(0, 0x0, 4, 7) == 7
         assert t.access(1, 0x0, 4, 7) == 7
+
+
+class _ReferenceTcdm:
+    """The claim rule as one method, kept here as the reference the claim
+    ports must equal: ``BankedTcdm.access`` before ports, verbatim but
+    for a patchable prune threshold."""
+
+    def __init__(self, n_banks, bank_stagger_words, enabled, prune_at):
+        self.n_banks = n_banks
+        self.bank_stagger_words = bank_stagger_words
+        self.enabled = enabled
+        self.prune_at = prune_at
+        self.stats = [BankStats() for _ in range(n_banks)]
+        self._claims = [{} for _ in range(n_banks)]
+        self._claim_count = 0
+        self.obs = None
+        self.obs_scope = "cluster0"
+
+    def access(self, core_id, addr, nbytes, cycle, requestor=None):
+        if not self.enabled:
+            return cycle
+        if requestor is None:
+            requestor = core_id
+        shift = core_id * self.bank_stagger_words
+        first = (addr >> 2) + shift
+        n = self.n_banks
+        claims = self._claims
+        last = ((addr + nbytes - 1) >> 2) + shift
+        banks = [first % n] if last == first \
+            else [w % n for w in range(first, last + 1)]
+        grant = cycle
+        while True:
+            for bank in banks:
+                owner = claims[bank].get(grant)
+                if owner is not None and owner != requestor:
+                    grant += 1
+                    break
+            else:
+                break
+        delay = grant - cycle
+        obs = self.obs
+        if obs is not None:
+            obs.emit(self.obs_scope, f"bank{banks[0]}",
+                     "conflict" if delay else "grant", grant, 1,
+                     "tcdm", {"core": core_id, "stall": delay})
+        stats = self.stats
+        for bank in banks:
+            claims[bank][grant] = requestor
+            bank_stats = stats[bank]
+            bank_stats.grants += 1
+            bank_stats.stall_cycles += delay
+            delay = 0  # attribute the stall to the first touched bank
+        self._claim_count += len(banks)
+        if self._claim_count > self.prune_at:
+            self._prune(grant)
+        return grant
+
+    def _prune(self, now, horizon=1 << 16):
+        floor = now - horizon
+        total = 0
+        for bank in self._claims:
+            stale = [t for t in bank if t < floor]
+            for t in stale:
+                del bank[t]
+            total += len(bank)
+        self._claim_count = total
+
+
+class _Events:
+    """An obs sink that records every event."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, *event):
+        self.events.append(event)
+
+
+#: One claim: core, DMA or core requestor, byte address (any
+#: alignment), width, cycle step (large ones cross the prune horizon),
+#: and whether to go through ``access`` instead of a bound port.
+_CLAIMS = st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 160),
+                    st.sampled_from((1, 2, 4, 8, 16)),
+                    st.sampled_from((0, 0, 0, 1, 1, 2, 3, -1, -2,
+                                     70_000, -70_000)),
+                    st.booleans())
+
+
+class TestClaimPortMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(n_banks=st.sampled_from((1, 8, 32)),
+           stagger=st.sampled_from((0, 1, 2)),
+           enabled=st.sampled_from((True, True, True, False)),
+           prune_at=st.sampled_from((1 << 20, 6)),
+           claims=st.lists(_CLAIMS, max_size=60),
+           attach=st.integers(0, 60))
+    def test_ports_equal_the_reference_claim(self, n_banks, stagger,
+                                             enabled, prune_at, claims,
+                                             attach):
+        ref = _ReferenceTcdm(n_banks, stagger, enabled, prune_at)
+        with mock.patch.object(tcdm_module, "PRUNE_AT", prune_at):
+            tcdm = BankedTcdm(n_banks, stagger, enabled)
+            # Ports bind the prune threshold, and are bound before the
+            # sink is attached, as a scheduler's may be.
+            ports = {(core, requestor): tcdm.port(core, requestor)
+                     for core in range(4)
+                     for requestor in (None, DMA_REQUESTOR)}
+        ref_sink, sink = _Events(), _Events()
+        cycle = 0
+        for i, (core, dma, addr, width, step, via_access) in \
+                enumerate(claims):
+            if i == attach:
+                ref.obs, tcdm.obs = ref_sink, sink
+                ref.obs_scope = tcdm.obs_scope = "soc/cluster1"
+            cycle = max(0, cycle + step)
+            requestor = DMA_REQUESTOR if dma else None
+            want = ref.access(core, addr, width, cycle, requestor)
+            if via_access:
+                got = tcdm.access(core, addr, width, cycle, requestor)
+            else:
+                got = ports[(core, requestor)](addr, width, cycle)
+            assert got == want, (i, core, requestor, addr, width, cycle)
+        assert tcdm._claims == ref._claims
+        assert tcdm.stats == ref.stats
+        assert sink.events == ref_sink.events
+        assert tcdm._count[0] == ref._claim_count
+
+    def test_prune_drops_only_claims_past_the_horizon(self):
+        tcdm = BankedTcdm(n_banks=4, bank_stagger_words=0)
+        with mock.patch.object(tcdm_module, "PRUNE_AT", 2):
+            claim = tcdm.port(0)
+        claim(0x0, 4, 0)
+        claim(0x4, 4, 1)
+        claim(0x8, 4, 100_000)          # the third claim prunes
+        assert tcdm._claims[:3] == [{}, {}, {100_000: 0}]
+        assert tcdm.stats[0].grants == tcdm.stats[1].grants == 1
 
 
 class TestClusterDma:

@@ -22,8 +22,8 @@ from repro.isa import ProgramBuilder
 from repro.sim import Memory, SimulationError, blocks
 from repro.soc import SocConfig, SocMachine
 
-from programs import CLUSTER_MEM, cluster_programs, cluster_state, \
-    compiled, per_op_run, shared_calls
+from programs import CLUSTER_MEM, assert_claims_logged, cluster_programs, \
+    cluster_state, compiled, per_op_run, shared_calls
 
 #: (clusters or None for a bare cluster, cores per cluster, write-back)
 RUNGS = {"cluster:2": (None, 2, False), "cluster:4": (None, 4, False),
@@ -60,6 +60,7 @@ def _outcome(rung, build, max_steps, k, per_op):
                 machine.run(max_steps=max_steps)
         except Exception as exc:
             error = exc
+    assert_claims_logged(log, machine)
     return log, cluster_state(machine, error)
 
 

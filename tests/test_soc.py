@@ -384,6 +384,9 @@ def _stepping(monkeypatch, run):
         patch.setattr(ClusterMachine, "run", _min_scan_run)
         patch.setattr(SocMachine, "run", _min_scan_run)
         scan_result = run()
+    # Every program here loads from the TCDM: an empty claim log means
+    # claims went by a path the log cannot see.
+    assert any(entry[0] == "tcdm" for entry in heap_log)
     return heap_log, heap_result, scan_log, scan_result
 
 

@@ -1,16 +1,21 @@
 """Streaming-traffic layer tests: arrivals, QoS, dispatch, scenarios.
 
 Covers the deterministic arrival sampler and trace parser, the
-windowed weighted-TDM :class:`~repro.traffic.QosArbiter`, the
-discrete-event :class:`~repro.traffic.Dispatcher`, and the scenario
-layer end to end — including the headline claim (QoS keeps the
-latency-critical class's p99 low under saturating load) and the
-``streamscale`` artifact's bit-identical ``--jobs`` sharding.
+windowed weighted-TDM :class:`~repro.traffic.QosArbiter` (against the
+per-cycle search kept here as a reference), the discrete-event
+:class:`~repro.traffic.Dispatcher`, and the scenario layer end to end —
+including the headline claim (QoS keeps the latency-critical class's
+p99 low under saturating load), the ``streamscale`` artifact's
+bit-identical ``--jobs`` sharding and its pinned payloads.
 """
 
+import hashlib
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import RunRecord
 from repro.eval.streamscale import (
@@ -19,6 +24,7 @@ from repro.eval.streamscale import (
     parse_loads,
     parse_policy_flag,
 )
+from repro.traffic import qos as qos_module
 from repro.traffic import (
     POLICY_CHOICES,
     Dispatcher,
@@ -259,6 +265,117 @@ class TestQosArbiter:
         assert later > done + (1 << 17)
 
 
+class _ReferenceQos(QosArbiter):
+    """The per-cycle search as it was before windows were skipped, kept
+    here as the reference ``QosArbiter.transfer`` must equal: verbatim
+    but for the patchable prune threshold."""
+
+    def transfer(self, stream_id: int, nbeats: int, start: int) -> int:
+        cls = self.class_of(stream_id)
+        stats = self.stats[cls]
+        stats.transfers += 1
+        if nbeats <= 0:
+            return start
+        link_cap = self.link_cap
+        window = self.window
+        quota = self.quota[cls] if self.quota is not None else None
+        claims = self._claims
+        mine = self._window_claims[cls]
+        deadline = start + self.max_wait
+        t = start + 1                       # first beat lands next cycle
+        for _ in range(nbeats):
+            while claims.get(t, 0) >= link_cap \
+                    or (quota is not None
+                        and mine.get(t // window, 0) >= quota):
+                t += 1
+                if t > deadline:
+                    share = ("unweighted" if quota is None
+                             else f"quota {quota}/window")
+                    raise TrafficError(
+                        f"QoS starvation: stream {stream_id} (class "
+                        f"{cls}, {share}) waited > {self.max_wait} "
+                        f"cycles for a beat slot requested at cycle "
+                        f"{start}"
+                    )
+            claims[t] = claims.get(t, 0) + 1
+            mine[t // window] = mine.get(t // window, 0) + 1
+            self._claim_count += 1
+        stats.grants += nbeats
+        stats.stall_cycles += max(0, t - self._ideal_done(nbeats, start))
+        if self._claim_count > qos_module.PRUNE_AT:
+            self._prune(t)
+        return t
+
+
+def _arbiter_state(arbiter):
+    return (arbiter._claims, arbiter._window_claims, arbiter.stats,
+            arbiter._claim_count)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except TrafficError as exc:
+        return str(exc)
+
+
+#: A call on a shared arbiter: re-bind a stream, or a transfer of
+#: (stream, beats, start step from the previous start).
+_QOS_CALLS = st.one_of(
+    st.tuples(st.just("bind"), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("transfer"), st.integers(0, 2), st.integers(0, 40),
+              st.integers(-20, 30)))
+
+
+class TestQosMatchesPerCycleReference:
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.sampled_from((None, (3, 1), (1, 1, 2), (0, 2, 1),
+                                    (2, 0, 0), (1,), (5, 3))),
+           link_cap=st.integers(1, 3),
+           max_wait=st.sampled_from((1, 2, 3, 4, 7, 16, 64, 1 << 20)),
+           prune_at=st.sampled_from((1 << 20, 16)),
+           calls=st.lists(_QOS_CALLS, max_size=40))
+    def test_transfers_equal_the_per_cycle_search(self, weights, link_cap,
+                                                  max_wait, prune_at,
+                                                  calls):
+        kwargs = dict(weights=weights, link_cap=link_cap,
+                      max_wait=max_wait, n_classes=3)
+        arbiter, ref = QosArbiter(**kwargs), _ReferenceQos(**kwargs)
+        n_classes = len(arbiter.stats)
+        start = 0
+        with mock.patch.object(qos_module, "PRUNE_AT", prune_at):
+            for i, call in enumerate(calls):
+                if call[0] == "bind":
+                    arbiter.bind(call[1], call[2] % n_classes)
+                    ref.bind(call[1], call[2] % n_classes)
+                    continue
+                _, stream, nbeats, step = call
+                start = max(0, start + step)
+                got = _outcome(lambda: arbiter.transfer(stream, nbeats,
+                                                        start))
+                want = _outcome(lambda: ref.transfer(stream, nbeats,
+                                                     start))
+                assert got == want, (i, call)
+                assert _arbiter_state(arbiter) == _arbiter_state(ref), i
+
+    @pytest.mark.parametrize("max_wait, done", ((4, 4), (3, None)))
+    def test_deadline_is_exact_when_a_window_is_skipped(self, max_wait,
+                                                        done):
+        """The second beat of a quota-1 class skips cycles 2 and 3 of
+        window 0 and lands at 4, the first cycle of window 1: granted
+        when the deadline is cycle 4, a starvation error when it is
+        cycle 3, though cycles 2 and 3 are within it."""
+        for cls in (QosArbiter, _ReferenceQos):
+            arbiter = cls(weights=(3, 1), max_wait=max_wait)
+            arbiter.bind(0, 1)
+            if done is None:
+                with pytest.raises(TrafficError,
+                                   match="waited > 3 cycles"):
+                    arbiter.transfer(0, 2, 0)
+            else:
+                assert arbiter.transfer(0, 2, 0) == done
+
+
 class TestDispatcher:
     def test_validation(self):
         classes = _classes()
@@ -446,6 +563,29 @@ class TestStreamscaleArtifact:
         sharded = generate(jobs=2, **kwargs)
         assert json.dumps(solo, sort_keys=True) \
             == json.dumps(sharded, sort_keys=True)
+
+    #: sha256 of ``generate(loads=(0.7, 1.1, 1.5), duration=40_000,
+    #: seeds=(1, 2), policy=...)`` as sorted-key JSON, per policy.  The
+    #: payload holds every class's latency percentiles and QoS stalls,
+    #: so any change to dispatch or beat arbitration moves a digest.
+    PAYLOAD_SHA256 = {
+        "fifo": "bc066d55f09371ca8e5fb1beaf1908f5"
+                "ca084589ab25f19b5ea8569312ef8a37",
+        "priority": "c9f2183d228f9587eff0ad011ec308d5"
+                    "33c3d0b1cb9ab696de010fa3a2b100d4",
+        "fifo+qos": "2c1f8cf2adfb21a134e0d5498bfa76a7"
+                    "0ef9c30c474ef5593b5a78986c7d958a",
+        "priority+qos": "3ee1da12340072e2749c5d6d2b657d31"
+                        "7a889f55199c9dab4e9e1dee6aa401b2",
+    }
+
+    @pytest.mark.parametrize("policy", POLICY_CHOICES)
+    def test_payload_is_pinned(self, policy):
+        payload = generate(loads=(0.7, 1.1, 1.5), duration=40_000,
+                           seeds=(1, 2), policy=policy)
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == self.PAYLOAD_SHA256[policy]
 
     def test_trace_file_mode(self, tmp_path):
         trace = tmp_path / "trace.txt"
