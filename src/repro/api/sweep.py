@@ -12,7 +12,7 @@ repo: every artifact fans its cells through :meth:`Sweep.run`, which
   (workload, backend) pair, so ``jobs=N`` output is bit-identical to
   ``jobs=1`` (the property the CLI's ``--jobs`` flag documents);
 * **batches** fine-grained cells per pool task via
-  :func:`repro.eval.parallel.shard_hinted`, amortizing process startup
+  :func:`repro.api.parallel.shard_hinted`, amortizing process startup
   and pickling overhead when a sweep has many more cells than workers;
 * optionally runs bare-core cells through the **vectorized batch
   engine** (``Sweep(batch=...)``): eligible cells are grouped into
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .backend import Backend, parse_backend
+from .parallel import run_sharded, shard_hinted, validate_jobs
 from .record import RunRecord
 from .workload import CellError, Workload
 
@@ -129,14 +130,6 @@ class Sweep:
         a cached record cannot attest a fresh output verification —
         but keeps the in-sweep dedupe.
         """
-        # Imported here, not at module top: repro.eval's package init
-        # imports the artifact modules (which import repro.api), so a
-        # top-level import would cycle during package initialization.
-        from ..eval.parallel import (
-            run_sharded,
-            shard_hinted,
-            validate_jobs,
-        )
         from ..serve.client import active_store
         from ..serve.store import cache_key
         from .batchrun import plan_batch, resolve_batch

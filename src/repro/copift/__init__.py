@@ -17,36 +17,30 @@ Eqs. 1-3  Analytical speedup/IPC model             :mod:`.model`
 ========  =======================================  =====================
 """
 
+from .._lazy import lazy_exports
+
+# ``analyze`` and ``reorder`` name both a function and its submodule,
+# so they bind eagerly (importing the submodule later would otherwise
+# rebind the package attribute to the module).  The rest resolves on
+# first use: the kernels import only the emitters and the model.
 from .analyze import CopiftAnalysis, analyze
-from .dfg import DataFlowGraph, DepKind, Dependency, build_dfg
-from .frep_mapping import FrepBodyError, emit_frep
-from .model import (
-    InstructionMix,
-    KernelModel,
-    expected_ipc_gain,
-    expected_speedup,
-    expected_speedup_from_baseline,
-)
-from .partition import Partition, Phase, partition_dfg
-from .pipeline import (
-    PhaseWork,
-    buffer_rotation,
-    pipelined_schedule,
-    steady_state_range,
-)
 from .reorder import phase_slices, reorder
-from .ssr_mapping import (
-    AffineStream,
-    IndirectStream,
-    SSRAssignment,
-    assign_ssrs,
-    emit_indirect_base,
-    emit_stream_base,
-    emit_stream_shape,
-    fuse_streams,
-)
-from .tiling import BufferSpec, TilingPlan, plan_from_partition
-from .transform import TwoPhaseBuild, TwoPhaseSpec, generate_two_phase
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "dfg": ("DataFlowGraph", "DepKind", "Dependency", "build_dfg"),
+    "frep_mapping": ("FrepBodyError", "emit_frep"),
+    "model": ("InstructionMix", "KernelModel", "expected_ipc_gain",
+              "expected_speedup", "expected_speedup_from_baseline"),
+    "partition": ("Partition", "Phase", "partition_dfg"),
+    "pipeline": ("PhaseWork", "buffer_rotation", "pipelined_schedule",
+                 "steady_state_range"),
+    "ssr_mapping": ("AffineStream", "IndirectStream", "SSRAssignment",
+                    "assign_ssrs", "emit_indirect_base",
+                    "emit_stream_base", "emit_stream_shape",
+                    "fuse_streams"),
+    "tiling": ("BufferSpec", "TilingPlan", "plan_from_partition"),
+    "transform": ("TwoPhaseBuild", "TwoPhaseSpec", "generate_two_phase"),
+})
 
 __all__ = [
     "AffineStream",

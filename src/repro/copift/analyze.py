@@ -12,14 +12,17 @@ estimates.  This is the programmatic form of the walkthrough in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..isa.asm import parse
 from ..isa.instructions import Thread
 from ..isa.program import Program
 from .dfg import DataFlowGraph, DepKind, build_dfg
 from .model import InstructionMix, expected_speedup_from_baseline
-from .partition import Partition, partition_dfg
-from .tiling import TilingPlan, plan_from_partition
+
+if TYPE_CHECKING:
+    from .partition import Partition
+    from .tiling import TilingPlan
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,11 @@ def analyze(source: str | Program,
         input_buffers: name -> element bytes of DMA-staged inputs.
         output_buffers: name -> element bytes of outputs.
     """
+    # Steps 2-5 load here, not at import: ``repro.copift`` binds this
+    # function eagerly, and the kernels never run the analysis.
+    from .partition import partition_dfg
+    from .tiling import plan_from_partition
+
     program = parse(source) if isinstance(source, str) else source
     dfg = build_dfg(program.instructions)
     partition = partition_dfg(dfg)

@@ -23,9 +23,7 @@ potentially aliasing instead.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-import networkx as nx
+from dataclasses import dataclass
 
 from ..isa.instructions import OpClass, Thread
 from ..isa.program import Instruction
@@ -64,13 +62,13 @@ class DataFlowGraph:
 
     Attributes:
         instructions: The analysed block, in program order.
-        deps: All dependency edges.
-        graph: networkx DiGraph view (nodes = instruction indices).
+        deps: All dependency edges, each pointing forward in program
+            order (``src < dst``), so program order is a topological
+            order of the graph.
     """
 
     instructions: list[Instruction]
     deps: list[Dependency]
-    graph: nx.DiGraph = field(repr=False)
 
     def thread_of(self, node: int) -> Thread:
         return self.instructions[node].thread
@@ -180,11 +178,7 @@ def build_dfg(instructions: list[Instruction],
             reg_writer[register] = i
             reg_version[register] = reg_version.get(register, 0) + 1
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(instructions)))
-    for dep in deps:
-        graph.add_edge(dep.src, dep.dst, kind=dep.kind)
-    return DataFlowGraph(list(instructions), deps, graph)
+    return DataFlowGraph(list(instructions), deps)
 
 
 def _address_is_dynamic(instructions: list[Instruction],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa.instructions import Thread
+from ..isa.instructions import OpClass, Thread
 from .dfg import DataFlowGraph, Dependency
 
 
@@ -198,13 +198,10 @@ def partition_dfg(dfg: DataFlowGraph,
             (fewer phases, then fewer cut edges) is returned.
         sweeps: Hill-climbing improvement sweeps.
     """
-    analysable = [i for i in range(len(dfg.instructions))
-                  if i in dfg.graph]
     # Exclude control-flow/meta nodes that carry no dependencies and no
     # thread-specific work (they were skipped by the DFG builder).
-    from ..isa.instructions import OpClass
     analysable = [
-        i for i in analysable
+        i for i in range(len(dfg.instructions))
         if dfg.instructions[i].spec.opclass not in (
             OpClass.BRANCH, OpClass.JUMP, OpClass.META, OpClass.FREP)
     ]

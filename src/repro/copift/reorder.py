@@ -9,8 +9,12 @@ subgraph, because DFG edges always point forward in program order).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..isa.program import Instruction
-from .partition import Partition
+
+if TYPE_CHECKING:
+    from .partition import Partition
 
 
 def reorder(partition: Partition) -> list[Instruction]:

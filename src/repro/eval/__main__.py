@@ -50,14 +50,14 @@ see :mod:`repro.serve.protocol` for the wire format.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-
-from ..api import CellError, artifacts
-from ..api.artifacts import ArtifactRequest, write_output
 
 # The package __init__ has already imported every artifact module,
 # registering the subcommands this dispatcher serves.
-from .parallel import default_jobs
+from ..api import CellError, artifacts
+from ..api.artifacts import ArtifactRequest, write_output
+from ..api.parallel import default_jobs
 
 
 def _parse_cores(text: str) -> tuple[int, ...]:
@@ -72,6 +72,16 @@ def _parse_cores(text: str) -> tuple[int, ...]:
             f"--cores entries must be >= 1, got {text!r}"
         )
     return cores
+
+
+def _unwritable(path: str) -> str | None:
+    """Why a file cannot be written at *path*, or None if it can."""
+    if os.path.isdir(path):
+        return "is a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"parent {parent} is not a directory"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,6 +162,14 @@ def main(argv: list[str] | None = None) -> int:
                             default=flag.default, metavar=flag.metavar,
                             help=f"{flag.help} ({names} only)")
     args = parser.parse_args(argv)
+
+    # Output paths are checked before anything runs: a bad one would
+    # otherwise only fail after the whole artifact has simulated.
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        problem = path and _unwritable(path)
+        if problem:
+            print(f"error: {flag} {path}: {problem}", file=sys.stderr)
+            return 2
 
     from ..serve import CacheError, resolve_store, use_store
 
@@ -243,18 +261,18 @@ def main(argv: list[str] | None = None) -> int:
         store = resolve_store(args.cache_dir, no_cache=args.no_cache)
         with use_store(store):
             result = spec.run(request)
+        if store is not None:
+            # Summary to stderr (never stdout): cached and uncached
+            # runs must emit byte-identical payloads.
+            s = store.stats
+            print(f"cache: {s.hits} hits, {s.misses} misses, "
+                  f"{s.deduped} deduped, {s.stores} stored "
+                  f"({store.root})", file=sys.stderr)
+            store.flush_stats()
     except (CacheError, CellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text, payload = result.text, result.payload
-    if store is not None:
-        # Summary to stderr (never stdout): cached and uncached runs
-        # must emit byte-identical payloads.
-        s = store.stats
-        print(f"cache: {s.hits} hits, {s.misses} misses, "
-              f"{s.deduped} deduped, {s.stores} stored "
-              f"({store.root})", file=sys.stderr)
-        store.flush_stats()
 
     if observing:
         # The representative cell re-runs *inline* (never through the

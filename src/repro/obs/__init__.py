@@ -24,30 +24,26 @@ One instrumentation layer spans the whole machine hierarchy:
   issue timeline.
 
 Everything here is import-cycle-free by design: no module under
-``repro.obs`` imports from the rest of the repo.
+``repro.obs`` imports from the rest of the repo (the package init uses
+only the leaf helper :mod:`repro._lazy`).
 """
 
-from .events import ObsEvent, ObsSink
-from .metrics import (
-    DEFAULT_METRICS,
-    METRIC_KINDS,
-    Histogram,
-    Metric,
-    MetricsRegistry,
-)
-from .profile import (
-    ProfileNode,
-    aggregate_profile,
-    core_profile,
-    render_profile,
-)
-from .timeline import (
-    TraceEvent,
-    dual_issue_cycles,
-    lane_utilization,
-    render_timeline,
-)
-from .trace import chrome_trace, validate_chrome_trace, write_chrome_trace
+from .._lazy import lazy_exports
+
+# The simulator imports only ``repro.obs.timeline``; resolving the
+# rest on first use keeps the metrics and trace exporters out of
+# processes that never read them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "events": ("ObsEvent", "ObsSink"),
+    "metrics": ("DEFAULT_METRICS", "METRIC_KINDS", "Histogram", "Metric",
+                "MetricsRegistry"),
+    "profile": ("ProfileNode", "aggregate_profile", "core_profile",
+                "render_profile"),
+    "timeline": ("TraceEvent", "dual_issue_cycles", "lane_utilization",
+                 "render_timeline"),
+    "trace": ("chrome_trace", "validate_chrome_trace",
+              "write_chrome_trace"),
+})
 
 __all__ = [
     "DEFAULT_METRICS",

@@ -27,10 +27,16 @@ round-trips exactly through its versioned JSON schema, and every hit
 is structurally verified against the requesting cell.
 """
 
+from .._lazy import lazy_exports
 from .client import active_store, default_cache_dir, resolve_store, use_store
-from .protocol import ProtocolError, decode_request, encode_response
-from .service import EvalService, ServiceStats, service_registry
 from .store import CacheError, RunStore, StoreStats, cache_key
+
+# The service and the wire protocol (asyncio, the worker pool) load on
+# first use: the eval CLI and the Sweep executor only need the store.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "protocol": ("ProtocolError", "decode_request", "encode_response"),
+    "service": ("EvalService", "ServiceStats", "service_registry"),
+})
 
 __all__ = [
     "CacheError",

@@ -20,7 +20,7 @@ import asyncio
 import os
 import sys
 
-from ..eval.parallel import default_jobs
+from ..api.parallel import default_jobs
 from .client import default_cache_dir, resolve_store
 from .protocol import serve_session
 from .service import EvalService
@@ -80,7 +80,11 @@ def serve_main(cache_dir: str | None = None, no_cache: bool = False,
     print(f"repro.serve: cache {where}; jobs={jobs} "
           f"max_pending={max_pending}; reading JSON-lines requests "
           f"from stdin", file=sys.stderr)
-    handled = asyncio.run(_serve(service))
+    try:
+        handled = asyncio.run(_serve(service))
+    except CacheError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"repro.serve: session over after {handled} requests",
           file=sys.stderr)
     return 0

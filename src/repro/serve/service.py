@@ -31,8 +31,12 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from ..api.parallel import run_cell
 from ..obs.metrics import Metric, MetricsRegistry
-from .store import RunStore, cache_key
+# ``cache_key`` is read through its module on each call, not bound by
+# name: this module loads on first use, possibly while a tracer has the
+# function wrapped, and a by-name copy would keep the wrapper.
+from . import store as _store
 
 
 @dataclass
@@ -91,7 +95,7 @@ class EvalService:
             process pool.
     """
 
-    def __init__(self, store: RunStore | None = None, jobs: int = 1,
+    def __init__(self, store: _store.RunStore | None = None, jobs: int = 1,
                  max_pending: int = 8, runner=None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -115,9 +119,6 @@ class EvalService:
             if inspect.isawaitable(result):
                 result = await result
             return result
-        # Imported lazily: repro.eval's package init pulls in every
-        # artifact module, which this module must not force at import.
-        from ..eval.parallel import run_cell
         if self._pool is None:
             # spawn, not fork: the service runs inside an asyncio
             # loop with helper threads (stdin reader, executor
@@ -150,7 +151,7 @@ class EvalService:
                 return record, "hit"
         key = (self.store.key_for(workload, backend)
                if self.store is not None
-               else cache_key(workload, backend))
+               else _store.cache_key(workload, backend))
         pending = self._inflight.get(key) if key is not None else None
         if pending is not None:
             self.stats.coalesced += 1

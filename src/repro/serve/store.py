@@ -191,6 +191,16 @@ class RunStore:
 
     # -- paths ---------------------------------------------------------
 
+    def _makedirs(self, directory: str) -> None:
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise CacheError(
+                f"cannot create cache directory {directory}: "
+                f"{exc.strerror}; point --cache-dir at a directory or "
+                f"pass --no-cache"
+            ) from None
+
     @property
     def generation_dir(self) -> str:
         return os.path.join(self.root, self.generation)
@@ -236,7 +246,7 @@ class RunStore:
         mid-write leaves only ignorable ``*.tmp*`` litter, never a
         half-written committed entry.
         """
-        os.makedirs(self.generation_dir, exist_ok=True)
+        self._makedirs(self.generation_dir)
         path = self.entry_path(key)
         tmp = f"{path}.tmp.{os.getpid()}.{next(_TMP_COUNTER)}"
         blob = json.dumps(record.to_json(), sort_keys=True, indent=1)
@@ -311,7 +321,7 @@ class RunStore:
         for name, delta in self.stats.to_json().items():
             if delta:
                 merged[name] = int(merged.get(name, 0)) + delta
-        os.makedirs(self.root, exist_ok=True)
+        self._makedirs(self.root)
         tmp = (f"{self._stats_path()}.tmp.{os.getpid()}"
                f".{next(_TMP_COUNTER)}")
         with open(tmp, "w", encoding="utf-8") as handle:

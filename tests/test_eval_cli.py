@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.api import CoreBackend, Workload, artifacts, write_output
-from repro.eval import clusterscale, fig3, socscale, table1
+from repro.eval import clusterscale, fig2, fig3, socscale, table1
 from repro.eval.__main__ import main
 from repro.eval.clusterscale import clusterscale_payload
 from repro.eval.socscale import socscale_payload
@@ -196,6 +196,32 @@ class TestArgumentValidation:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and message in lines[0]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["table1", "--out", "{file}/x.txt"], "--out"),
+        (["fig2", "--n", "512", "--trace", "{file}/t.json"], "--trace"),
+        (["table1", "--out", "{dir}"], "--out"),
+        (["--list", "--out", "{file}/x.txt"], "--out"),
+    ], ids=["out-under-file", "trace-under-file", "out-is-dir", "list"])
+    def test_unusable_output_path_fails_before_running(
+            self, argv, flag, tmp_path, monkeypatch, capsys):
+        """A path that cannot be written is one line, exit 2, and is
+        caught before any cell simulates."""
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the artifact ran")
+
+        monkeypatch.setattr(fig2, "generate", no_run)
+        monkeypatch.setattr(table1, "generate", no_run)
+        argv = [arg.format(file=blocker, dir=tmp_path) for arg in argv]
+        assert main([*argv, "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {flag} ")
 
     def test_jobs_one_accepted_everywhere(self, tmp_path):
         # --jobs 1 is the sequential default and is valid for any
@@ -534,6 +560,16 @@ class TestCacheCLI:
         err = capsys.readouterr().err
         assert str(rogue) in err
         assert "not a directory" in err
+
+    def test_cache_dir_under_a_file_is_one_line(self, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+        assert main(["table1", "--n", "256",
+                     "--cache-dir", str(blocker / "sub")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot create cache directory")
+        assert str(blocker) in lines[0]
 
     def test_serve_rejects_artifact_mode_flags(self, capsys):
         for extra in (["fig2"], ["--list"], ["--json"],

@@ -12,6 +12,10 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -72,3 +76,38 @@ def test_batch_engine_exposes_traced_attributes():
     assert counts["demoted_lanes"] == 0
     assert engine.instances == instances
     assert engine.demoted == [False, False]
+
+
+def test_preload_binds_every_entry_point():
+    """``instrumented()`` patches an entry point in every ``repro``
+    module already holding it by name; a module first imported while
+    patched would keep the wrapper.  So no module outside what
+    ``PRELOAD`` imports may bind a module-level entry point by name."""
+    script = textwrap.dedent(f"""
+        import importlib, pkgutil, sys
+        sys.path.insert(0, {str(PERFBENCH)!r})
+        import spans
+        for name in spans.PRELOAD:
+            importlib.import_module(name)
+        preloaded = set(sys.modules)
+        import repro
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(info.name)
+        raw = {{}}
+        for module_name, path, _ in spans.ENTRY_POINTS:
+            owner, attr = spans._resolve(module_name, path)
+            if not isinstance(owner, type):
+                raw[attr] = owner.__dict__[attr]
+        late = sorted(
+            f"{{name}}.{{attr}}"
+            for name, module in list(sys.modules.items())
+            if name.startswith("repro") and name not in preloaded
+            for attr, function in raw.items()
+            if module.__dict__.get(attr) is function)
+        print(" ".join(late))
+    """)
+    # The child resolves ``repro`` exactly as this process does.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    assert out.split() == []

@@ -26,6 +26,8 @@ from repro.serve import (
     encode_response,
     use_store,
 )
+from repro.eval.__main__ import main as eval_main
+import repro.serve.__main__ as serve_cli
 from repro.serve.protocol import serve_session
 from repro.serve.store import backend_state
 
@@ -202,6 +204,19 @@ class TestRunStore:
         with pytest.raises(CacheError) as excinfo:
             RunStore(rogue)
         assert str(rogue) in str(excinfo.value)
+
+    def test_directory_under_a_file_is_a_cache_error(self, tmp_path):
+        """``put`` and ``flush_stats`` create directories; failing to
+        is a :class:`CacheError` naming the path, not an OSError."""
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+        store = RunStore(blocker / "sub")
+        w, b = _cell(n=64)
+        with pytest.raises(CacheError, match="cannot create") as excinfo:
+            store.save(w, b, _record_for(w, b))
+        assert str(blocker) in str(excinfo.value)
+        with pytest.raises(CacheError, match="cannot create"):
+            store.flush_stats()
 
     def test_generation_partitions_by_fingerprint(self, tmp_path):
         w, b = _cell(n=64)
@@ -672,3 +687,18 @@ class TestProtocol:
 async def _aiter(lines):
     for line in lines:
         yield line
+
+
+def test_serve_cache_dir_under_a_file_exits_2(tmp_path, monkeypatch,
+                                              capsys):
+    """``--serve --cache-dir F/sub``: the session's closing stats flush
+    cannot create the store, which is one ``error:`` line, exit 2."""
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file")
+    monkeypatch.setattr(serve_cli, "_stdin_lines",
+                        lambda: _aiter([json.dumps({"op": "ping"})]))
+    monkeypatch.setattr(serve_cli, "_write_line", lambda line: None)
+    assert eval_main(["--serve", "--cache-dir",
+                      str(blocker / "sub")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith("error: cannot create cache directory")
