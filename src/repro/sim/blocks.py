@@ -12,11 +12,14 @@ forms a run of its own that never compiles.
 :func:`source` writes one run as one Python function.  Every rule of
 ``_step_int``, ``_step_fp``, ``_fpss_issue`` and ``_exec_frep`` is
 emitted in the same order with the run's constants baked in (register
-indices, immediates, latencies, port counts, queue depth, which
-registers are SSR streams), and the timing state lives in locals for
-the whole run: both issue times, stall counters and the static counter
-totals, which the run adds once on its way out.  Memory goes through
-the :class:`~repro.sim.memory.Memory` methods and SSRs through
+indices, immediates, latencies, whether a single writeback port is
+modelled and the mask of its reservation ring, which registers are SSR
+streams), and the timing state lives in locals for the whole run: both
+issue times, stall counters and the static counter totals, which the
+run adds once on its way out.  The writeback reservations and the
+dispatch queue are fixed-size windows, so every entry, however long
+its replay, compiles.  Memory goes through the
+:class:`~repro.sim.memory.Memory` methods and SSRs through
 ``peek_address``/``advance``, so every check still runs.  An op that
 raises leaves what the per-op path leaves: the handler writes back the
 locals, the static counters up to the faulting op and its pc.
@@ -26,9 +29,7 @@ has executed it about :data:`K` times its static length, counted over
 every core, cluster and cell of the process.  Runs live in one bounded
 pool, keyed by their pc, their code and a timing signature of every
 configuration value their source embeds, so equal code on other cores
-or in later cells shares one run's heat and compiled functions.  An
-entry whose writeback reservations could cross the scheduler's trim
-threshold runs per-op, so generated code never trims.
+or in later cells shares one run's heat and compiled functions.
 The per-op path stays the golden reference: cold runs, ``step()`` and
 machines with an obs sink or trace never leave it, and
 ``tests/test_blocks.py`` checks the two paths against each other.
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import re
 
-from . import scheduler as _scheduler
 from .decode import (
     F_BAD,
     F_COMPUTE,
@@ -185,8 +185,8 @@ class Run:
     steps, up to the next such op, before it checks the horizon
     again."""
 
-    __slots__ = ("ops", "head", "end", "steps", "frep", "sens",
-                 "int_adds", "fp_adds", "heat", "fns", "shared", "span")
+    __slots__ = ("ops", "head", "end", "steps", "frep", "sens", "heat",
+                 "fns", "shared", "span")
 
     def __init__(self, ops: list, head: int, top: list, end: int, cfg,
                  hot: bool, shared=None) -> None:
@@ -207,12 +207,6 @@ class Run:
             for idx in [i for is_fp, i in op.gather if is_fp]
             + [op.dest_idx] * (op.fp_op == F_COMPUTE)
             if idx < cfg.ssr_count})
-        # Writeback reservations per entry (per iteration for an frep),
-        # at most: an entry that could trim a set runs per-op.
-        self.int_adds = sum(1 for op in top if op.kind == K_INT
-                            and op.int_write_idx)
-        self.fp_adds = sum(1 for op in fp_ops
-                           if op.fp_op in (F_COMPUTE, F_LOAD))
         self.heat = 0
         self.fns = {} if hot and top else None
 
@@ -220,13 +214,6 @@ class Run:
         """The compiled function for this entry, or None (per-op)."""
         fns = self.fns
         if fns is None:
-            return None
-        frep = self.frep
-        fp_adds = self.fp_adds if frep is None \
-            else self.fp_adds * (sched._iregs[frep.aux0] + 1)
-        room = _scheduler._WB_TRIM_THRESHOLD
-        if len(sched.int_wb_busy) + self.int_adds > room \
-                or len(sched.fp_wb_busy) + fp_adds > room:
             return None
         key = _mode(sched, self.sens) if self.sens else 0
         fn = fns.get(key)
@@ -358,10 +345,9 @@ class _Writer:
     def __init__(self, sched, run: Run, key: int) -> None:
         self.run = run
         self.lat = sched._lat
-        self.int_hazard = sched._int_wb_hazard
-        self.int_ports = sched._int_wb_ports
-        self.fp_ports = sched._fp_wb_ports
-        self.depth_q = sched._queue_depth
+        self.int_port = sched._int_wb_port
+        self.fp_port = sched._fp_wb_port
+        self.wb_mask = sched._wb_mask
         self.fill = sched._ssr_fill_latency
         self.lat_fp_load = sched._lat_fp_load
         self.response = sched._fp_response_latency
@@ -463,16 +449,17 @@ class _Writer:
         self.put("if (u := mr.get(j + 1, 0)) > p: p = u")
         self.put(f"if {addr} & 3 and (u := mr.get(j + 2, 0)) > p: p = u")
 
-    def wb_port(self, busy: str, ports: int, lat: int,
+    def wb_port(self, busy: str, port: bool, lat: int,
                 stall: str) -> tuple[str, int]:
-        """Reserve a writeback slot for an op issued at ``s``; returns
-        the new issue time as (variable, offset)."""
-        if ports != 1:
-            self.put(f"{busy}.add(s + {lat})")
+        """Reserve a slot on the single writeback port, if modelled, for
+        an op issued at ``s``; returns the new issue time as (variable,
+        offset)."""
+        if not port:
             return "s", 0
+        slot = f"{busy}[w & {self.wb_mask}]"
         self.put(f"w = s + {lat}")
-        self.put(f"while w in {busy}: w += 1")
-        self.put(f"{busy}.add(w)")
+        self.put(f"while {slot} == w: w += 1")
+        self.put(f"{slot} = w")
         self.put(f"{self.stall(stall)} += w - {lat} - s")
         return "w", -lat
 
@@ -514,9 +501,7 @@ class _Writer:
             self.tcdm(4, _TCDM)
         lat = self.lat[pc]
         writes = op.int_write_idx
-        start = ("s", 0)
-        if writes and self.int_hazard:
-            start = self.wb_port("ib", self.int_ports, lat, _WB)
+        start = self.wb_port("ib", bool(writes) and self.int_port, lat, _WB)
         inline = op.special == S_HANDLER and self.handler(op, pc)
         done = _plus(start, lat)
         for r in writes:
@@ -582,9 +567,7 @@ class _Writer:
     # -- FP subsystem ---------------------------------------------------
     def dispatch(self, op, pc: int) -> None:
         """``_step_fp``: the queue, integer operands, then the issue."""
-        self.put("while q and q[0] < it: q.popleft()")
-        self.put(f"if len(q) >= {self.depth_q} and "
-                 f"(t := q.popleft() + 1) > it: "
+        self.put(f"if (t := q[0] + 1) > it: "
                  f"{self.stall(_QUEUE)} += t - it; it = t")
         for r in dict.fromkeys(op.int_read_idx):
             if r not in self.settled_int:
@@ -642,7 +625,7 @@ class _Writer:
                 self.count("ssr_writes")
                 self.put(f"mr[a >> 2] = mr[(a >> 2) + 1] = s + {lat}")
             else:
-                issued = self.wb_port("fb", self.fp_ports, lat, _FP_WB)
+                issued = self.wb_port("fb", self.fp_port, lat, _FP_WB)
                 self.put(f"F[{dest}] = {result}")
                 self.put(f"fr[{dest}] = {_plus(issued, lat)}")
                 self.settle(self.settled_fp, (dest,), lat)
@@ -653,7 +636,7 @@ class _Writer:
             self.probe8("a")
             self.put("if p > s: s = p")
             self.tcdm(op.width, _FP_TCDM)
-            issued = self.wb_port("fb", self.fp_ports, lat, _FP_WB)
+            issued = self.wb_port("fb", self.fp_port, lat, _FP_WB)
             if issued[0] != "s":
                 self.put(f"s = {_plus(issued, 0)}")
             self.mark(fetched)

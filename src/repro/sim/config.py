@@ -66,6 +66,9 @@ class CoreConfig:
             hazard (ablation switch, paper §III-A).
         model_l0_icache: Enable the L0 loop-buffer model (ablation switch,
             paper §III-B).
+
+    Construction raises :class:`ValueError` naming the field for a
+    negative latency or a depth, port count or buffer size below 1.
     """
 
     latencies: dict[OpClass, int] = field(
@@ -83,6 +86,17 @@ class CoreConfig:
     fp_response_latency: int = 1
     model_int_wb_hazard: bool = True
     model_l0_icache: bool = True
+
+    def __post_init__(self) -> None:
+        for opclass, latency in self.latencies.items():
+            if latency < 0:
+                raise ValueError(f"latencies[{opclass.name}] must be >= 0, "
+                                 f"got {latency}")
+        for name in ("fpss_queue_depth", "int_wb_ports", "fp_wb_ports",
+                     "frep_buffer_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
 
     def latency(self, opclass: OpClass) -> int:
         return self.latencies[opclass]

@@ -3,7 +3,10 @@
 The :class:`Scheduler` owns everything *timing*: the integer and FPSS
 issue timelines, the per-register-file scoreboards, writeback-port
 reservations, the core→FPSS dispatch queue, memory-RAW publication
-times, region measurements and all performance counters.  Architectural
+times, region measurements and all performance counters.  The
+reservations and the queue are fixed-size windows (a tagged ring per
+register file, the issue times of the last queue-depth dispatches):
+neither grows with the run, so neither is ever trimmed.  Architectural
 state (register files, memory, SSR movers) stays on the owning
 :class:`~repro.sim.machine.Machine`, which the bound functional handlers
 mutate.
@@ -59,8 +62,6 @@ from ..obs.timeline import TraceEvent
 _MASK32 = 0xFFFFFFFF
 _HALT_PC = 1 << 60
 
-#: Writeback-reservation sets are trimmed once they exceed this size.
-_WB_TRIM_THRESHOLD = 8192
 #: The :meth:`Scheduler.drain` horizon of a core no other core waits on.
 NO_HORIZON = 1 << 62
 
@@ -83,8 +84,8 @@ class Scheduler:
         "barrier_wait", "barrier_arrival", "_ops", "_n_ops", "_lat",
         "_pc", "_steps", "_max_steps",
         # config snapshot
-        "_lat_fp_load", "_int_wb_hazard", "_int_wb_ports",
-        "_fp_wb_ports", "_queue_depth", "_branch_penalty",
+        "_lat_fp_load", "_int_wb_port", "_fp_wb_port", "_wb_mask",
+        "_branch_penalty",
         "_ssr_fill_latency", "_fp_response_latency", "_signature",
         # machine snapshot
         "_iregs", "_fregs", "_mem", "_ssrs", "_n_ssrs", "_claim",
@@ -100,9 +101,17 @@ class Scheduler:
         self.int_ready = [0] * 32
         self.fp_ready = [0] * 32
         self.mem_ready: dict[int, int] = {}
-        self.int_wb_busy: set[int] = set()
-        self.fp_wb_busy: set[int] = set()
-        self.fpss_queue: deque[int] = deque()
+        # Writeback reservations, a tagged ring per register file: cycle
+        # w is reserved iff ``busy[w & mask] == w``.  Issue times only
+        # grow, so every reservation a later op can meet lies within
+        # the largest latency of its timeline's time: no two collide.
+        size = 1 << (max(cfg.latencies.values()) + 1).bit_length()
+        self._wb_mask = size - 1
+        self.int_wb_busy, self.fp_wb_busy = [-1] * size, [-1] * size
+        # The issue times of the last ``depth`` dispatches, the most the
+        # queue holds: a dispatch waits on the oldest.
+        depth = cfg.fpss_queue_depth
+        self.fpss_queue: deque[int] = deque([-1] * depth, maxlen=depth)
         self.counters = Counters()
         #: Counter storage; the hot loop bumps fields through this dict.
         self._cd = self.counters.__dict__
@@ -125,10 +134,10 @@ class Scheduler:
     def _snapshot_config(self) -> None:
         cfg = self.cfg
         self._lat_fp_load = cfg.latencies[OpClass.FP_LOAD]
-        self._int_wb_hazard = cfg.model_int_wb_hazard
-        self._int_wb_ports = cfg.int_wb_ports
-        self._fp_wb_ports = cfg.fp_wb_ports
-        self._queue_depth = cfg.fpss_queue_depth
+        # Reservations are only read, so only kept, with one port.
+        self._int_wb_port = (cfg.model_int_wb_hazard
+                             and cfg.int_wb_ports == 1)
+        self._fp_wb_port = cfg.fp_wb_ports == 1
         self._branch_penalty = cfg.taken_branch_penalty
         self._ssr_fill_latency = cfg.ssr_fill_latency
         self._fp_response_latency = cfg.fp_response_latency
@@ -181,11 +190,10 @@ class Scheduler:
         #: What compiled runs read of config and machine (their pool
         #: key; the frep buffer size only decides where a run ends).
         self._signature = (
-            tuple(map(latencies.get, OpClass)), self._int_wb_hazard,
-            self._int_wb_ports, self._fp_wb_ports, self._queue_depth,
-            self._branch_penalty, self._ssr_fill_latency,
-            self._fp_response_latency, self.l0.enabled,
-            self.cfg.ssr_count, self._claim is not None)
+            tuple(map(latencies.get, OpClass)), self._int_wb_port,
+            self._fp_wb_port, self._wb_mask, self._branch_penalty,
+            self._ssr_fill_latency, self._fp_response_latency,
+            self.l0.enabled, self.cfg.ssr_count, self._claim is not None)
 
     def step(self) -> bool:
         """Execute one dynamic instruction; False once finished."""
@@ -300,11 +308,6 @@ class Scheduler:
                 t = v
         return t
 
-    def _trim_wb(self, busy: set[int]) -> None:
-        """Cold path: bound the writeback-reservation set's size."""
-        floor = min(self.int_time, self.fp_time)
-        busy.intersection_update({t for t in busy if t >= floor})
-
     # ------------------------------------------------------------------
     # markers
     # ------------------------------------------------------------------
@@ -412,14 +415,12 @@ class Scheduler:
         # Writeback-port structural hazard (single int-RF write port).
         writes = op.int_write_idx
         wb = start + lat
-        if writes and self._int_wb_hazard:
+        if writes and self._int_wb_port:
             busy = self.int_wb_busy
-            if self._int_wb_ports == 1:
-                while wb in busy:
-                    wb += 1
-            busy.add(wb)
-            if len(busy) > _WB_TRIM_THRESHOLD:
-                self._trim_wb(busy)
+            mask = self._wb_mask
+            while busy[wb & mask] == wb:
+                wb += 1
+            busy[wb & mask] = wb
             issue = wb - lat
             if issue > start:
                 cd["stall_wb_port"] += issue - start
@@ -540,13 +541,10 @@ class Scheduler:
         # Dispatch-queue backpressure: a slot frees the cycle after the
         # FPSS issues the oldest queued instruction.
         queue = self.fpss_queue
-        while queue and queue[0] < disp:
-            queue.popleft()
-        if len(queue) >= self._queue_depth:
-            free_at = queue.popleft() + 1
-            if free_at > disp:
-                cd["stall_queue_full"] += free_at - disp
-                disp = free_at
+        free_at = queue[0] + 1
+        if free_at > disp:
+            cd["stall_queue_full"] += free_at - disp
+            disp = free_at
 
         # Integer operands (addresses, conversion sources) are read at
         # dispatch time on the core.
@@ -655,18 +653,17 @@ class Scheduler:
                 cd["ssr_writes"] += 1
                 self._mem_commit(addr, 8, start + lat)
             else:
-                busy = self.fp_wb_busy
                 wb = start + lat
-                if self._fp_wb_ports == 1:
-                    while wb in busy:
+                if self._fp_wb_port:
+                    busy = self.fp_wb_busy
+                    mask = self._wb_mask
+                    while busy[wb & mask] == wb:
                         wb += 1
-                busy.add(wb)
-                if len(busy) > _WB_TRIM_THRESHOLD:
-                    self._trim_wb(busy)
-                issue = wb - lat
-                if issue > start:
-                    cd["fp_stall_wb_port"] += issue - start
-                    start = issue
+                    busy[wb & mask] = wb
+                    issue = wb - lat
+                    if issue > start:
+                        cd["fp_stall_wb_port"] += issue - start
+                        start = issue
                 fregs[dest] = result
                 fp_ready[dest] = wb
         elif fp_op == F_LOAD:
@@ -679,18 +676,17 @@ class Scheduler:
                 if grant > start:
                     cd["fp_stall_tcdm"] += grant - start
                     start = grant
-            busy = self.fp_wb_busy
             wb = start + lat
-            if self._fp_wb_ports == 1:
-                while wb in busy:
+            if self._fp_wb_port:
+                busy = self.fp_wb_busy
+                mask = self._wb_mask
+                while busy[wb & mask] == wb:
                     wb += 1
-            busy.add(wb)
-            if len(busy) > _WB_TRIM_THRESHOLD:
-                self._trim_wb(busy)
-            issue = wb - lat
-            if issue > start:
-                cd["fp_stall_wb_port"] += issue - start
-                start = issue
+                busy[wb & mask] = wb
+                issue = wb - lat
+                if issue > start:
+                    cd["fp_stall_wb_port"] += issue - start
+                    start = issue
             dest = op.dest_idx
             if op.width == 8:
                 fregs[dest] = self._mem.read_f64(addr)

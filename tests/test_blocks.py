@@ -41,7 +41,7 @@ def _timing(machine):
     return (sched._pc, sched._steps, sched.int_time, sched.fp_time,
             dict(vars(sched.counters)), list(sched.int_ready),
             list(sched.fp_ready), dict(sched.mem_ready),
-            sorted(sched.int_wb_busy), sorted(sched.fp_wb_busy),
+            list(sched.int_wb_busy), list(sched.fp_wb_busy),
             list(sched.fpss_queue), sched.l0._lo, sched.l0._hi,
             {name: (time, vars(counters)) for name, (time, counters)
              in sched._region_open.items()},
@@ -229,27 +229,59 @@ def test_unaligned_8_byte_access_probes_three_words(path):
         assert machine.counters.fp_stall_ssr > 0
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """Log the pc of every call of the per-op ``Scheduler.<name>``."""
+    calls = []
+    method = getattr(Scheduler, name)
+
+    def counting(sched, *args):
+        calls.append(sched._pc)
+        return method(sched, *args)
+    monkeypatch.setattr(Scheduler, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ("mixed", "replay"))
-def test_writeback_trim_threshold_crossed(kind, monkeypatch):
-    """Runs long enough that the writeback-reservation sets cross the
-    trim threshold (lowered to 64), in straight code and in sequencer
-    replays: an entry that could trim runs per-op, the others compile,
-    and both leave the same sets."""
-    from repro.sim import scheduler
-    monkeypatch.setattr(scheduler, "_WB_TRIM_THRESHOLD", 64)
+def test_long_replays_compile(kind, monkeypatch):
+    """Entries that make more than 8192 writeback reservations each, a
+    sequencer replay of 2 x 4201 FP writes or a loop of 22k integer and
+    FP writes, compile at ``K`` = 0 and leave the per-op path's state:
+    only the marks and ``ret`` step per-op."""
     if kind == "replay":
-        body = (lambda b: b.li("t1", 5),
+        body = (lambda b: b.li("t1", 4200),
                 lambda b: b.frep_o("t1", 2),
                 lambda b: b.fmul_d("fa0", "fa0", "fa1"),
                 lambda b: b.fadd_d("fa2", "fa2", "fa1"))
-        writes = 40 * 6 * 2
+        trips = 3
     else:
         body = (lambda b: b.addi("t0", "t0", 1),
                 lambda b: b.fadd_d("fa0", "fa0", "fa1")) * 10
-        writes = 40 * 10
-    entries, machine, _ = check_paths(_loop(body, 40))
-    assert len(entries) >= 2
-    assert len(machine.sched.fp_wb_busy) < writes // 2
+        trips = 1000
+    build = _loop(body, trips)
+    entries, machine, _ = check_paths(build)
+    assert entries
+    steps = _count_calls(monkeypatch, "step")
+    with compiled(0):
+        program, memory = build()
+        assert Machine(memory=memory).run(program) == machine.result()
+    assert len(steps) == 3
+
+
+def test_warm_builds_replay_compiled(monkeypatch):
+    """Builds of poly_lcg/copift at n=4096 in one process: the first
+    replays its ``frep`` loops per-op until they are hot, and by the
+    third (the tail loop, entered once per build with 64 x 14 replay
+    issues, is hot after two) every entry of every loop, the hottest
+    replays included, runs compiled."""
+    freps = _count_calls(monkeypatch, "_exec_frep")
+    per_op = []
+    with compiled(blocks.K):
+        for _ in range(3):
+            freps.clear()
+            instance = KERNELS["poly_lcg"].build_copift(4096)
+            Machine(memory=instance.memory).run(instance.program)
+            per_op.append(len(freps))
+    assert per_op[0] and not per_op[-1]
 
 
 def _window(lo: int, hi: int):

@@ -1,5 +1,8 @@
 """CoreConfig / latency-table invariants and machine determinism."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import ProgramBuilder
@@ -32,6 +35,34 @@ class TestLatencyTable:
         config = CoreConfig()
         assert config.latency(OpClass.LOAD) \
             == DEFAULT_LATENCIES[OpClass.LOAD]
+
+
+class TestConfigValidation:
+    """A field the model cannot honour fails at construction, naming
+    the field, rather than mid-run or silently."""
+
+    def test_negative_latency(self):
+        with pytest.raises(ValueError,
+                           match=r"^latencies\[FP_DIV\] must be >= 0, "
+                                 r"got -1$"):
+            CoreConfig(latencies={**DEFAULT_LATENCIES, OpClass.FP_DIV: -1})
+
+    def test_zero_latency_is_allowed(self):
+        CoreConfig(latencies=dict.fromkeys(DEFAULT_LATENCIES, 0))
+
+    @pytest.mark.parametrize("field", ("fpss_queue_depth", "int_wb_ports",
+                                       "fp_wb_ports", "frep_buffer_size"))
+    @pytest.mark.parametrize("value", (0, -2))
+    def test_count_below_one(self, field, value):
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be >= 1, got {value}$"):
+            CoreConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ("fpss_queue_depth", "int_wb_ports",
+                                       "fp_wb_ports", "frep_buffer_size"))
+    def test_replace_validates(self, field):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(CoreConfig(), **{field: 0})
 
 
 _OPS = ["add", "sub", "xor", "and", "or", "sll", "srl", "mul",

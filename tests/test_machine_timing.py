@@ -7,7 +7,10 @@ queue backpressure, store→load forwarding through memory, cross-RF
 response latency, region markers, and the L0 loop buffer (§III-B).
 """
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.isa import ProgramBuilder
 from repro.sim import CoreConfig, Machine, SimulationError
@@ -145,6 +148,148 @@ class TestFpssDispatch:
         # The core never waits: 16 issue slots total.
         assert result.counters.stall_queue_full == 0
         assert result.cycles <= 17
+
+
+class _ReferenceWindows:
+    """The writeback reservations and the dispatch queue as growing
+    state, the rules the fixed-size windows replace, kept verbatim:
+    reservation sets trimmed below the slower timeline once they pass
+    *trim_at* entries, and a deque of the queued FP issue times."""
+
+    def __init__(self, ports: int, depth: int, trim_at: int) -> None:
+        self.ports, self.depth, self.trim_at = ports, depth, trim_at
+        self.int_time = self.fp_time = 0
+        self.int_wb_busy: set[int] = set()
+        self.fp_wb_busy: set[int] = set()
+        self.fpss_queue: deque[int] = deque()
+        self.stalls = {"stall_wb_port": 0, "fp_stall_wb_port": 0,
+                       "stall_queue_full": 0}
+
+    def _trim_wb(self, busy: set[int]) -> None:
+        floor = min(self.int_time, self.fp_time)
+        busy.intersection_update({t for t in busy if t >= floor})
+
+    def _reserve(self, busy: set[int], start: int, lat: int,
+                 stall: str) -> int:
+        """The issue time of an op ready to issue at *start*."""
+        wb = start + lat
+        if self.ports == 1:
+            while wb in busy:
+                wb += 1
+        busy.add(wb)
+        if len(busy) > self.trim_at:
+            self._trim_wb(busy)
+        issue = wb - lat
+        if issue > start:
+            self.stalls[stall] += issue - start
+        return issue
+
+    def int_op(self, lat: int) -> int:
+        """An integer op writing a register; its writeback cycle."""
+        issue = self._reserve(self.int_wb_busy, self.int_time, lat,
+                              "stall_wb_port")
+        self.int_time = issue + 1
+        return issue + lat
+
+    def fp_issue(self, earliest: int, lat: int) -> tuple[int, int]:
+        """An FP op writing a register; its issue and writeback cycle."""
+        start = max(self.fp_time, earliest)
+        issue = self._reserve(self.fp_wb_busy, start, lat,
+                              "fp_stall_wb_port")
+        self.fp_time = issue + 1
+        return issue, issue + lat
+
+    def dispatch(self, lat: int) -> tuple[int, int]:
+        """An FP op dispatched through the queue, then issued."""
+        disp = self.int_time
+        queue = self.fpss_queue
+        while queue and queue[0] < disp:
+            queue.popleft()
+        if len(queue) >= self.depth:
+            free_at = queue.popleft() + 1
+            if free_at > disp:
+                self.stalls["stall_queue_full"] += free_at - disp
+                disp = free_at
+        self.int_time = disp + 1
+        issue, wb = self.fp_issue(disp + 1, lat)
+        queue.append(issue)
+        return issue, wb
+
+
+@st.composite
+def _window_cases(draw):
+    """A latency table whose maximum sits at a power-of-two edge of the
+    reservation ring, port and queue counts, and a monotone sequence
+    of integer ops, sequencer issues and dispatches, each after a gap
+    and with a latency from 0 to that maximum."""
+    top = draw(st.sampled_from((0, 1, 14, 15, 16, 31, 32)))
+    latencies = {c: min(lat, top) for c, lat in DEFAULT_LATENCIES.items()}
+    latencies[OpClass.FP_DIV] = top
+    events = draw(st.lists(st.tuples(
+        st.sampled_from(("int", "fp", "dispatch")),
+        st.integers(0, 3), st.integers(0, top)), max_size=150))
+    return (top, latencies, draw(st.sampled_from((1, 2))),
+            draw(st.sampled_from((1, 2, 8))), events)
+
+
+class TestWindowsMatchReference:
+    """The reservation rings and the dispatch window give the cycles,
+    issue times and stalls of the growing sets and deque they replace,
+    driven through the scheduler's per-op rules with real micro-ops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_window_cases())
+    def test_windows_equal_the_reference(self, case):
+        top, latencies, ports, depth, events = case
+        config = CoreConfig(latencies=latencies, int_wb_ports=ports,
+                            fp_wb_ports=ports, fpss_queue_depth=depth)
+        ref = _ReferenceWindows(ports, depth, trim_at=16)
+        b = ProgramBuilder()
+        b.mul("a0", "a1", "a2")
+        b.fadd_d("fa0", "fa1", "fa2")
+        m = Machine(config=config)
+        m.bind(b.build(), 1 << 30)
+        sched = m.sched
+        int_op, fp_op = sched._ops
+        ring = 1 << (top + 1).bit_length()
+        assert len(sched.int_wb_busy) == len(sched.fp_wb_busy) == ring
+        for kind, gap, lat in events:
+            if kind == "fp":
+                sched._lat[1] = lat
+                earliest = ref.fp_time + gap
+                got = (sched._fpss_issue(fp_op, earliest, True),
+                       sched.fp_ready[10])
+                want = ref.fp_issue(earliest, lat)
+            else:
+                sched.int_time += gap
+                ref.int_time += gap
+                if kind == "int":
+                    sched._lat[0] = lat
+                    sched._step_int(int_op, 0)
+                    got, want = sched.int_ready[10], ref.int_op(lat)
+                else:
+                    sched._lat[1] = lat
+                    sched._step_fp(fp_op, 1)
+                    got = (sched.fpss_queue[-1], sched.fp_ready[10])
+                    want = ref.dispatch(lat)
+            assert got == want, (kind, gap, lat)
+            assert (sched.int_time, sched.fp_time) \
+                == (ref.int_time, ref.fp_time)
+        counters = vars(sched.counters)
+        assert {name: counters[name] for name in ref.stalls} == ref.stalls
+        assert len(sched.int_wb_busy) == len(sched.fp_wb_busy) == ring
+        assert len(sched.fpss_queue) == depth
+
+    @pytest.mark.parametrize("top, ring", ((0, 2), (1, 4), (14, 16),
+                                           (15, 32), (16, 32), (31, 64),
+                                           (32, 64)))
+    def test_ring_size(self, top, ring):
+        """The smallest power of two above the largest latency + 1."""
+        latencies = {c: min(lat, top) for c, lat in DEFAULT_LATENCIES.items()}
+        latencies[OpClass.FP_DIV] = top
+        sched = Machine(config=CoreConfig(latencies=latencies)).sched
+        assert len(sched.int_wb_busy) == len(sched.fp_wb_busy) == ring
+        assert sched.int_wb_busy == [-1] * ring
 
 
 class TestMemoryOrdering:
