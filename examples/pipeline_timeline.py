@@ -1,6 +1,6 @@
 """Visualizing pseudo dual-issue: the two issue lanes, cycle by cycle.
 
-Runs a small COPIFT block with instruction tracing enabled and prints
+Runs a small COPIFT block with an obs sink attached and prints
 the integer-core and FPSS issue lanes side by side.  Sequencer-issued
 FP instructions (marked ``<seq``) never occupy an integer issue slot —
 watching them stream next to the integer phase is the clearest way to
@@ -12,18 +12,20 @@ Run with::
 """
 
 from repro.kernels.expf import build_copift
-from repro.sim import (
-    Machine,
+from repro.obs import (
+    ObsSink,
     dual_issue_cycles,
     lane_utilization,
     render_timeline,
 )
+from repro.sim import Machine
 
 
 def main() -> None:
     instance = build_copift(96, block=32)
     machine = Machine(memory=instance.memory)
-    events = machine.enable_trace()
+    sink = ObsSink()
+    machine.attach_obs(sink)
     result = machine.run(instance.program)
     instance.verify(instance.memory, machine)
 
@@ -31,10 +33,10 @@ def main() -> None:
     mid = result.cycles // 2
     print("expf COPIFT, steady-state issue timeline "
           f"(cycles {mid}..{mid + 40}):\n")
-    print(render_timeline(events, start=mid, end=mid + 40))
+    print(render_timeline(sink.events, start=mid, end=mid + 40))
 
-    dual = dual_issue_cycles(events)
-    int_util, fp_util = lane_utilization(events, result.cycles)
+    dual = dual_issue_cycles(sink.events)
+    int_util, fp_util = lane_utilization(sink.events, result.cycles)
     print()
     print(f"total cycles:        {result.cycles}")
     print(f"dual-issue cycles:   {dual} "

@@ -6,7 +6,7 @@ observability stack attached:
 
 * an :class:`repro.obs.ObsSink` collecting structured events from the
   issue lanes and the DMA model,
-* the legacy per-instruction trace feeding the issue-timeline view,
+* the issue-timeline view drawn from the sink's issue events,
 * a cycle-attribution profile derived from the main region, and
 * a Chrome/Perfetto trace-event file written to disk and validated.
 
@@ -52,7 +52,6 @@ def main() -> None:
     instance = build_copift(256, block=32)
     sink = ObsSink()
     machine = Machine(memory=instance.memory)
-    events = machine.enable_trace()  # per-instruction issue trace
     machine.attach_obs(sink, "core")
     result = machine.run(instance.program)
     instance.verify(instance.memory, machine)
@@ -60,9 +59,9 @@ def main() -> None:
     mid = result.cycles // 2
     print("dither COPIFT, steady-state issue timeline "
           f"(cycles {mid}..{mid + 24}):\n")
-    print(render_timeline(events, start=mid, end=mid + 24,
+    print(render_timeline(sink.events, start=mid, end=mid + 24,
                           show_pc=True))
-    dual = dual_issue_cycles(events)
+    dual = dual_issue_cycles(sink.events)
     print(f"\ndual-issue cycles: {dual} "
           f"({100 * dual / result.cycles:.0f}% of the run)\n")
 

@@ -29,6 +29,11 @@ SHARED_FLAGS = ("--list", "--n", "--full", "--cores", "--jobs",
                 "--out", "--json", "--trace", "--profile",
                 "--cache-dir", "--no-cache", "--serve")
 
+#: The shared flags that set an :class:`ArtifactRequest` field of the
+#: same name.  An artifact lists those it reads in ``reads``; the
+#: dispatcher rejects the rest as it rejects a foreign extra flag.
+REQUEST_FLAGS = ("n", "full", "cores")
+
 
 @dataclass(frozen=True)
 class ArtifactResult:
@@ -130,6 +135,9 @@ class ArtifactSpec:
     order: int = 100
     #: Artifact-specific CLI flags (beyond the shared set).
     flags: tuple[ExtraFlag, ...] = ()
+    #: The :data:`REQUEST_FLAGS` the artifact reads; a composite reads
+    #: every one that any of its members reads.
+    reads: tuple[str, ...] = ()
     #: Observability hook for ``--trace`` / ``--profile``:
     #: ``request -> (workload, backend)`` selecting the artifact's
     #: *representative cell* — the single workload x backend pair the
@@ -157,12 +165,19 @@ def artifact(name: str, help: str = "", sharded: bool = False,
              aliases: tuple[str, ...] = (),
              composite: bool = False, order: int = 100,
              flags: tuple[ExtraFlag, ...] = (),
+             reads: tuple[str, ...] = (),
              observe: Callable[[ArtifactRequest], tuple] | None = None
              ) -> Callable:
     """Register the decorated function as the artifact *name*."""
     def register(func: Callable) -> Callable:
         if name in REGISTRY or name in _ALIASES:
             raise ValueError(f"artifact {name!r} already registered")
+        unknown = set(reads) - set(REQUEST_FLAGS)
+        if unknown:
+            raise ValueError(
+                f"artifact {name!r} reads unknown request flags "
+                f"{sorted(unknown)}; known: {', '.join(REQUEST_FLAGS)}"
+            )
         # Key on dest, not name: '--foo-bar' and '--foo_bar' are
         # distinct names but collide on the argparse attribute the
         # dispatcher routes values by.  Registering the *same* flag
@@ -182,7 +197,8 @@ def artifact(name: str, help: str = "", sharded: bool = False,
                             sharded=sharded,
                             aliases=tuple(aliases),
                             composite=composite, order=order,
-                            flags=tuple(flags), observe=observe)
+                            flags=tuple(flags), reads=tuple(reads),
+                            observe=observe)
         REGISTRY[name] = spec
         for alias in spec.aliases:
             if alias in REGISTRY or alias in _ALIASES:

@@ -92,8 +92,8 @@ def run_batch_cells(backend: CoreBackend, items: list) -> list:
     :func:`~repro.api.backend.record_from_result` tail the scalar
     path uses.
     """
-    # Imported lazily so merely importing the API keeps working (with
-    # an actionable error on use) when numpy is absent.
+    # Imported lazily: a process that never batches never imports the
+    # batch engine, which keeps cold start short.
     from ..sim.batch import BatchEngine
 
     instances = [workload.build() for _, workload, _ in items]

@@ -19,7 +19,7 @@ Worker callables must be module-level functions (the pool pickles them
 by reference) taking exactly one cell argument.  The module lives in
 the API layer, not in :mod:`repro.eval`, so a pool worker unpickling
 :func:`run_cell` imports the API layer only, never the artifact
-modules; :mod:`repro.eval.parallel` re-exports every name.
+modules.
 """
 
 from __future__ import annotations

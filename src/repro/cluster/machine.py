@@ -143,7 +143,6 @@ class ClusterMachine:
         #: Scope this cluster emits under (``soc/cluster{c}`` inside a
         #: SoC, ``cluster0`` standalone).
         self.obs_scope = "cluster0"
-        self._tracing = False
 
     # ------------------------------------------------------------------
     def add_core(self, program: Program, memory: Memory) -> Machine:
@@ -169,8 +168,6 @@ class ClusterMachine:
         if self.obs is not None:
             machine.attach_obs(
                 self.obs, f"{self.obs_scope}/core{machine.core_id}")
-        if self._tracing:
-            machine.enable_trace()
         self.cores.append(machine)
         self._programs.append(program)
         return machine
@@ -189,13 +186,6 @@ class ClusterMachine:
         for machine in self.cores:
             machine.attach_obs(sink, f"{scope}/core{machine.core_id}")
 
-    def enable_trace(self) -> list[list]:
-        """Record issue events on every core (present and future);
-        returns the present cores' event lists (``cores[k].trace`` is
-        the live view)."""
-        self._tracing = True
-        return [machine.enable_trace() for machine in self.cores]
-
     # ------------------------------------------------------------------
     def _release_barrier(self, waiting: list[Machine],
                          finished: list[Machine]) -> None:
@@ -206,20 +196,21 @@ class ClusterMachine:
                 f"that cores {sorted(m.core_id for m in finished)} "
                 f"exited the program without reaching"
             )
-        release = max(m.barrier_arrival for m in waiting) \
+        scheds = [m.sched for m in waiting]
+        release = max(s.barrier_arrival for s in scheds) \
             + self.config.barrier_latency
         obs = self.obs
         if obs is not None:
-            first = min(m.barrier_arrival for m in waiting)
+            first = min(s.barrier_arrival for s in scheds)
             obs.emit(self.obs_scope, "barrier", "barrier", first,
                      release - first, "barrier",
                      {"cores": len(waiting),
                       "episode": self.barrier_count})
-        for m in waiting:
-            m.counters.stall_barrier += release - m.barrier_arrival
-            m.int_time = release
-            m.fp_time = max(m.fp_time, release)
-            m.barrier_wait = False
+        for s in scheds:
+            s.counters.stall_barrier += release - s.barrier_arrival
+            s.int_time = release
+            s.fp_time = max(s.fp_time, release)
+            s.barrier_wait = False
         self.barrier_count += 1
 
     def bind(self, max_steps: int = 200_000_000) -> None:

@@ -8,7 +8,7 @@ measurements through ``Workload``/``Backend``/``Sweep``;
 records for the figures.
 """
 
-from .parallel import default_jobs, run_sharded
+from ..api.parallel import default_jobs, run_sharded
 
 # Importing the artifact modules populates the ``repro.api`` artifact
 # registry, so library users see the same registry the CLI dispatches

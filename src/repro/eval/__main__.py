@@ -20,7 +20,8 @@ Artifacts may register **extra flags** of their own (``socscale
 --clusters``); the dispatcher pulls them from the registry and rejects
 a flag passed to an artifact that did not register it.  A flag may be
 shared by several artifacts (``--writeback`` belongs to both scaling
-sweeps).
+sweeps).  The shared ``--n``/``--full``/``--cores`` get the same
+check: an artifact takes only those it declares it reads.
 
 The subcommands are **registered artifacts** (``repro.api.artifact``):
 importing the artifact modules below fills the registry, and everything
@@ -227,22 +228,26 @@ def main(argv: list[str] | None = None) -> int:
             f"({', '.join(artifacts.sharded_names())}); artifact "
             f"{args.artifact!r} runs a single measurement"
         )
-    own_dests = {flag.dest for flag in spec.flags}
-    extras = {}
-    for dest, (flag, owners) in flag_owner.items():
-        value = getattr(args, dest)
-        if dest in own_dests:
-            extras[dest] = value
-        elif value != flag.default:
+    # The shared request flags join the ownership check: an artifact
+    # owns those it reads.
+    ownership = {dest: (f"--{dest}", parser.get_default(dest),
+                        [s for s in artifacts.specs() if dest in s.reads])
+                 for dest in artifacts.REQUEST_FLAGS}
+    ownership.update((dest, (flag.name, flag.default, owners))
+                     for dest, (flag, owners) in flag_owner.items())
+    own_dests = {flag.dest for flag in spec.flags} | set(spec.reads)
+    for dest, (name, default, owners) in ownership.items():
+        if dest not in own_dests and getattr(args, dest) != default:
             if len(owners) == 1:
                 where = f"artifact {owners[0].name!r}"
             else:
                 where = "artifacts " + ", ".join(
                     repr(o.name) for o in owners)
             parser.error(
-                f"{flag.name} applies to {where} only; artifact "
+                f"{name} applies to {where} only; artifact "
                 f"{args.artifact!r} does not take it"
             )
+    extras = {flag.dest: getattr(args, flag.dest) for flag in spec.flags}
 
     observing = bool(args.trace or args.profile)
     if observing and spec.observe is None:

@@ -311,6 +311,7 @@ LAYOUT_FLAG = ExtraFlag(
 
 
 @artifact("clusterscale", sharded=True, order=40,
+          reads=("n", "cores"),
           help="1/2/4/8-core cluster scaling of every kernel",
           flags=(WRITEBACK_FLAG, LAYOUT_FLAG),
           observe=observe_clusterscale)

@@ -12,6 +12,7 @@ from ..api.artifacts import ArtifactRequest, ArtifactResult, artifact, combine
 
 
 @artifact("all", sharded=True, composite=True, order=50,
+          reads=("n", "full", "cores"),
           help="every non-composite artifact, concatenated in order")
 def all_artifact(request: ArtifactRequest) -> ArtifactResult:
     results = [artifacts.get(name).run(request)

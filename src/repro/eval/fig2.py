@@ -234,6 +234,7 @@ def observe_fig2(request: ArtifactRequest) -> tuple:
 
 
 @artifact("fig2", aliases=("fig2a", "fig2b", "fig2c"), order=20,
+          reads=("n",),
           help="Figure 2 IPC / power / speedup / energy, all kernels",
           observe=observe_fig2)
 def fig2_artifact(request: ArtifactRequest) -> ArtifactResult:

@@ -149,7 +149,7 @@ def observe_fig3(request: ArtifactRequest) -> tuple:
             CoreBackend())
 
 
-@artifact("fig3", sharded=True, order=30,
+@artifact("fig3", sharded=True, order=30, reads=("full",),
           help="Figure 3 poly_lcg IPC over the block/problem grid",
           observe=observe_fig3)
 def fig3_artifact(request: ArtifactRequest) -> ArtifactResult:

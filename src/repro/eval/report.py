@@ -129,7 +129,7 @@ def generate_report(n: int = 2048, full_fig3: bool = False,
     return "\n".join(sections)
 
 
-@artifact("report", composite=True, order=60,
+@artifact("report", composite=True, order=60, reads=("n", "full"),
           help="self-contained markdown report of every figure/table")
 def report_artifact(request: ArtifactRequest) -> ArtifactResult:
     text = generate_report(n=request.effective_n(4096),

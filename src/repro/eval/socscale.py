@@ -212,7 +212,7 @@ def observe_socscale(request: ArtifactRequest) -> tuple:
                        writeback=request.extra("writeback", False)))
 
 
-@artifact("socscale", sharded=True, order=45,
+@artifact("socscale", sharded=True, order=45, reads=("n",),
           help="multi-cluster SoC scaling of every kernel",
           flags=(ExtraFlag(
               "--clusters",

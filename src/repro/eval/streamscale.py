@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 
 from ..api import ArtifactRequest, ArtifactResult, ExtraFlag, artifact
+from ..api.parallel import run_sharded
 from ..traffic import (
     POLICY_CHOICES,
     TrafficError,
@@ -39,7 +40,6 @@ from ..traffic import (
     stream_record,
     traffic_registry,
 )
-from .parallel import run_sharded
 
 #: Offered-load points, as fractions of estimated capacity.
 DEFAULT_LOADS = (0.3, 0.5, 0.7, 0.9, 1.1)

@@ -175,7 +175,7 @@ def observe_table1(request: ArtifactRequest) -> tuple:
     return Workload("expf", "copift", n=n), CoreBackend()
 
 
-@artifact("table1", order=10,
+@artifact("table1", order=10, reads=("n",),
           help="Table I kernel characteristics (mixes, TI, I', S')",
           observe=observe_table1)
 def table1_artifact(request: ArtifactRequest) -> ArtifactResult:

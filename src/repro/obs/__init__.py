@@ -20,8 +20,9 @@ One instrumentation layer spans the whole machine hierarchy:
   schema v4).
 * :class:`MetricsRegistry` names the derived measurements every
   artifact shares.
-* :class:`TraceEvent` / :func:`render_timeline` are the per-core
-  issue timeline.
+* :func:`render_timeline` / :func:`dual_issue_cycles` /
+  :func:`lane_utilization` read one core's issue events back as the
+  two-lane issue timeline.
 
 Everything here is import-cycle-free by design: no module under
 ``repro.obs`` imports from the rest of the repo (the package init uses
@@ -30,16 +31,16 @@ only the leaf helper :mod:`repro._lazy`).
 
 from .._lazy import lazy_exports
 
-# The simulator imports only ``repro.obs.timeline``; resolving the
-# rest on first use keeps the metrics and trace exporters out of
-# processes that never read them.
+# The simulator imports nothing from here; resolving names on first
+# use keeps the metrics and trace exporters out of processes that
+# never read them.
 __getattr__, __dir__ = lazy_exports(__name__, {
     "events": ("ObsEvent", "ObsSink"),
     "metrics": ("DEFAULT_METRICS", "METRIC_KINDS", "Histogram", "Metric",
                 "MetricsRegistry"),
     "profile": ("ProfileNode", "aggregate_profile", "core_profile",
                 "render_profile"),
-    "timeline": ("TraceEvent", "dual_issue_cycles", "lane_utilization",
+    "timeline": ("dual_issue_cycles", "lane_utilization",
                  "render_timeline"),
     "trace": ("chrome_trace", "validate_chrome_trace",
               "write_chrome_trace"),
@@ -54,7 +55,6 @@ __all__ = [
     "ObsEvent",
     "ObsSink",
     "ProfileNode",
-    "TraceEvent",
     "aggregate_profile",
     "chrome_trace",
     "core_profile",

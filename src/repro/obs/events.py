@@ -17,9 +17,9 @@ processes and lanes to threads; the cycle-attribution profiler
 (:mod:`repro.obs.profile`) uses the same scope names, so traces and
 profiles line up.
 
-This module imports nothing from the rest of the repo (the simulator
-imports *it*), which is what lets one layer observe every other
-without import cycles.
+This module imports nothing from the rest of the repo, and the
+simulator only calls the sink it is handed, which is what lets one
+layer observe every other without import cycles.
 """
 
 from __future__ import annotations

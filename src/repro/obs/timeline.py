@@ -1,44 +1,31 @@
-"""Per-core issue tracing and dual-issue timeline rendering.
+"""Dual-issue timeline rendering from one core's issue events.
 
-Enable with :meth:`Machine.enable_trace` — or, for whole hierarchies,
-:meth:`ClusterMachine.enable_trace` / :meth:`SocMachine.enable_trace`
-— before running; every issue event (integer core, FP dispatch, FPSS
-issue, sequencer replay) is recorded with its cycle.
-:func:`render_timeline` draws the two issue engines as parallel
-lanes — the overlap the whole paper is about becomes directly
-visible:
+Attach an :class:`~repro.obs.events.ObsSink` before running
+(``machine.attach_obs(ObsSink())``); every issue event (integer core,
+FP dispatch, FPSS issue, sequencer replay) lands on the core's ``int``
+or ``fp`` lane with its cycle.  :func:`render_timeline` draws the two
+issue engines as parallel lanes — the overlap the whole paper is
+about becomes directly visible:
 
     cycle     INT lane            FP lane
       112     addi                fmadd.d   <- sequencer
       113     lw                  fmul.d    <- sequencer
       ...
 
-Tracing costs one branch per instruction when disabled and is off by
-default.
+The functions here read one core's events (``sink.events`` of a
+standalone core) and skip every event that is not an ``issue`` or
+``dispatch`` (DMA marks, and other scopes' banks, links and barriers).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .events import ObsEvent
+
+_ISSUE = frozenset({"issue", "dispatch"})
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One issue event.
-
-    Attributes:
-        engine: ``int`` (integer core), ``fp`` (FPSS issue).
-        cycle: Issue cycle on that engine's timeline.
-        mnemonic: Instruction mnemonic.
-        pc: Static instruction index (None for sequencer replays).
-        sequencer: True when the FPSS issue came from the FREP buffer.
-    """
-
-    engine: str
-    cycle: int
-    mnemonic: str
-    pc: int | None = None
-    sequencer: bool = False
+def _issues(events: list[ObsEvent]) -> list[ObsEvent]:
+    return [e for e in events if e.cat in _ISSUE]
 
 
 def _fit(cell: str, width: int) -> str:
@@ -48,7 +35,7 @@ def _fit(cell: str, width: int) -> str:
     return f"{cell:<{width}}"
 
 
-def render_timeline(events: list[TraceEvent], start: int = 0,
+def render_timeline(events: list[ObsEvent], start: int = 0,
                     end: int | None = None, width: int = 18,
                     show_pc: bool = False) -> str:
     """Render both issue lanes side by side for cycles [start, end).
@@ -56,24 +43,26 @@ def render_timeline(events: list[TraceEvent], start: int = 0,
     Cycles where neither engine issues are elided with a ``...`` row —
     including a trailing one when the window ends inside a gap.  With
     ``show_pc=True`` each mnemonic carries its static instruction
-    index as ``#pc`` (sequencer replays have none).  Cells longer than
+    index as ``#pc`` (FPSS issues have none).  Cells longer than
     *width* are marked with a ``~`` instead of silently truncated.
     """
+    events = _issues(events)
     if end is None:
-        end = max((e.cycle for e in events), default=0) + 1
+        end = max((e.ts for e in events), default=0) + 1
     int_lane: dict[int, str] = {}
     fp_lane: dict[int, str] = {}
     for event in events:
-        if not start <= event.cycle < end:
+        if not start <= event.ts < end:
             continue
-        cell = event.mnemonic
-        if show_pc and event.pc is not None and event.pc >= 0:
-            cell += f" #{event.pc}"
-        if event.engine == "int":
-            int_lane[event.cycle] = cell
+        cell = event.name
+        args = event.args or {}
+        if show_pc and "pc" in args:
+            cell += f" #{args['pc']}"
+        if event.lane == "int":
+            int_lane[event.ts] = cell
         else:
-            suffix = "  <seq" if event.sequencer else ""
-            fp_lane[event.cycle] = cell + suffix
+            suffix = "  <seq" if args.get("seq") else ""
+            fp_lane[event.ts] = cell + suffix
     lines = [f"{'cycle':>7}  {'integer core':<{width}} {'FPSS':<{width}}"]
     lines.append("-" * (9 + 2 * width))
     gap = False
@@ -93,18 +82,20 @@ def render_timeline(events: list[TraceEvent], start: int = 0,
     return "\n".join(lines)
 
 
-def dual_issue_cycles(events: list[TraceEvent]) -> int:
+def dual_issue_cycles(events: list[ObsEvent]) -> int:
     """Number of cycles where both engines issued an instruction."""
-    int_cycles = {e.cycle for e in events if e.engine == "int"}
-    fp_cycles = {e.cycle for e in events if e.engine == "fp"}
+    events = _issues(events)
+    int_cycles = {e.ts for e in events if e.lane == "int"}
+    fp_cycles = {e.ts for e in events if e.lane == "fp"}
     return len(int_cycles & fp_cycles)
 
 
-def lane_utilization(events: list[TraceEvent],
+def lane_utilization(events: list[ObsEvent],
                      cycles: int) -> tuple[float, float]:
     """(integer, FP) issue-slot utilization over *cycles*."""
     if cycles == 0:
         return (0.0, 0.0)
-    int_count = sum(1 for e in events if e.engine == "int")
-    fp_count = sum(1 for e in events if e.engine == "fp")
+    events = _issues(events)
+    int_count = sum(1 for e in events if e.lane == "int")
+    fp_count = sum(1 for e in events if e.lane == "fp")
     return (int_count / cycles, fp_count / cycles)

@@ -18,8 +18,6 @@ from .machine import Machine, SimulationError
 from .memory import Allocator, Memory, MemoryError_
 from .scheduler import Scheduler
 from .ssr import SSR, SSRError, encode_cfg_imm, decode_cfg_imm
-from ..obs.timeline import TraceEvent, dual_issue_cycles, \
-    lane_utilization, render_timeline
 
 __all__ = [
     "Allocator",
@@ -37,10 +35,6 @@ __all__ = [
     "SSRError",
     "Scheduler",
     "SimulationError",
-    "TraceEvent",
     "decode_cfg_imm",
-    "dual_issue_cycles",
     "encode_cfg_imm",
-    "lane_utilization",
-    "render_timeline",
 ]

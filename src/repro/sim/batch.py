@@ -79,10 +79,7 @@ from __future__ import annotations
 import copy
 import weakref
 
-try:
-    import numpy as np
-except ImportError:          # pragma: no cover - numpy is a hard dep
-    np = None
+import numpy as np
 
 from . import batch_ops as vo
 from .config import CoreConfig
@@ -108,19 +105,10 @@ from .blocks import RunTable
 from .machine import Machine
 from .ssr import SSRError
 
-__all__ = ["BatchEngine", "require_numpy"]
+__all__ = ["BatchEngine"]
 
 _MASK32 = 0xFFFF_FFFF
 _HALT_PC = 1 << 60
-
-
-def require_numpy() -> None:
-    """One-line actionable gate for the optional-at-runtime numpy dep."""
-    if np is None:
-        raise RuntimeError(
-            "the batch engine requires numpy (`pip install numpy`); "
-            "re-run with batch=None to use the scalar engine"
-        )
 
 
 def _no_update() -> None:
@@ -190,7 +178,6 @@ class BatchEngine:
 
     def __init__(self, instances, config: CoreConfig | None = None,
                  max_steps: int = 200_000_000) -> None:
-        require_numpy()
         self.instances = list(instances)
         self.config = config
         self.max_steps = max_steps

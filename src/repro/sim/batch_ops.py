@@ -31,10 +31,7 @@ exactly; ``.s`` ops round through ``float32`` just like the scalar
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:          # pragma: no cover - numpy is a hard dep
-    np = None
+import numpy as np
 
 MASK32 = 0xFFFF_FFFF
 _INT32_MIN = -(2 ** 31)

@@ -31,7 +31,7 @@ pool, keyed by their pc, their code and a timing signature of every
 configuration value their source embeds, so equal code on other cores
 or in later cells shares one run's heat and compiled functions.
 The per-op path stays the golden reference: cold runs, ``step()`` and
-machines with an obs sink or trace never leave it, and
+machines with an obs sink never leave it, and
 ``tests/test_blocks.py`` checks the two paths against each other.
 
 Compiled runs also cover the cores of a cluster, which have a TCDM.
@@ -249,14 +249,14 @@ class RunTable:
 
     def __init__(self, sched) -> None:
         self.runs: list = [None] * sched._n_ops
-        self.hot = sched._trace is None and sched._obs is None
+        self.hot = sched._obs is None
         streams = range(sched._n_ssrs)
         self.shared = None
         if sched._claim is not None:
             self.shared = (lambda op: True) if sched._obs is not None \
                 else (lambda op: _shared(op, streams, streams))
         #: What every run of this bind depends on besides its code.
-        self.key = (sched._signature, sched._obs is None, self.hot)
+        self.key = (sched._signature, self.hot)
 
     def new(self, sched, pc: int, stop: int | None = None) -> Run:
         """The run entered at *pc*, ending before *stop* if given (the

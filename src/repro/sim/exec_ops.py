@@ -288,7 +288,7 @@ def _bind_amoadd_w(instr):
         memory.write_u32(addr, (old + iregs[src]) & _MASK32)
         if d:
             iregs[d] = old
-        m.counters.amo_ops += 1
+        m.sched.counters.amo_ops += 1
         return None
     return run
 
@@ -302,7 +302,7 @@ def _bind_dma_copy(instr):
         iregs = m.iregs
         nbytes = iregs[length]
         m.memory.copy_within(iregs[dst], iregs[src], nbytes)
-        m.counters.dma_bytes_moved += nbytes
+        m.sched.counters.dma_bytes_moved += nbytes
         return None
     return run
 

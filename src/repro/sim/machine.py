@@ -37,7 +37,7 @@ Execution is split in four layers (one file each):
   a hot run of straight-line code (up to a branch or jump, or a whole
   ``frep`` loop) as generated Python with the same rules, once the
   per-op path has executed it about ``blocks.K`` times its length;
-  ``step()`` and machines with an obs sink or trace stay per-op;
+  ``step()`` and machines with an obs sink stay per-op;
 * :class:`Machine` (this module) — architectural state (register files,
   memory, SSR movers) and the stable ``bind``/``step``/``result``/
   ``run`` API the cluster driver and all tooling program against.
@@ -51,13 +51,12 @@ from .errors import SimulationError
 from .memory import Memory
 from .scheduler import Scheduler
 from .ssr import SSR
-from ..obs.timeline import TraceEvent
 
 __all__ = ["Machine", "SimulationError"]
 
 
 class Machine:
-    """Architectural state plus the two-timeline timing model."""
+    """Architectural state; :attr:`sched` owns all timing state."""
 
     def __init__(self, config: CoreConfig | None = None,
                  memory: Memory | None = None) -> None:
@@ -67,8 +66,6 @@ class Machine:
         self.fregs: list[float] = [0.0] * 32
         self.ssrs = [SSR(i) for i in range(self.config.ssr_count)]
         self.ssr_enabled = False
-        #: Issue-event log; None (disabled) unless enable_trace() ran.
-        self.trace: list[TraceEvent] | None = None
         #: Structured-event sink (repro.obs.ObsSink); None when off.
         self.obs = None
         #: Hierarchical scope this core emits under, e.g.
@@ -86,12 +83,6 @@ class Machine:
         self.cluster = None
         self.reset_timing()
 
-    def enable_trace(self) -> list[TraceEvent]:
-        """Record every issue event; returns the (live) event list."""
-        self.trace = []
-        self.sched._trace = self.trace
-        return self.trace
-
     def attach_obs(self, sink, scope: str = "core") -> None:
         """Emit structured events into *sink* under *scope*.
 
@@ -105,58 +96,11 @@ class Machine:
         self.sched._obs_scope = scope
 
     # ------------------------------------------------------------------
-    # timing state (owned by the Scheduler; delegated for compatibility)
+    # timing state (owned by the Scheduler: read ``sched.*``)
     # ------------------------------------------------------------------
     def reset_timing(self) -> None:
         """Discard all timing state (register/memory values persist)."""
         self.sched = Scheduler(self)
-
-    @property
-    def int_time(self) -> int:
-        return self.sched.int_time
-
-    @int_time.setter
-    def int_time(self, value: int) -> None:
-        self.sched.int_time = value
-
-    @property
-    def fp_time(self) -> int:
-        return self.sched.fp_time
-
-    @fp_time.setter
-    def fp_time(self, value: int) -> None:
-        self.sched.fp_time = value
-
-    @property
-    def counters(self):
-        return self.sched.counters
-
-    @property
-    def l0(self):
-        return self.sched.l0
-
-    @property
-    def barrier_wait(self) -> bool:
-        """True while parked at a cluster barrier (cluster sims only)."""
-        return self.sched.barrier_wait
-
-    @barrier_wait.setter
-    def barrier_wait(self, value: bool) -> None:
-        self.sched.barrier_wait = value
-
-    @property
-    def barrier_arrival(self) -> int:
-        """Time this core arrived at the barrier it is parked at."""
-        return self.sched.barrier_arrival
-
-    @barrier_arrival.setter
-    def barrier_arrival(self, value: int) -> None:
-        self.sched.barrier_arrival = value
-
-    @property
-    def now(self) -> int:
-        """Current elapsed time over both issue timelines."""
-        return self.sched.now
 
     # ------------------------------------------------------------------
     # main loop

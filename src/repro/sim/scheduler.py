@@ -57,7 +57,6 @@ from .decode import (
 from .blocks import RunTable
 from .errors import SimulationError
 from .icache import L0Cache
-from ..obs.timeline import TraceEvent
 
 _MASK32 = 0xFFFFFFFF
 _HALT_PC = 1 << 60
@@ -89,7 +88,7 @@ class Scheduler:
         "_ssr_fill_latency", "_fp_response_latency", "_signature",
         # machine snapshot
         "_iregs", "_fregs", "_mem", "_ssrs", "_n_ssrs", "_claim",
-        "_core_id", "_read_index", "_trace", "_obs", "_obs_scope",
+        "_core_id", "_read_index", "_obs", "_obs_scope",
         "horizon", "held", "_fault_time", "_table", "_waiting",  # drain()
     )
 
@@ -153,7 +152,6 @@ class Scheduler:
         self._claim = None if m.tcdm is None else m.tcdm.port(m.core_id)
         self._core_id = m.core_id
         self._read_index = m.memory.read_index
-        self._trace = m.trace
         self._obs = m.obs
         self._obs_scope = m.obs_scope
 
@@ -488,9 +486,6 @@ class Scheduler:
 
         self.int_time = start + 1
         cd["int_issued"] += 1
-        trace = self._trace
-        if trace is not None:
-            trace.append(TraceEvent("int", start, op.mnemonic, pc))
         obs = self._obs
         if obs is not None:
             obs.emit(self._obs_scope, "int", op.mnemonic, start, 1,
@@ -561,9 +556,6 @@ class Scheduler:
 
         self.int_time = disp + 1
         cd["fp_dispatched"] += 1
-        trace = self._trace
-        if trace is not None:
-            trace.append(TraceEvent("int", disp, op.mnemonic, pc))
         obs = self._obs
         if obs is not None:
             obs.emit(self._obs_scope, "int", op.mnemonic, disp, 1,
@@ -720,11 +712,6 @@ class Scheduler:
 
         self.fp_time = start + 1
         cd["fp_issued"] += 1
-        trace = self._trace
-        if trace is not None:
-            trace.append(TraceEvent("fp", start, op.mnemonic,
-                                    None if sequencer else -1,
-                                    sequencer))
         obs = self._obs
         if obs is not None:
             obs.emit(self._obs_scope, "fp", op.mnemonic, start, 1,

@@ -176,7 +176,6 @@ class SocMachine:
         self.obs = None
         #: Scope this SoC emits under (root of the hierarchy).
         self.obs_scope = "soc"
-        self._tracing = False
 
     # ------------------------------------------------------------------
     def attach_obs(self, sink, scope: str = "soc") -> None:
@@ -187,12 +186,6 @@ class SocMachine:
         self.obs_scope = self.interconnect.obs_scope = scope
         for cluster in self.clusters:
             cluster.attach_obs(sink, f"{scope}/cluster{cluster.cluster_id}")
-
-    def enable_trace(self) -> list[list[list]]:
-        """Record issue events on every core of every cluster (present
-        and future); returns the per-cluster, per-core event lists."""
-        self._tracing = True
-        return [cluster.enable_trace() for cluster in self.clusters]
 
     # ------------------------------------------------------------------
     def add_cluster(self, cluster_config: "ClusterConfig | None" = None
@@ -224,8 +217,6 @@ class SocMachine:
         if self.obs is not None:
             cluster.attach_obs(self.obs,
                                f"{self.obs_scope}/cluster{cluster_id}")
-        if self._tracing:
-            cluster.enable_trace()
         self.clusters.append(cluster)
         return cluster
 

@@ -85,7 +85,7 @@ def shared_calls():
 
     def logged_release(cluster, waiting, finished):
         log.append(("release", cluster.cluster_id, sorted(
-            (m.core_id, m.barrier_arrival) for m in waiting)))
+            (m.core_id, m.sched.barrier_arrival) for m in waiting)))
         return release(cluster, waiting, finished)
 
     BankedTcdm.port, TransferEngine.start = logged_port, logged_start

@@ -437,16 +437,6 @@ def test_sweep_validates_batch_eagerly():
         Sweep([Workload("expf", n=64)], batch=0)
 
 
-def test_numpy_gate_is_actionable(monkeypatch):
-    import repro.sim.batch as batch_mod
-
-    monkeypatch.setattr(batch_mod, "np", None)
-    with pytest.raises(RuntimeError, match="numpy"):
-        batch_mod.require_numpy()
-    with pytest.raises(RuntimeError, match="batch=None"):
-        BatchEngine([Workload("expf", n=64).build()])
-
-
 # ----------------------------------------------------------------------
 # Differential test: generated programs, batch vs scalar
 # (the generators live in tests/programs.py)

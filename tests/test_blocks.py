@@ -56,8 +56,6 @@ def _state(program, memory, config, max_steps, how, k=0, prepare=None):
     machine = Machine(config=config, memory=memory)
     if how == "obs":
         machine.attach_obs(ObsSink())
-    elif how == "trace":
-        machine.enable_trace()
     result = error = None
     with compiled(k) as entries:
         try:
@@ -81,20 +79,16 @@ def _state(program, memory, config, max_steps, how, k=0, prepare=None):
 
 def check_paths(build, config=None, max_steps=200_000_000, k=0,
                 prepare=None):
-    """Reference, compiled, obs-attached and traced runs agree; returns
-    the compiled run's entries, machine and state."""
+    """Reference (``step()``), compiled and obs-attached runs agree;
+    returns the compiled run's entries, machine and state."""
     config = config or CoreConfig()
     args = (config, max_steps)
-    reference, _, traced_ref = _state(*build(), *args, "trace", 0, prepare)
     step, none, _ = _state(*build(), *args, "step", 0, prepare)
     run, entries, machine = _state(*build(), *args, "run", k, prepare)
     obs, by_obs, _ = _state(*build(), *args, "obs", k, prepare)
-    assert run == step
+    assert run == step and not none
+    # An observed machine never compiles: it stays on the per-op path.
     assert obs == step and not by_obs
-    assert reference == step and not none
-    # A traced machine never compiles: its events are the per-op ones.
-    _, by_trace, traced = _state(*build(), *args, "trace", k, prepare)
-    assert not by_trace and traced.trace == traced_ref.trace
     return entries, machine, run
 
 
@@ -226,7 +220,7 @@ def test_unaligned_8_byte_access_probes_three_words(path):
     entries, machine, state = check_paths(build, config)
     assert entries and "misaligned" in state[2]
     if path == "ssr":
-        assert machine.counters.fp_stall_ssr > 0
+        assert machine.sched.counters.fp_stall_ssr > 0
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -325,7 +319,7 @@ def test_l0_window_over_nested_loops():
         entries, machine, _ = check_paths(
             build, CoreConfig(l0_icache_entries=size))
         assert entries
-        assert (machine.counters.icache_l0_hits > 0) == (size > 2)
+        assert (machine.sched.counters.icache_l0_hits > 0) == (size > 2)
 
 
 @pytest.mark.parametrize("count", (0, 1, 5))
@@ -576,22 +570,19 @@ def test_run_pool_key_covers_the_timing_signature():
 
 def test_observed_machines_stay_per_op_in_a_warm_pool():
     """Runs compiled for a plain machine are not entered by one with an
-    obs sink or a trace: their events equal those of a cold pool."""
+    obs sink: its events equal those of a cold pool."""
     def events(warm: bool):
         with compiled(0) as entries:
             if warm:
                 _outcomes(CoreConfig(), per_op=False)
             bound = len(entries)
-            (program, memory), (again, copy) = (_signature_loop(),
-                                                _signature_loop())
-            observed, traced = Machine(memory=memory), Machine(memory=copy)
+            program, memory = _signature_loop()
+            observed = Machine(memory=memory)
             sink = ObsSink()
             observed.attach_obs(sink)
-            trace = traced.enable_trace()
             observed.run(program)
-            traced.run(again)
             assert len(entries) == bound and bool(bound) == warm
-        return sink.events, trace
+        return sink.events
     assert events(warm=True) == events(warm=False)
 
 

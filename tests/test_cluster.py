@@ -297,9 +297,9 @@ class TestBarrier:
         result = cluster.run()
         assert result.barrier_count == 1
         # Both cores end at the same release time.
-        assert m0.int_time == m1.int_time
-        assert m1.counters.stall_barrier > \
-            m0.counters.stall_barrier
+        assert m0.sched.int_time == m1.sched.int_time
+        assert m1.sched.counters.stall_barrier > \
+            m0.sched.counters.stall_barrier
 
     def test_standalone_machine_treats_barrier_as_nop(self):
         b = ProgramBuilder()
@@ -353,15 +353,15 @@ class TestLaggardClock:
     def test_fully_parked_cluster_reports_parked_minimum(self):
         cluster = self._two_cores()
         cluster.bind()
-        cores = cluster.cores
-        while not all(m.barrier_wait for m in cores):
+        cores = [m.sched for m in cluster.cores]
+        while not all(s.barrier_wait for s in cores):
             assert cluster.step()
-            assert cluster.laggard_time == min(m.int_time for m in cores)
+            assert cluster.laggard_time == min(s.int_time for s in cores)
         # Core 1 parked long before core 0 arrived: it holds the clock.
         assert cores[1].int_time < cores[0].int_time
         assert cluster.laggard_time == cores[1].int_time
         assert cluster.step()                  # the barrier release
-        assert not any(m.barrier_wait for m in cores)
+        assert not any(s.barrier_wait for s in cores)
         release = cores[0].barrier_arrival + 4
         assert cores[0].int_time == cores[1].int_time == release
         assert cluster.laggard_time == release
@@ -370,16 +370,16 @@ class TestLaggardClock:
         cluster = self._two_cores()
         cluster.run()
         assert cluster.finished
-        assert cluster.laggard_time == max(m.int_time
+        assert cluster.laggard_time == max(m.sched.int_time
                                            for m in cluster.cores)
 
     def test_step_after_completion_keeps_returning_false(self):
         cluster = self._two_cores()
         cluster.run()
-        before = [m.int_time for m in cluster.cores]
+        before = [m.sched.int_time for m in cluster.cores]
         for _ in range(3):
             assert cluster.step() is False
-        assert [m.int_time for m in cluster.cores] == before
+        assert [m.sched.int_time for m in cluster.cores] == before
         assert cluster.finished
 
     def test_unbound_cluster_is_not_finished(self):
@@ -458,7 +458,8 @@ class TestTwoCoresOneBank:
             result.tcdm_bank_conflicts[bank]
         # ... and the stall cycles the cores observed equal the
         # arbiter's conflict tally exactly.
-        stalls = (m0.counters.stall_tcdm + m1.counters.stall_tcdm)
+        stalls = (m0.sched.counters.stall_tcdm
+                  + m1.sched.counters.stall_tcdm)
         assert stalls == result.tcdm_conflict_cycles
 
     def test_stagger_removes_lockstep_conflicts(self):

@@ -11,7 +11,7 @@ from repro.eval.__main__ import main
 from repro.eval.clusterscale import clusterscale_payload
 from repro.eval.socscale import socscale_payload
 from repro.eval.table1 import table1_payload
-from repro.eval.parallel import (
+from repro.api.parallel import (
     default_jobs,
     run_sharded,
     shard_evenly,
@@ -175,6 +175,34 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert "--clusters applies to artifact 'socscale' only" in err
         assert "'table1'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--cores", "2"],
+        ["table1", "--full"],
+        ["fig3", "--n", "7"],
+        ["streamscale", "--n", "0"],
+    ], ids=["table1-cores", "table1-full", "fig3-n", "streamscale-n"])
+    def test_shared_flag_the_artifact_ignores_rejected(self, argv,
+                                                        capsys):
+        """A shared flag the artifact would drop is one error line and
+        exit status 2, like a foreign extra flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--no-cache"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert f"{argv[1]} applies to artifacts" in errors[0]
+        assert f"artifact {argv[0]!r} does not take it" in errors[0]
+
+    def test_composites_read_every_flag_their_members_read(self):
+        members = {flag for name in artifacts.bundle_names()
+                   for flag in artifacts.get(name).reads}
+        assert set(artifacts.get("all").reads) == members
+        # report renders Table I, Figure 2 and Figure 3 itself.
+        assert set(artifacts.get("report").reads) == {"n", "full"}
 
     def test_bad_extra_flag_value_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -353,6 +381,10 @@ class TestArtifactRegistry:
                 "dup-flag-artifact",
                 flags=(ExtraFlag("--clusters"),))(lambda req: None)
         assert "dup-flag-artifact" not in artifacts.REGISTRY
+        with pytest.raises(ValueError, match="unknown request flags"):
+            artifacts.artifact("bad-reads-artifact",
+                               reads=("jobs",))(lambda req: None)
+        assert "bad-reads-artifact" not in artifacts.REGISTRY
 
     def test_extra_flag_dest_collision_rejected(self):
         """Distinct spellings sharing an argparse dest ('--a-b' vs

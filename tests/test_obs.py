@@ -20,9 +20,9 @@ from repro.obs import (
     METRIC_KINDS,
     Histogram,
     MetricsRegistry,
+    ObsEvent,
     ObsSink,
     ProfileNode,
-    TraceEvent,
     chrome_trace,
     render_profile,
     render_timeline,
@@ -393,22 +393,27 @@ class TestMetricKinds:
         assert registry.collect(object()) == {}
 
 
+def _issue(lane, ts, name, **args):
+    """One issue event as a core's obs sink records it."""
+    return ObsEvent("core", lane, name, ts, 1, "issue", args or None)
+
+
 class TestTimelineRendering:
     def test_trailing_gap_elided(self):
-        events = [TraceEvent("int", 0, "addi")]
+        events = [_issue("int", 0, "addi")]
         text = render_timeline(events, start=0, end=50)
         assert text.rstrip().endswith("...")
 
     def test_show_pc(self):
-        events = [TraceEvent("int", 0, "addi", pc=12)]
+        events = [_issue("int", 0, "addi", pc=12)]
         text = render_timeline(events, show_pc=True)
         assert "#12" in text
         assert "#" not in render_timeline(events)
 
     def test_wide_mnemonic_marked_not_misaligned(self):
         events = [
-            TraceEvent("int", 0, "a.very.long.mnemonic.indeed"),
-            TraceEvent("fp", 0, "fmadd.d"),
+            _issue("int", 0, "a.very.long.mnemonic.indeed"),
+            _issue("fp", 0, "fmadd.d"),
         ]
         text = render_timeline(events, width=10)
         row = next(line for line in text.splitlines()

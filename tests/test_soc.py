@@ -509,7 +509,7 @@ class TestHeapStepping:
         def watch(cluster, waiting, finished):
             other = soc.clusters[1].cores[0].sched
             if cluster.cluster_id == 0 and not other.finished:
-                arrival = max(m.barrier_arrival for m in waiting)
+                arrival = max(m.sched.barrier_arrival for m in waiting)
                 ahead.append(arrival > other.int_time + 40)
             return release(cluster, waiting, finished)
 

@@ -1,4 +1,4 @@
-"""Tracing tests: event capture and timeline rendering."""
+"""Issue timeline tests: obs issue-event capture and rendering."""
 
 import numpy as np
 
@@ -8,7 +8,8 @@ from repro.sim.ssr import (
     F_BOUND0, F_RPTR, F_STATUS, F_STRIDE0, F_WPTR, encode_cfg_imm,
 )
 from repro.obs import (
-    TraceEvent,
+    ObsEvent,
+    ObsSink,
     dual_issue_cycles,
     lane_utilization,
     render_timeline,
@@ -17,9 +18,15 @@ from repro.obs import (
 
 def _traced_run(builder, memory=None):
     machine = Machine(memory=memory)
-    events = machine.enable_trace()
+    sink = ObsSink()
+    machine.attach_obs(sink)
     result = machine.run(builder.build())
-    return events, result, machine
+    return sink.events, result, machine
+
+
+def _issue(lane, ts, name, **args):
+    """One issue event as a core's obs sink records it."""
+    return ObsEvent("core", lane, name, ts, 1, "issue", args or None)
 
 
 class TestEventCapture:
@@ -28,16 +35,16 @@ class TestEventCapture:
         b.addi("a0", "a0", 1)
         b.addi("a1", "a1", 1)
         events, _, _ = _traced_run(b)
-        assert [e.mnemonic for e in events] == ["addi", "addi"]
-        assert [e.cycle for e in events] == [0, 1]
-        assert all(e.engine == "int" for e in events)
+        assert [e.name for e in events] == ["addi", "addi"]
+        assert [e.ts for e in events] == [0, 1]
+        assert all(e.lane == "int" for e in events)
 
     def test_fp_dispatch_and_issue_both_recorded(self):
         b = ProgramBuilder()
         b.fadd_d("fa0", "fa1", "fa2")
         events, _, _ = _traced_run(b)
-        engines = sorted(e.engine for e in events)
-        assert engines == ["fp", "int"]
+        assert sorted((e.lane, e.cat) for e in events) \
+            == [("fp", "issue"), ("int", "dispatch")]
 
     def test_sequencer_flag(self):
         mem = Memory()
@@ -58,32 +65,32 @@ class TestEventCapture:
         b.fadd_d("ft1", "ft0", "fa1")
         b.ssr_disable()
         events, _, _ = _traced_run(b, memory=mem)
-        replays = [e for e in events if e.sequencer]
+        replays = [e for e in events if e.args == {"seq": True}]
         assert len(replays) == 3
-        assert all(e.engine == "fp" for e in replays)
+        assert all(e.lane == "fp" for e in replays)
 
     def test_disabled_by_default(self):
         b = ProgramBuilder()
         b.addi("a0", "a0", 1)
         machine = Machine()
         machine.run(b.build())
-        assert machine.trace is None
+        assert machine.obs is None and machine.sched._obs is None
 
 
 class TestAnalysis:
     def test_dual_issue_cycles(self):
         events = [
-            TraceEvent("int", 5, "addi"),
-            TraceEvent("fp", 5, "fadd.d"),
-            TraceEvent("int", 6, "addi"),
+            _issue("int", 5, "addi"),
+            _issue("fp", 5, "fadd.d"),
+            _issue("int", 6, "addi"),
         ]
         assert dual_issue_cycles(events) == 1
 
     def test_lane_utilization(self):
         events = [
-            TraceEvent("int", 0, "addi"),
-            TraceEvent("int", 1, "addi"),
-            TraceEvent("fp", 0, "fadd.d"),
+            _issue("int", 0, "addi"),
+            _issue("int", 1, "addi"),
+            _issue("fp", 0, "fadd.d"),
         ]
         int_util, fp_util = lane_utilization(events, cycles=4)
         assert int_util == 0.5
@@ -96,8 +103,8 @@ class TestAnalysis:
 class TestRendering:
     def test_render_contains_lanes(self):
         events = [
-            TraceEvent("int", 0, "addi"),
-            TraceEvent("fp", 1, "fmadd.d", sequencer=True),
+            _issue("int", 0, "addi"),
+            _issue("fp", 1, "fmadd.d", seq=True),
         ]
         text = render_timeline(events)
         assert "integer core" in text
@@ -106,15 +113,27 @@ class TestRendering:
 
     def test_gap_elision(self):
         events = [
-            TraceEvent("int", 0, "addi"),
-            TraceEvent("int", 100, "addi"),
+            _issue("int", 0, "addi"),
+            _issue("int", 100, "addi"),
         ]
         text = render_timeline(events)
         assert "..." in text
         assert len(text.splitlines()) < 10
 
+    def test_only_issue_events_are_read(self):
+        """DMA marks on the int lane and other lanes' events are not
+        issue slots."""
+        events = [
+            _issue("int", 0, "addi"),
+            ObsEvent("core", "int", "dma.start", 1, 1, "dma"),
+            ObsEvent("cluster0", "bank3", "tcdm", 1, 1, "tcdm"),
+        ]
+        assert render_timeline(events) == render_timeline(events[:1])
+        assert dual_issue_cycles(events) == 0
+        assert lane_utilization(events, 2) == (0.5, 0.0)
+
     def test_window(self):
-        events = [TraceEvent("int", c, "addi") for c in range(50)]
+        events = [_issue("int", c, "addi") for c in range(50)]
         text = render_timeline(events, start=10, end=12)
         assert "10" in text and "11" in text
         assert "     13" not in text
