@@ -7,14 +7,20 @@ energy model, and (when clustered) the shared-resource detail the
 cluster artifacts report (bank-conflict stalls, DMA traffic, barriers,
 per-core cycles).
 
-The JSON schema (:meth:`RunRecord.to_json` / :meth:`RunRecord.from_json`)
-is versioned: ``schema`` is bumped whenever a field changes meaning, so
-persisted payloads can be validated instead of silently reinterpreted.
+The dataclass declarations below are the JSON schema
+(:meth:`RunRecord.to_json` / :meth:`RunRecord.from_json`): one codec
+walks their fields, so a new field is persisted without further code.
+The schema is versioned: ``schema`` is bumped whenever a field changes,
+so persisted payloads can be validated instead of silently
+reinterpreted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
+from operator import attrgetter, itemgetter
+from typing import get_args, get_origin, get_type_hints
 
 from ..energy import PowerReport
 
@@ -72,37 +78,6 @@ class ClusterDetail:
     dma_bytes_written: int = 0
     writeback: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "cores": self.cores,
-            "tcdm_accesses": self.tcdm_accesses,
-            "tcdm_conflict_cycles": self.tcdm_conflict_cycles,
-            "tcdm_bank_conflicts": list(self.tcdm_bank_conflicts),
-            "dma_bytes": self.dma_bytes,
-            "dma_bytes_read": self.dma_bytes_read,
-            "dma_bytes_written": self.dma_bytes_written,
-            "dma_busy_cycles": self.dma_busy_cycles,
-            "barrier_count": self.barrier_count,
-            "core_cycles": list(self.core_cycles),
-            "writeback": self.writeback,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ClusterDetail":
-        return cls(
-            cores=data["cores"],
-            tcdm_accesses=data["tcdm_accesses"],
-            tcdm_conflict_cycles=data["tcdm_conflict_cycles"],
-            tcdm_bank_conflicts=tuple(data["tcdm_bank_conflicts"]),
-            dma_bytes=data["dma_bytes"],
-            dma_bytes_read=data["dma_bytes_read"],
-            dma_bytes_written=data["dma_bytes_written"],
-            dma_busy_cycles=data["dma_busy_cycles"],
-            barrier_count=data["barrier_count"],
-            core_cycles=tuple(data["core_cycles"]),
-            writeback=data["writeback"],
-        )
-
 
 @dataclass(frozen=True)
 class SocDetail:
@@ -139,41 +114,6 @@ class SocDetail:
     dma_bytes_read: int = 0
     dma_bytes_written: int = 0
     writeback: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "clusters": self.clusters,
-            "cores_per_cluster": self.cores_per_cluster,
-            "link_beats": list(self.link_beats),
-            "link_stall_cycles": list(self.link_stall_cycles),
-            "l2_bytes_read": self.l2_bytes_read,
-            "l2_bytes_written": self.l2_bytes_written,
-            "dma_bytes_read": self.dma_bytes_read,
-            "dma_bytes_written": self.dma_bytes_written,
-            "cluster_cycles": list(self.cluster_cycles),
-            "cluster_dma_stall_cycles":
-                list(self.cluster_dma_stall_cycles),
-            "barrier_count": self.barrier_count,
-            "writeback": self.writeback,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SocDetail":
-        return cls(
-            clusters=data["clusters"],
-            cores_per_cluster=data["cores_per_cluster"],
-            link_beats=tuple(data["link_beats"]),
-            link_stall_cycles=tuple(data["link_stall_cycles"]),
-            l2_bytes_read=data["l2_bytes_read"],
-            l2_bytes_written=data["l2_bytes_written"],
-            dma_bytes_read=data["dma_bytes_read"],
-            dma_bytes_written=data["dma_bytes_written"],
-            cluster_cycles=tuple(data["cluster_cycles"]),
-            cluster_dma_stall_cycles=tuple(
-                data["cluster_dma_stall_cycles"]),
-            barrier_count=data["barrier_count"],
-            writeback=data["writeback"],
-        )
 
 
 @dataclass(frozen=True)
@@ -212,39 +152,6 @@ class StreamClassStats:
     qos_beats: int = 0
     qos_stall_cycles: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "weight": self.weight,
-            "priority": self.priority,
-            "requests": self.requests,
-            "completed": self.completed,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "mean_queue_cycles": self.mean_queue_cycles,
-            "mean_service_cycles": self.mean_service_cycles,
-            "qos_beats": self.qos_beats,
-            "qos_stall_cycles": self.qos_stall_cycles,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StreamClassStats":
-        return cls(
-            name=data["name"],
-            weight=data["weight"],
-            priority=data["priority"],
-            requests=data["requests"],
-            completed=data["completed"],
-            p50=data["p50"],
-            p95=data["p95"],
-            p99=data["p99"],
-            mean_queue_cycles=data["mean_queue_cycles"],
-            mean_service_cycles=data["mean_service_cycles"],
-            qos_beats=data["qos_beats"],
-            qos_stall_cycles=data["qos_stall_cycles"],
-        )
-
 
 @dataclass(frozen=True)
 class StreamDetail:
@@ -278,38 +185,6 @@ class StreamDetail:
     cluster_busy_cycles: tuple[int, ...]
     classes: tuple[StreamClassStats, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "clusters": self.clusters,
-            "cores_per_cluster": self.cores_per_cluster,
-            "policy": self.policy,
-            "offered_rate": self.offered_rate,
-            "duration": self.duration,
-            "requests": self.requests,
-            "completed": self.completed,
-            "makespan": self.makespan,
-            "peak_queue_depth": self.peak_queue_depth,
-            "cluster_busy_cycles": list(self.cluster_busy_cycles),
-            "classes": [c.to_json() for c in self.classes],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StreamDetail":
-        return cls(
-            clusters=data["clusters"],
-            cores_per_cluster=data["cores_per_cluster"],
-            policy=data["policy"],
-            offered_rate=data["offered_rate"],
-            duration=data["duration"],
-            requests=data["requests"],
-            completed=data["completed"],
-            makespan=data["makespan"],
-            peak_queue_depth=data["peak_queue_depth"],
-            cluster_busy_cycles=tuple(data["cluster_busy_cycles"]),
-            classes=tuple(StreamClassStats.from_json(c)
-                          for c in data["classes"]),
-        )
-
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -334,14 +209,16 @@ class RunRecord:
     counters: dict                   # main-region activity counters
     power: PowerReport
     cluster: ClusterDetail | None = None
-    soc: SocDetail | None = None
+    soc: SocDetail | None = field(default=None,
+                                  metadata={"json": "soc_detail"})
     seed: int | None = None
     #: Cycle-attribution tree (ProfileNode.to_json()) when the run was
     #: observed (``obs`` knob); None otherwise.
     profile: dict | None = None
     #: Open-loop traffic detail (``repro.traffic``); None for closed
     #: fixed-n batch runs.
-    stream: StreamDetail | None = None
+    stream: StreamDetail | None = field(
+        default=None, metadata={"json": "stream_detail"})
 
     @property
     def instructions(self) -> int:
@@ -361,34 +238,7 @@ class RunRecord:
 
     def to_json(self) -> dict:
         """Stable, versioned JSON form (plain dict of primitives)."""
-        return {
-            "schema": SCHEMA_VERSION,
-            "kernel": self.kernel,
-            "variant": self.variant,
-            "n": self.n,
-            "block": self.block,
-            "seed": self.seed,
-            "backend": self.backend,
-            "cycles": self.cycles,
-            "total_cycles": self.total_cycles,
-            "int_instructions": self.int_instructions,
-            "fp_instructions": self.fp_instructions,
-            "ipc": self.ipc,
-            "counters": dict(self.counters),
-            "power": {
-                "cycles": self.power.cycles,
-                "dynamic_energy_pj": self.power.dynamic_energy_pj,
-                "constant_energy_pj": self.power.constant_energy_pj,
-                "breakdown_pj": dict(self.power.breakdown_pj),
-                "power_mw": self.power.power_mw,
-                "energy_pj": self.power.total_energy_pj,
-            },
-            "cluster": self.cluster.to_json() if self.cluster else None,
-            "soc_detail": self.soc.to_json() if self.soc else None,
-            "profile": dict(self.profile) if self.profile else None,
-            "stream_detail": self.stream.to_json()
-            if self.stream else None,
-        }
+        return {"schema": SCHEMA_VERSION, **_encode(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunRecord":
@@ -399,56 +249,108 @@ class RunRecord:
         """
         version = data.get("schema")
         if version != SCHEMA_VERSION:
-            hints = {
-                1: (" (v1 predates the SoC layer and lacks "
-                    "'soc_detail'; re-run the artifact to regenerate "
-                    "the payload)"),
-                2: (" (v2 predates the unified memory-traffic engine "
-                    "and lacks the per-direction "
-                    "'dma_bytes_read'/'dma_bytes_written' and "
-                    "'writeback' detail fields; re-run the artifact "
-                    "to regenerate the payload)"),
-                3: (" (v3 predates the observability layer and lacks "
-                    "the optional 'profile' cycle-attribution block; "
-                    "re-run the artifact to regenerate the payload)"),
-                4: (" (v4 predates the streaming-traffic layer and "
-                    "lacks the optional 'stream_detail' block; re-run "
-                    "the artifact to regenerate the payload)"),
-            }
             raise ValueError(
                 f"RunRecord schema mismatch: payload has "
                 f"{version!r}, this build reads {SCHEMA_VERSION}"
-                f"{hints.get(version, '')}"
+                f"{_STALE_HINTS.get(version, '')}"
             )
-        p = data["power"]
-        power = PowerReport(
-            cycles=p["cycles"],
-            dynamic_energy_pj=p["dynamic_energy_pj"],
-            constant_energy_pj=p["constant_energy_pj"],
-            breakdown_pj=dict(p["breakdown_pj"]),
-        )
-        cluster = ClusterDetail.from_json(data["cluster"]) \
-            if data.get("cluster") else None
-        soc = SocDetail.from_json(data["soc_detail"]) \
-            if data.get("soc_detail") else None
-        return cls(
-            kernel=data["kernel"],
-            variant=data["variant"],
-            n=data["n"],
-            block=data["block"],
-            seed=data["seed"],
-            backend=data["backend"],
-            cycles=data["cycles"],
-            total_cycles=data["total_cycles"],
-            int_instructions=data["int_instructions"],
-            fp_instructions=data["fp_instructions"],
-            ipc=data["ipc"],
-            counters=dict(data["counters"]),
-            power=power,
-            cluster=cluster,
-            soc=soc,
-            profile=dict(data["profile"])
-            if data.get("profile") else None,
-            stream=StreamDetail.from_json(data["stream_detail"])
-            if data.get("stream_detail") else None,
-        )
+        return _decode(cls, data)
+
+
+# -- the JSON codec ------------------------------------------------------
+#
+# The dataclass declarations above are the schema: a JSON key is its
+# field's name (or the field's ``json`` metadata), tuples travel as
+# lists, dicts are copied and nested dataclasses recurse.  Only what
+# JSON adds beyond the fields is stated here.
+
+#: Why a payload of an older schema cannot be read.
+_STALE_HINTS = {
+    1: (" (v1 predates the SoC layer and lacks 'soc_detail'; re-run the "
+        "artifact to regenerate the payload)"),
+    2: (" (v2 predates the unified memory-traffic engine and lacks the "
+        "per-direction 'dma_bytes_read'/'dma_bytes_written' and "
+        "'writeback' detail fields; re-run the artifact to regenerate "
+        "the payload)"),
+    3: (" (v3 predates the observability layer and lacks the optional "
+        "'profile' cycle-attribution block; re-run the artifact to "
+        "regenerate the payload)"),
+    4: (" (v4 predates the streaming-traffic layer and lacks the "
+        "optional 'stream_detail' block; re-run the artifact to "
+        "regenerate the payload)"),
+}
+
+#: Values written beside a part's fields for readers of the JSON; the
+#: decoder ignores them (they follow from the fields).
+_DERIVED = {
+    PowerReport: lambda p: {"power_mw": p.power_mw,
+                            "energy_pj": p.total_energy_pj},
+}
+
+#: Per class: the JSON keys, a getter of the field values from an
+#: instance, one of the values from a JSON dict (both in field order),
+#: and ``(index, encode, decode)`` of each value that is converted (any
+#: other, and None, is copied as it is).
+_PLANS: dict[type, tuple] = {}
+
+
+def _converters(hint):
+    """The ``(encode, decode)`` pair of one field type, or None."""
+    args = get_args(hint)
+    if type(None) in args:                          # X | None
+        return _converters(next(a for a in args if a is not type(None)))
+    if is_dataclass(hint):
+        return _encode, partial(_decode, hint)
+    origin = get_origin(hint) or hint
+    if origin is tuple:
+        pair = _converters(args[0])
+        if pair is None:
+            return list, tuple
+        enc, dec = pair
+        return ((lambda v: [enc(x) for x in v]),
+                (lambda v: tuple(dec(x) for x in v)))
+    if origin is dict:
+        return dict, dict
+    return None
+
+
+def _plan(cls) -> tuple:
+    """*cls*'s codec plan, built on first use.  ``cls(*values)`` takes
+    the values in field order, and every record part has more than one
+    field, so both getters return tuples."""
+    plan = _PLANS.get(cls)
+    if plan is None:
+        hints = get_type_hints(cls)
+        names = tuple(f.name for f in fields(cls))
+        keys = tuple(f.metadata.get("json", f.name) for f in fields(cls))
+        converted = tuple(
+            (i, *pair)
+            for i, pair in enumerate(_converters(hints[n]) for n in names)
+            if pair is not None)
+        plan = _PLANS[cls] = (keys, attrgetter(*names),
+                              itemgetter(*keys), converted)
+    return plan
+
+
+def _encode(part) -> dict:
+    """A record part's JSON form (a dict of primitives)."""
+    keys, attrs, _, converted = _plan(type(part))
+    values = list(attrs(part))
+    for i, enc, _ in converted:
+        if values[i] is not None:
+            values[i] = enc(values[i])
+    out = dict(zip(keys, values))
+    derive = _DERIVED.get(type(part))
+    if derive is not None:
+        out.update(derive(part))
+    return out
+
+
+def _decode(cls, data: dict):
+    """Rebuild a *cls* instance from :func:`_encode` output."""
+    _, _, items, converted = _plan(cls)
+    values = list(items(data))
+    for i, _, dec in converted:
+        if values[i] is not None:
+            values[i] = dec(values[i])
+    return cls(*values)

@@ -45,6 +45,19 @@ class Workload:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("kernel", "variant"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise CellError(f"{name} must be a string, got {value!r}")
+        for name in ("n", "block", "seed"):
+            value = getattr(self, name)
+            if value is None and name != "n":
+                continue                    # block/seed: builder default
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CellError(f"{name} must be an integer, got "
+                                f"{value!r}")
+        if self.seed is not None and self.seed < 0:
+            raise CellError(f"seed must be >= 0, got {self.seed}")
         if self.kernel not in KERNELS:
             raise CellError(
                 f"unknown kernel {self.kernel!r}; "

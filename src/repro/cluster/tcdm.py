@@ -259,10 +259,3 @@ class BankedTcdm:
     @property
     def total_conflict_cycles(self) -> int:
         return sum(s.stall_cycles for s in self.stats)
-
-    def conflict_rate(self) -> float:
-        """Conflict cycles per access (0.0 when idle)."""
-        accesses = self.total_accesses
-        if accesses == 0:
-            return 0.0
-        return self.total_conflict_cycles / accesses

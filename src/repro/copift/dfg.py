@@ -77,9 +77,6 @@ class DataFlowGraph:
     def cross_thread_deps(self) -> list[Dependency]:
         return [d for d in self.deps if d.is_cross_thread]
 
-    def deps_of_kind(self, kind: DepKind) -> list[Dependency]:
-        return [d for d in self.deps if d.kind is kind]
-
 
 def _classify_reg_dep(producer: Instruction, consumer: Instruction,
                       register: Register) -> DepKind:

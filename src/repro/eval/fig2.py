@@ -72,10 +72,6 @@ class Fig2Data:
     def peak_ipc(self) -> float:
         return max(r.measurement.copift.ipc for r in self.rows)
 
-    @property
-    def peak_speedup(self) -> float:
-        return max(r.measurement.speedup for r in self.rows)
-
     def worst_error(self, metric: str) -> tuple[Fig2Row, float]:
         """The kernel farthest from the paper in *metric* (``speedup``
         or ``energy_improvement``) and its error, measured/paper - 1."""

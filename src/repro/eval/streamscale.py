@@ -28,6 +28,7 @@ import argparse
 
 from ..api import ArtifactRequest, ArtifactResult, ExtraFlag, artifact
 from ..api.parallel import run_sharded
+from ..api.record import _encode
 from ..traffic import (
     POLICY_CHOICES,
     TrafficError,
@@ -161,7 +162,7 @@ def generate(loads: tuple[float, ...] = DEFAULT_LOADS,
             "makespan": pooled.makespan,
             "peak_queue_depth": pooled.peak_queue_depth,
             "metrics": registry.collect(pooled),
-            "classes": [c.stats().to_json() for c in pooled.classes],
+            "classes": [_encode(c.stats()) for c in pooled.classes],
             "record": record.to_json(),
         })
 

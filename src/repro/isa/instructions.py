@@ -85,10 +85,6 @@ class InstrSpec:
     mem_base_role: str | None = None
 
     @property
-    def int_dst_roles(self) -> frozenset[str]:
-        return _INT_DST_ROLES & set(self.roles)
-
-    @property
     def is_cross_rf(self) -> bool:
         """True when an FP-thread instruction touches the integer RF.
 

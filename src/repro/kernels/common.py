@@ -92,45 +92,3 @@ def load_f64_constants(builder: ProgramBuilder, alloc: Allocator,
         builder.fld(reg_name, 0, addr_reg)
 
 
-def emit_counted_loop(builder: ProgramBuilder, count_reg: str,
-                      bound_reg: str, label_stem: str,
-                      body: Callable[[ProgramBuilder], None],
-                      step: int = 1) -> None:
-    """Emit ``for (count = count; count != bound; count += step) body``.
-
-    The counter must be initialized before the call; the loop executes
-    at least once (kernels guarantee non-empty trips).
-    """
-    top = builder.fresh_label(label_stem)
-    builder.label(top)
-    body(builder)
-    builder.addi(count_reg, count_reg, step)
-    builder.bne(count_reg, bound_reg, top)
-
-
-@dataclass(frozen=True)
-class MixSample:
-    """Dynamically measured instruction mix of the main region."""
-
-    int_per_iter: float
-    fp_per_iter: float
-
-    def scaled(self, unroll: int) -> tuple[float, float]:
-        return self.int_per_iter * unroll, self.fp_per_iter * unroll
-
-
-def measure_mix(instance: KernelInstance,
-                config: CoreConfig | None = None,
-                unroll: int = 4) -> tuple[int, int]:
-    """Measure (int, fp) instructions per *unroll*-element group.
-
-    This is how the Table-I characteristics are produced: run the
-    kernel, take the main region's issued-instruction counts, normalize
-    per element and scale to the paper's 4-element loop iterations.
-    """
-    result, _ = instance.run(config=config, check=False)
-    region = result.region(MAIN_REGION)
-    n = instance.n
-    ints = round(region.counters.int_issued * unroll / n)
-    fps = round(region.counters.fp_issued * unroll / n)
-    return ints, fps

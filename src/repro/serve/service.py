@@ -202,10 +202,6 @@ class EvalService:
             out["store"].update(self.store.describe())
         return out
 
-    def render_stats(self) -> str:
-        """Aligned text table of the service counters."""
-        return self.registry.render(self.stats)
-
     async def close(self) -> None:
         """Shut the worker pool down and flush store stats."""
         if self._pool is not None:

@@ -50,7 +50,3 @@ class L0Cache:
             # A too-large loop continuously evicts the buffer.
             self._lo = -1
             self._hi = -1
-
-    def invalidate(self) -> None:
-        self._lo = -1
-        self._hi = -1

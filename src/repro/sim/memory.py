@@ -60,10 +60,6 @@ class Memory:
                 f"(requires {align}-byte alignment)"
             )
 
-    def check_range(self, addr: int, nbytes: int) -> None:
-        """Validate a bulk [addr, addr+nbytes) range (DMA transfers)."""
-        self._check(addr, nbytes)
-
     def copy_within(self, dst: int, src: int, nbytes: int) -> None:
         """Checked bulk copy (the DMA engines' functional data path).
 
@@ -192,8 +188,3 @@ class Allocator:
 
     def address(self, name: str) -> int:
         return self.symbols[name][0]
-
-    @property
-    def bytes_used(self) -> int:
-        """Total bytes from the heap base to the high-water mark."""
-        return self._next

@@ -229,7 +229,3 @@ class SSR:
     @property
     def exhausted(self) -> bool:
         return self._done
-
-    @property
-    def elements_remaining(self) -> int:
-        return self.total_elements - self.seq

@@ -572,6 +572,31 @@ class TestProtocol:
             assert fragment in message
             assert "\n" not in message
 
+    @pytest.mark.parametrize("change, fragment", [
+        ({"n": "abc"}, "n must be an integer, got 'abc'"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"n": 512.0}, "n must be an integer, got 512.0"),
+        ({"kernel": ["expf"]}, "kernel must be a string"),
+        ({"seed": "s"}, "seed must be an integer, got 's'"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ])
+    def test_mistyped_workload_rejected_before_any_run(self, change,
+                                                       fragment):
+        spec = dict({"kernel": "expf", "variant": "copift", "n": 512},
+                    **change)
+        line = json.dumps({"id": 5, "op": "run", "workload": spec})
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_request(line)
+        assert fragment in str(excinfo.value)
+        assert "\n" not in str(excinfo.value)
+        assert excinfo.value.request_id == 5
+        runner = _CountingRunner()
+        handled, responses = self._session([line], runner=runner)
+        assert handled == 1
+        assert responses == [{"id": 5, "ok": False,
+                              "error": str(excinfo.value)}]
+        assert runner.calls == []
+
     def test_bad_request_keeps_its_id(self):
         with pytest.raises(ProtocolError) as excinfo:
             decode_request('{"id": 42, "op": "run", '
@@ -583,7 +608,7 @@ class TestProtocol:
         assert json.loads(line) == {"id": 3, "ok": True,
                                     "status": "hit", "record": {}}
 
-    def _session(self, lines, store=None):
+    def _session(self, lines, store=None, runner=None):
         async def feed():
             for line in lines:
                 yield line
@@ -592,7 +617,7 @@ class TestProtocol:
 
         async def drive():
             service = EvalService(store=store,
-                                  runner=_CountingRunner())
+                                  runner=runner or _CountingRunner())
             handled = await serve_session(service, feed(),
                                           responses.append)
             await service.close()
