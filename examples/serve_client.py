@@ -8,9 +8,11 @@ its stdin/stdout:
 2. a **cold** ``run`` request (``pi_lcg`` copift on ``cluster:2``) —
    the service simulates it and persists the RunRecord in the
    content-addressed store;
-3. the **same** request again — answered from the store (``hit``),
-   no simulation, byte-identical record;
-4. ``stats`` — the serve-layer counters through the metrics registry;
+3. the **same** request again, twice — each a ``hit`` answered from
+   the store's in-memory tier (the cold request committed the entry),
+   no simulation, byte-identical records;
+4. ``stats`` — the serve-layer counters and host-latency percentiles
+   (µs) through the metrics registry;
 5. ``shutdown``.
 
 Run with::
@@ -63,24 +65,33 @@ def main() -> None:
                   f"n={record['n']} on {record['backend']}, "
                   f"{record['cycles']} cycles)")
 
-            warm = request(proc, {"id": 2, "op": "run",
-                                  "workload": cell,
-                                  "backend": "cluster:2"})
-            assert warm["ok"], warm
-            print(f"warm request: status={warm['status']}")
-            assert warm["status"] == "hit", warm["status"]
-            identical = (json.dumps(warm["record"], sort_keys=True)
-                         == json.dumps(record, sort_keys=True))
-            assert identical
-            print("warm record is byte-identical to the cold one")
+            for ident in (2, 3):
+                warm = request(proc, {"id": ident, "op": "run",
+                                      "workload": cell,
+                                      "backend": "cluster:2"})
+                assert warm["ok"], warm
+                print(f"warm request: status={warm['status']}")
+                assert warm["status"] == "hit", warm["status"]
+                identical = (json.dumps(warm["record"], sort_keys=True)
+                             == json.dumps(record, sort_keys=True))
+                assert identical
+                print("warm record is byte-identical to the cold one")
 
-            stats = request(proc, {"id": 3, "op": "stats"})["stats"]
+            stats = request(proc, {"id": 4, "op": "stats"})["stats"]
             print(f"stats: {stats['serve.requests']} requests, "
                   f"{stats['serve.hits']} hit / "
                   f"{stats['serve.misses']} miss; store at "
                   f"{stats['store']['dir']}")
+            for status in ("hit", "miss"):
+                name = f"serve.{status}_us"
+                print(f"{status} service time: "
+                      f"{stats[name + '.count']} requests, "
+                      + ", ".join(f"{tail} {stats[f'{name}.{tail}']} us"
+                                  for tail in ("p50", "p95", "p99")))
+            print(f"miss admission wait: p50 "
+                  f"{stats['serve.admit_wait_us.p50']} us")
 
-            bye = request(proc, {"id": 4, "op": "shutdown"})
+            bye = request(proc, {"id": 5, "op": "shutdown"})
             assert bye["shutdown"] is True
             print("shutdown acknowledged")
         finally:

@@ -66,10 +66,14 @@ class Backend(Protocol):
         ...
 
     def validate(self, workload: Workload) -> None:
-        """Raise ``ValueError`` if *workload* cannot run here.
+        """Raise ``ValueError`` if *workload* cannot run here, or
+        :class:`~repro.sim.memory.MemoryError_` if its data does not
+        fit a core's memory.
 
         Builds (or partitions) the workload without simulating it, so
-        a sweep can reject bad cells before any cell runs.
+        a sweep can reject bad cells before any cell runs.  Kernel
+        builders reserve their arrays before drawing inputs, so an
+        oversized *n* fails without allocating them.
         """
         ...
 

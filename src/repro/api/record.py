@@ -214,7 +214,7 @@ class RunRecord:
     seed: int | None = None
     #: Cycle-attribution tree (ProfileNode.to_json()) when the run was
     #: observed (``obs`` knob); None otherwise.
-    profile: dict | None = None
+    profile: dict | None = field(default=None, metadata={"tree": True})
     #: Open-loop traffic detail (``repro.traffic``); None for closed
     #: fixed-n batch runs.
     stream: StreamDetail | None = field(
@@ -261,8 +261,9 @@ class RunRecord:
 #
 # The dataclass declarations above are the schema: a JSON key is its
 # field's name (or the field's ``json`` metadata), tuples travel as
-# lists, dicts are copied and nested dataclasses recurse.  Only what
-# JSON adds beyond the fields is stated here.
+# lists, dicts are copied (a field with ``tree`` metadata, the nested
+# profile, down to its leaves) and nested dataclasses recurse.  Only
+# what JSON adds beyond the fields is stated here.
 
 #: Why a payload of an older schema cannot be read.
 _STALE_HINTS = {
@@ -314,6 +315,15 @@ def _converters(hint):
     return None
 
 
+def _copy_tree(tree):
+    """A copy of a JSON tree of dicts and lists, down to its leaves."""
+    if isinstance(tree, dict):
+        return {key: _copy_tree(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [_copy_tree(value) for value in tree]
+    return tree
+
+
 def _plan(cls) -> tuple:
     """*cls*'s codec plan, built on first use.  ``cls(*values)`` takes
     the values in field order, and every record part has more than one
@@ -325,7 +335,9 @@ def _plan(cls) -> tuple:
         keys = tuple(f.metadata.get("json", f.name) for f in fields(cls))
         converted = tuple(
             (i, *pair)
-            for i, pair in enumerate(_converters(hints[n]) for n in names)
+            for i, pair in enumerate(
+                (_copy_tree, _copy_tree) if f.metadata.get("tree")
+                else _converters(hints[f.name]) for f in fields(cls))
             if pair is not None)
         plan = _PLANS[cls] = (keys, attrgetter(*names),
                               itemgetter(*keys), converted)

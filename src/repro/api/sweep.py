@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..sim.memory import MemoryError_
 from .backend import Backend, parse_backend
 from .parallel import run_sharded, shard_hinted, validate_jobs
 from .record import RunRecord
@@ -163,9 +164,10 @@ class Sweep:
                 leaders[key] = i
             pending.append((i, w, b, check))
 
-        # Fail fast: a cell that cannot be built or partitioned raises
-        # here, before any cell simulates.  Seeds only change data, so
-        # cells differing only in seed are checked once.
+        # Fail fast: a cell that cannot be built or partitioned, or
+        # whose data does not fit the core's memory, raises here,
+        # before any cell simulates.  Seeds only change data, so cells
+        # differing only in seed are checked once.
         checked = set()
         for _, w, b, _ in pending:
             shape = (w.kernel, w.variant, w.n, w.block, b.spec)
@@ -174,7 +176,7 @@ class Sweep:
             checked.add(shape)
             try:
                 b.validate(w)
-            except ValueError as exc:
+            except (ValueError, MemoryError_) as exc:
                 raise CellError(f"{w.kernel}/{w.variant} n={w.n} on "
                                 f"{b.spec}: {exc}") from None
 

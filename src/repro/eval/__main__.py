@@ -59,6 +59,7 @@ import sys
 from ..api import CellError, artifacts
 from ..api.artifacts import ArtifactRequest, write_output
 from ..api.parallel import default_jobs
+from ..traffic import TrafficError
 
 
 def _parse_cores(text: str) -> tuple[int, ...]:
@@ -274,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{s.deduped} deduped, {s.stores} stored "
                   f"({store.root})", file=sys.stderr)
             store.flush_stats()
-    except (CacheError, CellError) as exc:
+    except (CacheError, CellError, TrafficError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text, payload = result.text, result.payload

@@ -31,7 +31,6 @@ from ..api.parallel import run_sharded
 from ..api.record import _encode
 from ..traffic import (
     POLICY_CHOICES,
-    TrafficError,
     TrafficResult,
     TrafficScenario,
     build_profiles,
@@ -270,14 +269,11 @@ def observe_streamscale(request: ArtifactRequest) -> tuple:
           ),
           observe=observe_streamscale)
 def streamscale_artifact(request: ArtifactRequest) -> ArtifactResult:
-    try:
-        payload = generate(
-            loads=request.extra("rate", DEFAULT_LOADS),
-            duration=request.extra("duration", DEFAULT_DURATION),
-            policy=request.extra("policy", "priority+qos"),
-            trace_file=request.extra("trace_file"),
-            jobs=request.jobs,
-        )
-    except TrafficError as exc:
-        raise SystemExit(f"streamscale: {exc}") from None
+    payload = generate(
+        loads=request.extra("rate", DEFAULT_LOADS),
+        duration=request.extra("duration", DEFAULT_DURATION),
+        policy=request.extra("policy", "priority+qos"),
+        trace_file=request.extra("trace_file"),
+        jobs=request.jobs,
+    )
     return ArtifactResult("streamscale", render(payload), payload)

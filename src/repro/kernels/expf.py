@@ -98,9 +98,12 @@ def build_baseline(n: int, seed: int = 7) -> KernelInstance:
         raise ValueError("n must be a multiple of 4")
     memory = Memory()
     alloc = Allocator(memory)
-    x = default_inputs(n, seed)
-    x_addr = alloc.alloc_array("x", x)
+    # Both arrays are reserved before any input is drawn, so an n the
+    # memory cannot hold fails here, not after allocating the inputs.
+    x_addr = alloc.alloc("x", 8 * n)
     y_addr = alloc.alloc("y", 8 * n)
+    x = default_inputs(n, seed)
+    memory.write_array(x_addr, x)
     t_addr = alloc.alloc_array("T", exp_table())
     ki_buf = alloc.alloc("ki", 8 * 4)
     t_buf = alloc.alloc("t", 8 * 4)
@@ -257,9 +260,12 @@ def build_copift(n: int, block: int = 64, seed: int = 7) -> KernelInstance:
 
     memory = Memory()
     alloc = Allocator(memory)
-    x = default_inputs(n, seed)
-    x_addr = alloc.alloc_array("x", x)
+    # Both arrays are reserved before any input is drawn, so an n the
+    # memory cannot hold fails here, not after allocating the inputs.
+    x_addr = alloc.alloc("x", 8 * n)
     y_addr = alloc.alloc("y", 8 * n)
+    x = default_inputs(n, seed)
+    memory.write_array(x_addr, x)
     t_addr = alloc.alloc_array("T", exp_table())
     # Rotated arena: 3 columns x [ki | w | y | t], each slot block*8 B.
     slot = 8 * block

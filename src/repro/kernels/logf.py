@@ -92,9 +92,12 @@ def build_baseline(n: int, seed: int = 11) -> KernelInstance:
         raise ValueError("n must be a multiple of 4")
     memory = Memory()
     alloc = Allocator(memory)
-    x = default_inputs(n, seed)
-    x_addr = alloc.alloc_array("x", x)
+    # Both arrays are reserved before any input is drawn, so an n the
+    # memory cannot hold fails here, not after allocating the inputs.
+    x_addr = alloc.alloc("x", 8 * n)
     y_addr = alloc.alloc("y", 8 * n)
+    x = default_inputs(n, seed)
+    memory.write_array(x_addr, x)
     t_addr = alloc.alloc_array("T", log_table())
     z_buf = alloc.alloc("z", 8 * 4)  # lo words stay zero
 
@@ -198,9 +201,12 @@ def build_copift(n: int, block: int = 64, seed: int = 11) -> KernelInstance:
 
     memory = Memory()
     alloc = Allocator(memory)
-    x = default_inputs(n, seed)
-    x_addr = alloc.alloc_array("x", x)
+    # Both arrays are reserved before any input is drawn, so an n the
+    # memory cannot hold fails here, not after allocating the inputs.
+    x_addr = alloc.alloc("x", 8 * n)
     y_addr = alloc.alloc("y", 8 * n)
+    x = default_inputs(n, seed)
+    memory.write_array(x_addr, x)
     t_addr = alloc.alloc_array("T", log_table())
     # Two rotated columns x [z | ki | idx], each slot block*8 bytes
     # (the idx slot holds 2*block uint32 indices = block*8 bytes too).

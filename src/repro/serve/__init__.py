@@ -9,7 +9,9 @@ cells hit the simulator.  Three layers:
   Entries are keyed by a hash over the workload spec, the backend's
   full configuration, the record schema version and the timing-model
   fingerprint (:func:`repro.api.timing_fingerprint`), so a source or
-  energy-constant change invalidates every key automatically.  Writes are write-temp-then-rename atomic.
+  energy-constant change invalidates every key automatically.  Writes
+  are write-temp-then-rename atomic; keys are memoized by value, and
+  each store answers repeated entries from a bounded in-memory tier.
 * :mod:`repro.serve.service` — :class:`EvalService`, a stdlib-asyncio
   front end over a persistent worker pool: coalesces duplicate
   in-flight requests (N clients asking for one cell trigger exactly

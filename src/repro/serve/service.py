@@ -17,10 +17,14 @@ in three tiers:
    module-level worker sweep sharding uses.  The result is persisted
    before the response goes out.
 
-Traffic counters (hit/miss/coalesced/in-flight) are published through
-the observability layer's :class:`~repro.obs.MetricsRegistry`
-(:func:`service_registry`), so the serve metrics carry the same
-name/unit/help discipline as every simulator metric.
+A request computes its content key once and hands it to the store
+lookup, the in-flight map and the save.  Traffic counters
+(hit/miss/coalesced/in-flight) and host-latency histograms (each
+request's service time by status, each miss's wait for admission, in
+µs) are published through the observability layer's
+:class:`~repro.obs.MetricsRegistry` (:func:`service_registry`), so the
+serve metrics carry the same name/unit/help discipline as every
+simulator metric.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ import asyncio
 import inspect
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 
 from ..api.parallel import run_cell
-from ..obs.metrics import Metric, MetricsRegistry
+from ..obs.metrics import Histogram, Metric, MetricsRegistry
 # ``cache_key`` is read through its module on each call, not bound by
 # name: this module loads on first use, possibly while a tracer has the
 # function wrapped, and a by-name copy would keep the wrapper.
@@ -41,17 +46,39 @@ from . import store as _store
 
 @dataclass
 class ServiceStats:
-    """Request counters of one service instance."""
+    """Request counters and host-latency histograms (µs) of one service
+    instance."""
 
     hits: int = 0
     misses: int = 0
     coalesced: int = 0
     in_flight: int = 0
     peak_in_flight: int = 0
+    #: Status (``hit``/``miss``/``coalesced``) -> the service time of
+    #: each answered request (a failed one counts only in its counter).
+    service_us: dict[str, Histogram] = field(default_factory=lambda: {
+        status: Histogram() for status in ("hit", "miss", "coalesced")})
+    #: Each miss's wait on the admission semaphore.
+    admit_wait_us: Histogram = field(default_factory=Histogram)
 
     @property
     def requests(self) -> int:
         return self.hits + self.misses + self.coalesced
+
+    def served(self, status: str, start: float) -> None:
+        """Record one request answered with *status*, begun at *start*
+        (a ``perf_counter`` reading)."""
+        self.service_us[status].record(_us_since(start))
+
+
+def _us_since(start: float) -> int:
+    return round((perf_counter() - start) * 1e6)
+
+
+def _latency(status: str) -> Metric:
+    return Metric(f"serve.{status}_us", "us",
+                  f"host service time of a {status} request",
+                  lambda s: s.service_us[status], kind="histogram")
 
 
 def service_registry() -> MetricsRegistry:
@@ -76,6 +103,10 @@ def service_registry() -> MetricsRegistry:
         Metric("serve.peak_in_flight", "cells",
                "most simulations admitted at once",
                lambda s: s.peak_in_flight),
+        *map(_latency, ("hit", "miss", "coalesced")),
+        Metric("serve.admit_wait_us", "us",
+               "host time a miss waited to be admitted",
+               lambda s: s.admit_wait_us, kind="histogram"),
     ])
     return registry
 
@@ -144,18 +175,21 @@ class EvalService:
         is identity-checked by the store; an uncacheable cell (custom
         backend state) always simulates and never coalesces.
         """
-        if self.store is not None:
-            record = self.store.lookup(workload, backend)
+        start = perf_counter()
+        store = self.store
+        key = (store.key_for(workload, backend) if store is not None
+               else _store.cache_key(workload, backend))
+        if key is not None and store is not None:
+            record = store.lookup(workload, backend, key=key)
             if record is not None:
                 self.stats.hits += 1
+                self.stats.served("hit", start)
                 return record, "hit"
-        key = (self.store.key_for(workload, backend)
-               if self.store is not None
-               else _store.cache_key(workload, backend))
         pending = self._inflight.get(key) if key is not None else None
         if pending is not None:
             self.stats.coalesced += 1
             record = await asyncio.shield(pending)
+            self.stats.served("coalesced", start)
             return record, "coalesced"
 
         future = asyncio.get_running_loop().create_future()
@@ -163,6 +197,7 @@ class EvalService:
             self._inflight[key] = future
         try:
             async with self._admit:
+                self.stats.admit_wait_us.record(_us_since(start))
                 self.stats.misses += 1
                 self.stats.in_flight += 1
                 self.stats.peak_in_flight = max(
@@ -171,9 +206,10 @@ class EvalService:
                     record = await self._simulate(workload, backend)
                 finally:
                     self.stats.in_flight -= 1
-            if self.store is not None:
-                self.store.save(workload, backend, record)
+            if key is not None and store is not None:
+                store.save(workload, backend, record, key=key)
             future.set_result(record)
+            self.stats.served("miss", start)
             return record, "miss"
         except BaseException as exc:
             if not future.done():

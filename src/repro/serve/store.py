@@ -25,6 +25,24 @@ entry — leftover ``*.tmp*`` files are ignored by lookups and
 overwritten harmlessly.  A *committed* entry that fails to parse, on
 the other hand, is reported loudly (:class:`CacheError` naming the
 file) instead of being silently recomputed.
+
+Two in-memory layers keep a repeated cell cheap; neither changes a key
+or a byte on disk:
+
+* :func:`cache_key` memoizes digests (at most :data:`KEY_MEMO_ENTRIES`)
+  under a by-value token of its inputs: the backend type, the
+  workload, the fingerprint and every backend field as an exact
+  scalar, frozen-dataclass or energy-model token.  A backend holding a
+  mutable config (``CoreConfig``, ``ClusterConfig``, ``SocConfig``)
+  has no such token and is keyed afresh on every call, so editing the
+  config between calls still moves its key.
+* Each :class:`RunStore` keeps the decoded JSON of the entries it
+  commits or reads, in an LRU of at most :data:`TIER_ENTRIES`, and
+  answers a repeated ``get`` from it.  A hit still decodes a fresh
+  :class:`RunRecord` and still checks the cell's identity.  An entry
+  cannot go stale, because keys are content addresses within one
+  fingerprint generation; but an entry another process deletes on
+  disk can still be answered from the tier.
 """
 
 from __future__ import annotations
@@ -33,6 +51,7 @@ import hashlib
 import itertools
 import json
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
@@ -121,21 +140,69 @@ def backend_state(backend) -> dict | None:
     return state
 
 
+def _token(value):
+    """*value* as a hashable token whose equality implies an identical
+    :func:`_stable_state`, or raise ``_Uncacheable``.
+
+    Scalars carry their type (``True == 1`` and ``0.0 == -0.0`` in
+    Python, not in JSON), floats their exact bits.  An energy model is
+    its type and parameters: the backend's ``==`` ignores it, the key
+    does not.  A mutable dataclass has no token.
+    """
+    kind = type(value)
+    if value is None or kind is str:
+        return value
+    if kind is bool or kind is int:
+        return kind, value
+    if kind is float:
+        return kind, value.hex()
+    if isinstance(value, EnergyModel):
+        return kind, _token(value.params)
+    if is_dataclass(kind) and kind.__dataclass_params__.frozen:
+        return (kind, *(_token(getattr(value, field.name))
+                        for field in fields(value)))
+    raise _Uncacheable(f"value of type {kind.__name__}")
+
+
+#: Most content keys :func:`cache_key` remembers.
+KEY_MEMO_ENTRIES = 4096
+
+_KEY_MEMO: dict[tuple, str | None] = {}
+
+
 def cache_key(workload: Workload, backend,
               fingerprint: str | None = None) -> str | None:
-    """Content address of one sweep cell, or None if uncacheable."""
+    """Content address of one sweep cell, or None if uncacheable.
+
+    Memoized by value (see the module docstring); a cell whose backend
+    has no by-value token is keyed afresh on every call.
+    """
+    if fingerprint is None:
+        fingerprint = timing_fingerprint()
+    try:
+        memo = (fingerprint, workload, _token(backend))
+    except _Uncacheable:
+        memo = None
+    else:
+        key = _KEY_MEMO.get(memo, memo)    # memo itself marks absence
+        if key is not memo:
+            return key
     state = backend_state(backend)
-    if state is None:
-        return None
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "fingerprint": fingerprint if fingerprint is not None
-        else timing_fingerprint(),
-        "workload": _stable_state(workload),
-        "backend": state,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    key = None
+    if state is not None:
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "fingerprint": fingerprint,
+            "workload": _stable_state(workload),
+            "backend": state,
+        }
+        blob = json.dumps(payload, sort_keys=True).encode()
+        key = hashlib.sha256(blob).hexdigest()
+    if memo is not None:
+        if len(_KEY_MEMO) >= KEY_MEMO_ENTRIES:
+            del _KEY_MEMO[next(iter(_KEY_MEMO))]
+        _KEY_MEMO[memo] = key
+    return key
 
 
 @dataclass
@@ -155,6 +222,9 @@ class StoreStats:
         return {"hits": self.hits, "misses": self.misses,
                 "stores": self.stores, "deduped": self.deduped}
 
+
+#: Most decoded entries one store keeps in memory (about 10 KB each).
+TIER_ENTRIES = 1024
 
 #: Unique temp-file suffixes within a process (os.replace makes the
 #: commit atomic; the counter only keeps concurrent writers from
@@ -188,6 +258,8 @@ class RunStore:
             else timing_fingerprint()
         self.generation = self.fingerprint[:16]
         self.stats = StoreStats()
+        #: Key -> the entry's decoded JSON, least recently used first.
+        self._tier: OrderedDict[str, dict] = OrderedDict()
 
     # -- paths ---------------------------------------------------------
 
@@ -214,27 +286,58 @@ class RunStore:
         return cache_key(workload, backend,
                          fingerprint=self.fingerprint)
 
-    def get(self, key: str) -> RunRecord | None:
+    def _remember(self, key: str, data: dict) -> None:
+        self._tier[key] = data
+        self._tier.move_to_end(key)
+        if len(self._tier) > TIER_ENTRIES:
+            self._tier.popitem(last=False)
+
+    def get(self, key: str, cell: tuple | None = None) -> RunRecord | None:
         """The stored record for *key*, or None (counted as a miss).
+
+        Answered from the in-memory tier when this store committed or
+        read the entry before; every call decodes a fresh record, so
+        mutating one cannot change a later hit.  *cell*, when given,
+        is the ``(kernel, variant, n, backend spec)`` the entry must
+        describe; a mismatch raises :class:`CacheError` on every hit
+        and keeps a mismatched file out of the tier.
 
         Raises :class:`CacheError` for a committed entry that cannot
         be parsed — a torn *temp* file never reaches this path, so any
         unreadable entry means on-disk corruption the user should see.
         """
-        path = self.entry_path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except (FileNotFoundError, NotADirectoryError):
-            self.stats.misses += 1
-            return None
-        try:
-            record = RunRecord.from_json(json.loads(text))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CacheError(
-                f"corrupt cache entry {path} ({exc}); delete the file "
-                f"(or the whole cache dir) or re-run with --no-cache"
-            ) from None
+        data = self._tier.get(key)
+        if data is not None:
+            record = RunRecord.from_json(data)
+        else:
+            path = self.entry_path(key)
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+            except (FileNotFoundError, NotADirectoryError):
+                self.stats.misses += 1
+                return None
+            try:
+                data = json.loads(text)
+                record = RunRecord.from_json(data)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CacheError(
+                    f"corrupt cache entry {path} ({exc}); delete the "
+                    f"file (or the whole cache dir) or re-run with "
+                    f"--no-cache"
+                ) from None
+        if cell is not None:
+            found = (record.kernel, record.variant, record.n,
+                     record.backend)
+            if found != cell:
+                raise CacheError(
+                    f"cache entry {self.entry_path(key)} holds "
+                    f"{found[0]}/{found[1]} n={found[2]} on "
+                    f"{found[3]!r} but its key describes "
+                    f"{cell[0]}/{cell[1]} n={cell[2]} on {cell[3]!r}; "
+                    f"delete the file or re-run with --no-cache"
+                )
+        self._remember(key, data)
         self.stats.hits += 1
         return record
 
@@ -244,7 +347,9 @@ class RunStore:
         The payload is staged in a uniquely-named temp file beside the
         entry and committed with ``os.replace``; a writer dying
         mid-write leaves only ignorable ``*.tmp*`` litter, never a
-        half-written committed entry.
+        half-written committed entry.  Once committed, the entry joins
+        the tier as the committed bytes parse, sharing nothing with
+        *record*.
         """
         self._makedirs(self.generation_dir)
         path = self.entry_path(key)
@@ -254,6 +359,7 @@ class RunStore:
             handle.write(blob)
             handle.write("\n")
         os.replace(tmp, path)
+        self._remember(key, json.loads(blob))
         self.stats.stores += 1
 
     # -- cell-level access (what Sweep/EvalService use) ----------------
@@ -272,22 +378,8 @@ class RunStore:
             key = self.key_for(workload, backend)
         if key is None:
             return None
-        record = self.get(key)
-        if record is None:
-            return None
-        found = (record.kernel, record.variant, record.n,
-                 record.backend)
-        wanted = (workload.kernel, workload.variant, workload.n,
-                  backend.spec)
-        if found != wanted:
-            raise CacheError(
-                f"cache entry {self.entry_path(key)} holds "
-                f"{found[0]}/{found[1]} n={found[2]} on {found[3]!r} "
-                f"but its key describes {wanted[0]}/{wanted[1]} "
-                f"n={wanted[2]} on {wanted[3]!r}; delete the file or "
-                f"re-run with --no-cache"
-            )
-        return record
+        return self.get(key, cell=(workload.kernel, workload.variant,
+                                   workload.n, backend.spec))
 
     def save(self, workload: Workload, backend, record: RunRecord,
              key: str | None = None) -> None:

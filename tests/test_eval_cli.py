@@ -216,14 +216,48 @@ class TestArgumentValidation:
          "does not chunk evenly over 3 clusters x 3 cores"),
         (["table1", "--n", "0"], "problem size must be >= 1, got 0"),
         (["fig2", "--n", "100"], "n must be a multiple of block"),
-    ], ids=["clusterscale", "socscale", "table1", "fig2"])
-    def test_bad_size_is_one_line_error(self, argv, message, capsys):
+        (["fig2", "--n", "65536"],
+         "logf/baseline n=65536 on core: allocation 'y'"),
+        (["fig2", "--n", "10000000"],
+         "allocation 'x' of 80000000 bytes does not fit"),
+        (["streamscale", "--trace-file", "{missing}"],
+         "cannot read trace file {missing}"),
+    ], ids=["clusterscale", "socscale", "table1", "fig2",
+            "fig2-over-memory", "fig2-huge", "streamscale-trace-file"])
+    def test_bad_size_is_one_line_error(self, argv, message, tmp_path,
+                                        capsys):
+        missing = tmp_path / "missing.trace"
+        argv = [arg.format(missing=missing) for arg in argv]
         assert main([*argv, "--no-cache"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: ") and message in lines[0]
+        assert lines[0].startswith("error: ")
+        assert message.format(missing=missing) in lines[0]
+
+    @pytest.mark.parametrize("spec", ["core", "cluster:8", "soc:2x4"])
+    @pytest.mark.parametrize("kernel", ["logf", "expf"])
+    def test_oversized_n_fails_before_drawing_inputs(self, spec, kernel):
+        """A size no core memory can hold is rejected at validation
+        without drawing its inputs.  Each core's chunk here is 10**7
+        elements, whose inputs would take 80 MB (n=10**9 on one core
+        would take 8 GB, too much to risk should this regress)."""
+        import tracemalloc
+
+        from repro.api import parse_backend
+        from repro.sim.memory import MemoryError_
+
+        backend = parse_backend(spec)
+        n = 10**7 * (1 if spec == "core" else 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError_, match="does not fit"):
+                backend.validate(Workload(kernel, "copift", n=n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
     @pytest.mark.parametrize("argv, flag", [
         (["table1", "--out", "{file}/x.txt"], "--out"),

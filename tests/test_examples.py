@@ -103,6 +103,8 @@ def test_serve_client():
     out = run_example("serve_client.py")
     assert "ping -> pong" in out
     assert "cold request: status=miss" in out
-    assert "warm request: status=hit" in out
-    assert "byte-identical" in out
+    assert out.count("warm request: status=hit") == 2
+    assert out.count("byte-identical") == 2
+    assert "hit service time: 2 requests, p50 " in out
+    assert "miss service time: 1 requests, p50 " in out
     assert "shutdown acknowledged" in out

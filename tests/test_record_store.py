@@ -1,16 +1,19 @@
 """RunRecords survive the result store unchanged.
 
-Every record the serve layer answers from disk went through
-``RunStore.put`` (``RunRecord.to_json``) and ``RunStore.get``
-(``RunRecord.from_json``).  Generated records (each optional block
-present or absent, tuples of several lengths, awkward floats) and real
-records from every backend rung must come back ``==`` the original,
-with byte-equal ``sort_keys`` JSON.  The persisted key names are
-pinned: they are the wire format, and changing one must bump
+Every record the serve layer answers went through ``RunStore.put``
+(``RunRecord.to_json``) and ``RunStore.get`` (``RunRecord.from_json``),
+from the store's in-memory tier or from disk.  Generated records (each
+optional block present or absent, tuples of several lengths, awkward
+floats) and real records from every backend rung must come back ``==``
+the original, with byte-equal ``sort_keys`` JSON, by both paths.  A
+record that a caller mutates, before or after it passed the store,
+must not change a later answer.  The persisted key names are pinned:
+they are the wire format, and changing one must bump
 ``SCHEMA_VERSION``.
 """
 
 import json
+import os
 import tempfile
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro.api import RunRecord, Workload, parse_backend
 from repro.api.record import SCHEMA_VERSION
-from repro.serve import RunStore
+import repro.serve.store as store_mod
+from repro.serve import CacheError, RunStore
 from repro.traffic import (
     build_profiles,
     default_scenario,
@@ -65,19 +69,23 @@ def _blob(record: RunRecord) -> str:
 
 
 def _through_store(records):
-    """Each record after a ``put``/``get`` round trip of one store."""
+    """Each record after a ``put``/``get`` round trip: answered by the
+    writing store (its tier) and by a fresh store (the disk)."""
     with tempfile.TemporaryDirectory() as root:
         store = RunStore(root, fingerprint="0" * 64)
         for i, record in enumerate(records):
             store.put(f"k{i}", record)
-        return [store.get(f"k{i}") for i in range(len(records))]
+        reader = RunStore(root, fingerprint="0" * 64)
+        return [(store.get(f"k{i}"), reader.get(f"k{i}"))
+                for i in range(len(records))]
 
 
 def _assert_round_trip(records):
     back = _through_store(records)
-    for original, again in zip(records, back):
-        assert again == original
-        assert _blob(again) == _blob(original)
+    for original, answers in zip(records, back):
+        for again in answers:
+            assert again == original
+            assert _blob(again) == _blob(original)
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,3 +154,95 @@ def test_persisted_keys_are_pinned(real_records):
                 seen["class"] |= set(stats)
     assert seen == PERSISTED_KEYS, \
         "a persisted key changed: bump SCHEMA_VERSION"
+
+
+# -- the in-memory tier ---------------------------------------------------
+
+CELL = ("pi_lcg", "copift", 512, "cluster:4")
+
+
+@pytest.fixture
+def observed(real_records):
+    """A record with a nested profile (cores under a cluster)."""
+    (record,) = [r for r in real_records if r.profile is not None]
+    assert record.profile["children"]
+    return record
+
+
+def _vandalize(record):
+    """Mutate every mutable part a caller can reach."""
+    record.counters["int_issued"] = -1
+    record.power.breakdown_pj.clear()
+    record.profile["children"][0]["cycles"] = -1
+    record.profile["children"].append({"scope": "bogus"})
+
+
+def test_a_mutated_hit_does_not_leak(tmp_path, observed):
+    store = RunStore(tmp_path, fingerprint="0" * 64)
+    store.put("k", observed)
+    first = store.get("k", cell=CELL)
+    _vandalize(first)
+    again = store.get("k", cell=CELL)
+    assert again == observed and _blob(again) == _blob(observed)
+    assert store.stats.hits == 2
+
+
+def test_a_mutated_put_argument_does_not_leak(tmp_path, observed):
+    record = RunRecord.from_json(observed.to_json())
+    store = RunStore(tmp_path, fingerprint="0" * 64)
+    store.put("k", record)
+    _vandalize(record)
+    again = store.get("k", cell=CELL)
+    assert again == observed and _blob(again) == _blob(observed)
+
+
+def test_tier_stays_at_its_bound(tmp_path, monkeypatch, real_records):
+    monkeypatch.setattr(store_mod, "TIER_ENTRIES", 3)
+    store = RunStore(tmp_path, fingerprint="0" * 64)
+    for i, record in enumerate(real_records):
+        store.put(f"k{i}", record)
+        assert len(store._tier) == min(i + 1, 3)
+    # Least recently used first out: k0 was evicted, reads from disk
+    # and re-enters; a hit makes k5 the most recent.
+    assert list(store._tier) == [f"k{i}" for i in range(4, 7)]
+    assert store.get("k0") == real_records[0]
+    assert list(store._tier) == ["k5", "k6", "k0"]
+    assert store.get("k5") == real_records[5]
+    assert list(store._tier) == ["k6", "k0", "k5"]
+
+
+def test_the_tier_answers_without_the_disk(tmp_path, observed):
+    """Documented: an entry another process deletes on disk can still
+    be answered from the tier (keys are content addresses, so the
+    answer is still right)."""
+    store = RunStore(tmp_path, fingerprint="0" * 64)
+    store.put("k", observed)
+    os.remove(store.entry_path("k"))
+    assert store.get("k") == observed
+    assert RunStore(tmp_path, fingerprint="0" * 64).get("k") is None
+
+
+def test_a_mismatched_entry_raises_on_every_hit(tmp_path, observed):
+    """An entry describing another cell raises whether it was read
+    from disk (and never enters the tier) or committed here."""
+    store = RunStore(tmp_path, fingerprint="0" * 64)
+    store.put("k", observed)
+    wrong = ("pi_lcg", "copift", 1024, "cluster:4")
+    reader = RunStore(tmp_path, fingerprint="0" * 64)
+    for _ in range(2):
+        for answering in (store, reader):
+            with pytest.raises(CacheError, match="n=1024"):
+                answering.get("k", cell=wrong)
+        assert "k" not in reader._tier
+    assert reader.get("k", cell=CELL) == observed
+
+
+def test_a_corrupt_entry_raises_on_every_read(tmp_path):
+    store = RunStore(tmp_path, fingerprint="0" * 64)
+    os.makedirs(store.generation_dir)
+    with open(store.entry_path("k"), "w", encoding="utf-8") as handle:
+        handle.write('{"schema": 5, "kernel": ')
+    for _ in range(2):
+        with pytest.raises(CacheError, match="corrupt cache entry"):
+            store.get("k")
+        assert "k" not in store._tier

@@ -12,7 +12,13 @@ import shutil
 
 import pytest
 
-from repro.api import CoreBackend, Sweep, Workload, timing_fingerprint
+from repro.api import (
+    CoreBackend,
+    Sweep,
+    Workload,
+    parse_backend,
+    timing_fingerprint,
+)
 from repro.api.backend import ClusterBackend
 import repro.api.fingerprint as fp_mod
 from repro.cluster import ClusterConfig
@@ -26,10 +32,13 @@ from repro.serve import (
     encode_response,
     use_store,
 )
+from repro.energy import EnergyModel, EnergyParams
 from repro.eval.__main__ import main as eval_main
 import repro.serve.__main__ as serve_cli
+import repro.serve.store as store_mod
 from repro.serve.protocol import serve_session
 from repro.serve.store import backend_state
+from repro.sim import CoreConfig
 
 
 def _cell(n=256, variant="baseline", kernel="pi_lcg"):
@@ -134,8 +143,94 @@ class TestCacheKey:
 
     def test_fingerprint_is_part_of_the_key(self):
         w, b = _cell()
-        assert cache_key(w, b, fingerprint="aaaa" * 16) \
-            != cache_key(w, b, fingerprint="bbbb" * 16)
+        keys = [cache_key(w, b, fingerprint=fp)
+                for fp in ("aaaa" * 16, "bbbb" * 16, "aaaa" * 16)]
+        assert keys[0] != keys[1]
+        assert keys[2] == keys[0]
+
+    #: Digests of one cell under a fixed fingerprint: entry file names.
+    #: Changing one orphans every stored entry of that cell.
+    PINNED = {
+        "core": "b028ea7c796062d5b4f3f4b6060e9a49"
+                "f06401b5317cc7f9c8e4540c0ec8c519",
+        "cluster:4+wb": "c14c3d41023e0b324c13f73238e5bbb3"
+                        "32202866baad4c386180a8caf2c2e508",
+        "soc:2x4": "68f3ff60b70a010b62b159f55b2fa888"
+                   "3f8cd077fb4401cf3a3e18b6a3f17dc2",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(PINNED))
+    def test_keys_are_pinned(self, spec, monkeypatch):
+        monkeypatch.setattr(store_mod, "_KEY_MEMO", {})
+        w = Workload("expf", "copift", n=1024)
+        for _ in range(2):                  # computed, then memoized
+            assert cache_key(w, parse_backend(spec),
+                             fingerprint="0" * 64) == self.PINNED[spec]
+
+
+class TestKeyMemo:
+    """``cache_key`` remembers digests by value: equal inputs share a
+    digest, inputs that encode differently never do."""
+
+    @staticmethod
+    def _fresh(workload, backend, monkeypatch):
+        """The digest computed with an empty memo."""
+        monkeypatch.setattr(store_mod, "_KEY_MEMO", {})
+        return cache_key(workload, backend)
+
+    @pytest.mark.parametrize("custom_first", [False, True],
+                             ids=["default-first", "custom-first"])
+    def test_energy_model_is_part_of_the_memo(self, custom_first,
+                                              monkeypatch):
+        # CoreBackend's == ignores its energy model (compare=False), so
+        # a memo keyed on the backend alone would serve the default
+        # model's key for a record priced with other constants.
+        w, default = _cell()
+        backends = [default] + [
+            CoreBackend(energy_model=EnergyModel(params))
+            for params in (EnergyParams(constant_mw=31.0),
+                           EnergyParams(fp_add_pj=-0.0),
+                           EnergyParams(fp_add_pj=0.0))]
+        assert all(b == default for b in backends)
+        fresh = [self._fresh(w, b, monkeypatch) for b in backends]
+        assert len(set(fresh)) == len(backends)
+        if custom_first:
+            backends, fresh = backends[::-1], fresh[::-1]
+        monkeypatch.setattr(store_mod, "_KEY_MEMO", {})
+        assert [cache_key(w, b) for b in backends] == fresh
+        assert [cache_key(w, b) for b in backends] == fresh
+        # An equal model built afresh shares the memoized digest.
+        again = CoreBackend(energy_model=EnergyModel(
+            EnergyParams(constant_mw=31.0)))
+        assert cache_key(w, again) in fresh
+
+    @pytest.mark.parametrize("make, config_cls, field", [
+        (lambda c: CoreBackend(config=c), CoreConfig, "fpss_queue_depth"),
+        (lambda c: ClusterBackend(cores=2, core_config=c), CoreConfig,
+         "fpss_queue_depth"),
+        (lambda c: ClusterBackend(cores=2, config=c), ClusterConfig,
+         "barrier_latency"),
+    ], ids=["core-config", "cluster-core-config", "cluster-config"])
+    def test_mutated_config_gives_a_fresh_key(self, make, config_cls,
+                                              field):
+        config = config_cls()
+        backend = make(config)
+        w, _ = _cell()
+        before = cache_key(w, backend)
+        assert cache_key(w, backend) == before
+        setattr(config, field, getattr(config, field) + 1)
+        assert cache_key(w, backend) != before
+
+    def test_memo_stays_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "KEY_MEMO_ENTRIES", 8)
+        monkeypatch.setattr(store_mod, "_KEY_MEMO", {})
+        cells = [Workload("pi_lcg", n=4 * (i + 1)) for i in range(20)]
+        first = [cache_key(w, CoreBackend()) for w in cells]
+        assert len(store_mod._KEY_MEMO) == 8
+        # Evicted cells are keyed afresh, to the same digest.
+        assert [cache_key(w, CoreBackend()) for w in cells] == first
+        assert len(store_mod._KEY_MEMO) == 8
+        assert len(set(first)) == len(cells)
 
 
 class TestRunStore:
@@ -537,6 +632,59 @@ class TestEvalService:
         assert stats["generation"] == store.generation
         assert stats["cumulative"]["stores"] == 1
         assert stats["cumulative"]["hits"] == 1
+
+    def test_latency_histograms_count_every_request(self, tmp_path):
+        runner = _CountingRunner()
+        store = RunStore(tmp_path / "cache")
+        hot = Workload("pi_lcg", n=64)
+        store.save(hot, CoreBackend(), _record_for(hot, CoreBackend()))
+
+        async def drive():
+            service = EvalService(store=store, runner=runner,
+                                  max_pending=1)
+            requests = ([(hot, CoreBackend())] * 5
+                        + [(Workload("pi_lcg", n=n), CoreBackend())
+                           for n in (96, 128)] * 3)
+            await asyncio.gather(*[service.evaluate(w, b)
+                                   for w, b in requests])
+            snapshot = service.stats_json()
+            await service.close()
+            return service.stats, snapshot
+
+        stats, snapshot = asyncio.run(drive())
+        assert (stats.hits, stats.misses, stats.coalesced) == (5, 2, 4)
+        for status, count in (("hit", 5), ("miss", 2), ("coalesced", 4)):
+            assert stats.service_us[status].count == count
+            assert snapshot[f"serve.{status}_us.count"] == count
+            for tail in ("p50", "p95", "p99"):
+                assert snapshot[f"serve.{status}_us.{tail}"] >= 0
+        assert snapshot["serve.admit_wait_us.count"] == 2
+        # max_pending=1: the second miss waited out the first's run.
+        assert stats.admit_wait_us.max >= 0.9 * runner.delay * 1e6
+
+    def test_one_content_key_per_request(self, tmp_path, monkeypatch):
+        calls = []
+        real = store_mod.cache_key
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "cache_key", counting)
+        store = RunStore(tmp_path / "cache")
+
+        async def drive():
+            service = EvalService(store=store, runner=_CountingRunner())
+            cold = Workload("pi_lcg", n=96)
+            await asyncio.gather(*[service.evaluate(cold, CoreBackend())
+                                   for _ in range(3)])
+            await service.evaluate(cold, CoreBackend())
+            await service.close()
+            return service.stats
+
+        stats = asyncio.run(drive())
+        assert (stats.misses, stats.coalesced, stats.hits) == (1, 2, 1)
+        assert calls == [96] * 4
 
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="jobs"):
