@@ -65,6 +65,9 @@ class Histogram:
         #: bucket upper edge (power of two, or 0) -> sample count.
         self.buckets: dict[int, int] = {}
         self._samples: list[int] = []
+        #: The retained samples (exact) or the bucket edges, sorted;
+        #: kept until the next record or merge.
+        self._ordered: list[int] | None = None
 
     @staticmethod
     def bucket_edge(value: int) -> int:
@@ -82,6 +85,7 @@ class Histogram:
         self.max = value if self.max is None else max(self.max, value)
         edge = self.bucket_edge(value)
         self.buckets[edge] = self.buckets.get(edge, 0) + 1
+        self._ordered = None
         if len(self._samples) < self.sample_cap:
             self._samples.append(value)
 
@@ -98,6 +102,7 @@ class Histogram:
                         theirs if mine is None else pick(mine, theirs))
         for edge, n in other.buckets.items():
             self.buckets[edge] = self.buckets.get(edge, 0) + n
+        self._ordered = None
         room = self.sample_cap - len(self._samples)
         if room > 0:
             self._samples.extend(other._samples[:room])
@@ -121,11 +126,15 @@ class Histogram:
         # expressed in basis points so ceil(q * n) cannot pick up
         # float error (0.95 is not exact in binary).
         rank = max(-(-round(q * 10_000) * self.count // 10_000), 1)
-        if self.exact:
-            ordered = sorted(self._samples)
+        exact = self.exact
+        ordered = self._ordered
+        if ordered is None:
+            ordered = self._ordered = sorted(
+                self._samples if exact else self.buckets)
+        if exact:
             return ordered[rank - 1]
         seen = 0
-        for edge in sorted(self.buckets):
+        for edge in ordered:
             seen += self.buckets[edge]
             if seen >= rank:
                 return edge

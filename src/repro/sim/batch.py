@@ -38,11 +38,14 @@ Design rules, in order of precedence:
    ports, the FPSS dispatch queue, the L0 window, the SSR movers,
    counters and regions all come from the scalar code path.  Beside
    the leader only the register files, the memories and per-op
-   immediates are per lane.  A stretch of ops whose plans only update
-   registers (no split check, memory or control) is stepped, once
-   hot, as the leader's compiled run (:mod:`repro.sim.blocks`, the
-   rules of ``step()``, locked to it by ``tests/test_blocks.py``),
-   with every lane's updates applied after it in order.
+   immediates are per lane.  A stretch of ops whose lane work reads
+   no leader state — register updates (integer or FP, no stream),
+   stores and a closing branch — is stepped, once hot, as every
+   lane's steps in order and then the leader's compiled run
+   (:mod:`repro.sim.blocks`, the rules of ``step()``, locked to it by
+   ``tests/test_blocks.py``).  A store or branch whose lanes would
+   split stops the lanes there; the leader steps up to it per op and
+   the cohort demotes at it, as rule 4 has it.
 4. **Plans hold split checks and lane data, never timing.**  Before
    the leader steps, an op's plan checks everything that could make
    lanes part ways or make the step raise: a branch outcome,
@@ -65,7 +68,11 @@ Design rules, in order of precedence:
    and long enough, every stream address in bounds, indirect gathers
    whose ready times are equal across lanes, and no push onto popped
    data.  Stream data is gathered per lane up front; the lanes'
-   pushed elements are written back when the replay ends.
+   pushed elements are written back when the replay ends.  The
+   leader steps the replay as its compiled frep loop once hot, and a
+   body that reads no value carried from the previous rep (but a
+   running ``fadd.d`` sum, added in rep order) is applied to every
+   rep at once, a ``(reps, B)`` block per value.
 
 Lanes are grouped into *cohorts* by the structural signature of their
 decoded program — immediate *values* excluded — so a sweep over seeds
@@ -101,7 +108,7 @@ from .decode import (
     S_SSR_DIS,
     S_SSR_EN,
 )
-from .blocks import RunTable
+from .blocks import RunTable, views
 from .machine import Machine
 from .ssr import SSRError
 
@@ -225,6 +232,68 @@ def _f64_view(data):
     return np.frombuffer(data, "<f8", len(data) // 8)
 
 
+#: Operand sources of a replay form: a stream pop, a value of this
+#: rep, a register the replay never writes.
+_POP, _REP, _REG = range(3)
+
+
+def _replay_form(body, layout: dict):
+    """An FREP body as ops over all reps at once, or None.
+
+    *layout* maps the proven streams' SSR indices to whether they push.
+    Each entry is ``(compute, sources, dest, push)``: a source is
+    ``(tag, index, slot, pops per rep)``, a pop reading rows
+    ``slot::per`` of its stream; *push* is ``(slot, pushes per rep)``
+    or None for a register.  A replay whose op reads a register's
+    value from the previous rep has no such form, except ``fadd.d d,
+    d, y`` with d written by that op only: its rows are the running
+    sum (*compute* None), added in rep order as the scalar loop adds.
+    """
+    writers: dict[int, list] = {}
+    for i, op in enumerate(body):
+        if op.fp_op != F_COMPUTE:
+            return None
+        if not layout.get(op.dest_idx, False):
+            writers.setdefault(op.dest_idx, []).append(i)
+    pops: dict[int, int] = {}
+    pushes: dict[int, int] = {}
+    fresh: set[int] = set()
+    steps = []
+    for i, op in enumerate(body):
+        compute = vo.VEC_FP_COMPUTE.get(op.mnemonic)
+        dest = op.dest_idx
+        sources = []
+        for k, (is_fp, idx) in enumerate(op.gather):
+            if not is_fp:
+                return None
+            if layout.get(idx) is False:
+                sources.append((_POP, idx, pops.get(idx, 0)))
+                pops[idx] = pops.get(idx, 0) + 1
+            elif idx in fresh:
+                sources.append((_REP, idx, 0))
+            elif idx not in writers:
+                sources.append((_REG, idx, 0))
+            elif (k == 0 and idx == dest and writers[idx] == [i]
+                  and op.mnemonic == "fadd.d"):
+                compute = None
+                sources.append((_REG, idx, 0))
+            else:
+                return None             # carried from the previous rep
+        push = None
+        if layout.get(dest, False):
+            push = pushes.get(dest, 0)
+            pushes[dest] = push + 1
+        else:
+            fresh.add(dest)
+        steps.append([compute, sources, dest, push])
+    for step in steps:
+        step[1] = [(tag, idx, slot, pops.get(idx, 1))
+                   for tag, idx, slot in step[1]]
+        if step[3] is not None:
+            step[3] = (step[3], pushes[step[2]])
+    return [tuple(step) for step in steps]
+
+
 class _Stream:
     """One SSR over a proven op sequence: its shared element addresses
     and its per-lane element values, consumed in order."""
@@ -263,9 +332,15 @@ class _Cohort:
 
         # Per-lane data.
         self.iregs = np.zeros((batch, 32), np.int64)
+        #: Each integer register's lane column (a view of iregs): lane
+        #: updates write straight into it.
+        self.cols = [self.iregs[:, r] for r in range(32)]
         self.fregs = np.zeros((batch, 32), np.float64)
         self.memories = [engine.instances[i].memory for i in lanes]
         self.mem_size = min(memory.size for memory in self.memories)
+        #: Lanes 1..'s ``(f64, u32)`` memory views while the cohort
+        #: runs (see :meth:`_store`), else None.
+        self.views = None
         # The cohort's one timeline: lane 0's own Machine (the leader),
         # stepped by its golden Scheduler.  Its SSR movers and enable
         # bit serve every lane (their configuration is lane-equal).
@@ -280,29 +355,43 @@ class _Cohort:
 
         for k, i in enumerate(lanes):
             engine._lane_of[i] = (self, k)
-        #: The lane update of each op whose plan only updates registers
-        #: (no split check, no memory, no control), else None.
+        #: The lane step of each op whose lane work reads no leader
+        #: state, else None: a register update, or the split check and
+        #: lane data of a store or branch, which returns False where
+        #: the lanes would split (the leader not yet stepped).
         self.updates: list = [None] * len(self.ops)
         self.plans = [self._compile(op) for op in self.ops]
-        #: stops[pc]: the end of the register-only stretch from pc.
+        #: stops[pc]: the end of the stretch of lane steps from pc,
+        #: just past its first branch.
         self.stops = list(range(len(self.ops)))
         for pc in reversed(range(len(self.ops))):
             if self.updates[pc] is not None:
                 self.stops[pc] = self.stops[pc + 1] \
-                    if pc + 1 < len(self.ops) else pc + 1
-        #: The leader's register-only stretches, from the run pool.
+                    if pc + 1 < len(self.ops) \
+                    and not self.ops[pc].is_branch else pc + 1
+        #: The leader's stretches, from the run pool.
         self.spans = RunTable(self.sched)
 
     # ------------------------------------------------------------------
     # run loop and lane lifecycle
     # ------------------------------------------------------------------
     def run(self) -> None:
-        sched = self.sched
         plans = self.plans
         updates = self.updates
         # Closures over the cohort: no cycle keeps lane memories alive.
         self.plans = self.updates = None
+        lane_views = [views(memory) for memory in self.memories[1:]]
+        if all(size for _, _, size in lane_views):
+            self.views = [view[:2] for view in lane_views]
+        try:
+            self._run(plans, updates)
+        finally:
+            self.views = None       # no export outlives the run
+
+    def _run(self, plans: list, updates: list) -> None:
+        sched = self.sched
         stops = self.stops
+        runs = self.spans.runs
         n_ops = len(plans)
         max_steps = self.engine.max_steps
         pc = steps = 0
@@ -310,23 +399,35 @@ class _Cohort:
         # A plan steps the leader and returns True, or returns False to
         # demote the cohort at *pc* with the op uncommitted; the scalar
         # engine raises the max_steps error itself.  Entered at its
-        # start or by a jump, a stretch of register-only plans runs
-        # once hot as the leader's compiled run (repro.sim.blocks, the
-        # rules of its step()), then every lane's updates in order.
+        # start or by a jump, a stretch of lane steps runs once hot as
+        # every lane's steps in order, then the leader's compiled run
+        # (repro.sim.blocks, the rules of its step()); stepping per op
+        # into a pc a jump entered before (a loop head) enters its run.
+        # A lane step that finds the lanes split stops the stretch
+        # there: the leader steps up to it and the cohort demotes.
         while pc < n_ops and steps < max_steps:
             stop = stops[pc]
-            if entry and stop - pc > 1 and steps + stop - pc <= max_steps:
-                span = self.spans.runs[pc] or self.spans.new(sched, pc,
-                                                             stop)
+            if (entry or runs[pc] is not None) and stop - pc > 1 \
+                    and steps + stop - pc <= max_steps:
+                span = runs[pc] or self.spans.new(sched, pc, stop)
                 fn = span.enter(sched)
                 if fn is not None:
-                    end = sched._pc = fn(sched)
-                    sched._steps += end - pc
-                    for update in updates[pc:end]:
-                        update()
-                    steps += end - pc
-                    pc = end
-                    continue
+                    # Straight-line ops, a branch only last.
+                    n = span.steps
+                    for split, update in enumerate(updates[pc:pc + n]):
+                        if update() is False:
+                            for _ in range(split):
+                                sched.step()
+                            steps += split
+                            pc += split
+                            break
+                    else:
+                        sched._pc = fn(sched)
+                        sched._steps += n
+                        steps += n
+                        pc = sched._pc
+                        continue
+                    break
             plan = plans[pc]
             if plan is None or not plan():
                 break
@@ -405,18 +506,41 @@ class _Cohort:
             return None
         return values
 
-    def _store(self, writer, addr, values) -> bool:
+    def _store(self, writer, base, imm, values, width: int = 0) -> bool:
         """Write lanes 1.. and prove lane 0's write; False to split.
 
+        The address is ``(base + imm) & 0xFFFF_FFFF`` per lane.
         Lane-varying addresses would publish different mem-RAW words,
         which one timeline cannot hold; a faulting lane splits too.
         Lane 0's write is tried last and undone: the leader's step
-        makes it, and must read the memory the op found.
+        makes it, and must read the memory the op found.  A *width*
+        of 4 (``sw``) or 8 (``fsd``) at an aligned address in every
+        lane's range cannot fault: lanes 1.. take it through their
+        memory views, as a compiled run's store does.
         """
-        a0 = int(addr[0])
-        if not (addr == a0).all():
-            return False
+        if isinstance(imm, int):
+            # Canonical bases: equal addresses iff equal bases.
+            bases = base.tolist()
+            if bases.count(bases[0]) != len(bases):
+                return False
+            a0 = (bases[0] + imm) & _MASK32
+        else:
+            addr = (base + imm) & _MASK32
+            a0 = int(addr[0])
+            if not (addr == a0).all():
+                return False
         values = values.tolist()
+        lane_views = self.views
+        if width and lane_views is not None \
+                and a0 + width <= self.mem_size and not a0 % width:
+            word = a0 // width
+            if width == 4:
+                for (_, view), value in zip(lane_views, values[1:]):
+                    view[word] = value & _MASK32
+            else:
+                for (view, _), value in zip(lane_views, values[1:]):
+                    view[word] = value
+            return True
         memories = self.memories
         data = memories[0].data
         kept = data[a0:a0 + 8]
@@ -465,6 +589,8 @@ class _Cohort:
         then every lane's register update (None: no vector form)."""
         step = self.sched.step
         iregs = self.iregs
+        cols = self.cols
+        mask = np.bitwise_and
         mnem = op.mnemonic
         operands = op.instr.operands
         imm = self.imms[op.index]
@@ -512,17 +638,20 @@ class _Cohort:
                 return True
             return plan
         if op.is_branch:
-            a_idx = operands[0].index
             fn = vo.VEC_BRANCH.get(mnem)
             zfn = vo.VEC_BRANCHZ.get(mnem)
             if op.target is None or fn is None and zfn is None:
                 return None
-            b_idx = operands[1].index if fn is not None else 0
+            a = cols[operands[0].index]
+            b = cols[operands[1].index] if fn is not None else None
+
+            def guard():
+                outcome = fn(a, b) if zfn is None else zfn(a)
+                return not (outcome != outcome[0]).any()
+            self.updates[op.index] = guard
 
             def plan():
-                outcome = fn(iregs[:, a_idx], iregs[:, b_idx]) \
-                    if zfn is None else zfn(iregs[:, a_idx])
-                if (outcome != outcome[0]).any():
+                if not guard():
                     return False
                 step()
                 return True
@@ -547,12 +676,16 @@ class _Cohort:
             writer = vo.STORE_WRITERS.get(mnem)
             if writer is None:
                 return None
-            src = operands[0].index
+            base = cols[base_idx]
+            value = cols[operands[0].index]
+            width = 4 if mnem == "sw" else 0
+
+            def guard():
+                return self._store(writer, base, imm, value, width)
+            self.updates[op.index] = guard
 
             def plan():
-                if not self._store(
-                        writer, (iregs[:, base_idx] + imm) & _MASK32,
-                        iregs[:, src]):
+                if not guard():
                     return False
                 step()
                 return True
@@ -570,24 +703,42 @@ class _Cohort:
                 iregs[:, dest] = value
         elif mnem in vo.VEC_UNARY:
             fn = vo.VEC_UNARY[mnem]
-            a_idx = operands[1].index
+            a = cols[operands[1].index]
+            out = cols[dest]
 
             def update():
-                iregs[:, dest] = fn(iregs[:, a_idx]) & _MASK32
+                mask(fn(a), _MASK32, out=out)
+        elif mnem in vo.CANON_RR:
+            ufunc = vo.CANON_RR[mnem]
+            a = cols[operands[1].index]
+            b = cols[operands[2].index]
+            out = cols[dest]
+
+            def update():
+                ufunc(a, b, out=out)
         elif mnem in vo.VEC_RR:
             fn = vo.VEC_RR[mnem]
-            a_idx = operands[1].index
-            b_idx = operands[2].index
+            a = cols[operands[1].index]
+            b = cols[operands[2].index]
+            out = cols[dest]
 
             def update():
-                iregs[:, dest] = fn(iregs[:, a_idx],
-                                    iregs[:, b_idx]) & _MASK32
+                mask(fn(a, b), _MASK32, out=out)
+        elif mnem in vo.CANON_RI:
+            ufunc, operand = vo.CANON_RI[mnem]
+            operand = operand(imm)
+            a = cols[operands[1].index]
+            out = cols[dest]
+
+            def update():
+                ufunc(a, operand, out=out)
         elif mnem in vo.VEC_RI:
             fn = vo.VEC_RI[mnem]
-            a_idx = operands[1].index
+            a = cols[operands[1].index]
+            out = cols[dest]
 
             def update():
-                iregs[:, dest] = fn(iregs[:, a_idx], imm) & _MASK32
+                mask(fn(a, imm), _MASK32, out=out)
         else:
             return None
         if not dest:
@@ -656,6 +807,7 @@ class _Cohort:
             reader = vo.FP_LOAD_READERS[op.width]
         elif fp_kind == F_STORE:
             writer = vo.FP_STORE_WRITERS[op.width]
+            width = 8 if op.width == 8 else 0
         else:
             apply = self._fp_apply(op)
             if apply is None:
@@ -672,6 +824,17 @@ class _Cohort:
         may_stream = any(is_fp and idx < n_ssrs for is_fp, idx in op.gather) \
             or (fp_kind == F_COMPUTE and dest < n_ssrs)
         body = (op,)
+        if apply is not None and not may_stream:
+            # Register-only: it joins the leader's compiled stretches.
+            def update():
+                apply(None)
+            self.updates[op.index] = update
+
+            def plan():
+                step()
+                update()
+                return True
+            return plan
 
         def plan():
             # What can split or fault, before the leader steps.
@@ -691,9 +854,8 @@ class _Cohort:
                 value = stream.values[0] \
                     if stream is not None and not stream.write \
                     else fregs[:, idx]
-                if not self._store(
-                        writer, (iregs[:, base_idx] + imm) & _MASK32,
-                        value):
+                if not self._store(writer, iregs[:, base_idx], imm,
+                                   value, width):
                     return False
 
             step()
@@ -723,9 +885,13 @@ class _Cohort:
         applies = [self._fp_apply(bop) for bop in body]
         if None in applies:
             return None
-        step = self.sched.step
+        sched = self.sched
+        step = sched.step
         iregs = self.iregs
         rs1 = op.aux0
+        pc = op.index
+        #: The replay's form over all reps (or None) by stream layout.
+        forms: dict = {}
 
         def plan():
             reps = _uniform(iregs[:, rs1])
@@ -735,15 +901,61 @@ class _Cohort:
             streams = self._streams(body, reps)
             if streams is None:
                 return False
-            step()
-            for _ in range(reps):
-                for apply in applies:
-                    apply(streams)
+            # The replay is proven fault-free: once hot the leader runs
+            # it as its compiled frep loop (one step, as in drain()).
+            run = self.spans.runs[pc] or self.spans.new(sched, pc)
+            fn = run.enter(sched)
+            if fn is None:
+                step()
+            else:
+                sched._pc = fn(sched)
+                sched._steps += run.steps
+            layout = tuple((idx, stream.write)
+                           for idx, stream in streams.items())
+            form = forms.get(layout, False)
+            if form is False:
+                form = forms[layout] = _replay_form(body, dict(layout))
+            if form is not None:
+                self._replay(form, streams, reps)
+            else:
+                for _ in range(reps):
+                    for apply in applies:
+                        apply(streams)
             if streams:
                 self._push(streams)
             return True
 
         return plan
+
+    def _replay(self, form: list, streams: dict, reps: int) -> None:
+        """Apply a replay's ops to every lane for all *reps* at once:
+        each value is a ``(reps, B)`` block, one row per rep."""
+        fregs = self.fregs
+        batch = self.batch
+        blocks: dict[int, np.ndarray] = {}
+        for compute, sources, dest, push in form:
+            args = []
+            for tag, idx, slot, per in sources:
+                if tag == _POP:
+                    args.append(streams[idx].values[slot::per])
+                elif tag == _REP:
+                    args.append(blocks[idx])
+                else:
+                    args.append(fregs[:, idx])
+            if compute is None:
+                # fadd.d into its own destination, rep after rep.
+                result = np.add.accumulate(np.concatenate(
+                    (fregs[None, :, dest],
+                     np.broadcast_to(args[1], (reps, batch)))))[1:]
+            else:
+                result = np.broadcast_to(compute(*args), (reps, batch))
+            if push is not None:
+                streams[dest].values[push[0]::push[1]] = result
+            else:
+                blocks[dest] = result
+        finals = [(idx, block[-1].copy()) for idx, block in blocks.items()]
+        for idx, value in finals:
+            fregs[:, idx] = value
 
     # ------------------------------------------------------------------
     # SSR streams: shared addresses, per-lane data

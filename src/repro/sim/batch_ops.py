@@ -91,6 +91,23 @@ VEC_RI = {
     "sltiu": lambda a, imm: (a < _u32i(imm)).astype(np.int64),
 }
 
+#: The ops whose result on canonical words is a canonical word, as
+#: numpy ufuncs the engine applies straight into the destination
+#: column, unmasked.  Register-immediate entries carry the transform
+#: their ``VEC_RI`` lambda applies to the immediate.
+CANON_RR = {
+    "and": np.bitwise_and,
+    "or": np.bitwise_or,
+    "xor": np.bitwise_xor,
+}
+
+CANON_RI = {
+    "andi": (np.bitwise_and, _u32i),
+    "ori": (np.bitwise_or, _u32i),
+    "xori": (np.bitwise_xor, _u32i),
+    "srli": (np.right_shift, lambda imm: imm & 31),
+}
+
 #: No register operands; the result is a compile-time constant.
 VEC_CONST = {
     "lui": lambda imm: (imm << 12) & MASK32,

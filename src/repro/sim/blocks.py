@@ -18,11 +18,20 @@ streams), and the timing state lives in locals for the whole run: both
 issue times, stall counters and the static counter totals, which the
 run adds once on its way out.  The writeback reservations and the
 dispatch queue are fixed-size windows, so every entry, however long
-its replay, compiles.  Memory goes through the
-:class:`~repro.sim.memory.Memory` methods and SSRs through
-``peek_address``/``advance``, so every check still runs.  An op that
-raises leaves what the per-op path leaves: the handler writes back the
-locals, the static counters up to the faulting op and its pc.
+its replay, compiles.
+
+The data path is in-line as well, with every check of the per-op path.
+An armed affine stream lives in locals (:func:`_stream_load`): a pop or
+push steps dim 0 there, a dim-0 wrap goes through ``SSR.advance`` and
+an exhausted stream through ``peek_address``, and the locals go back to
+the mover at every exit (:func:`_stream_store`).  Gather streams keep
+the methods.  Aligned, in-range 8- and 4-byte accesses index typed
+views of memory's bytes (:func:`views`) after the test the
+:class:`~repro.sim.memory.Memory` methods make first; any other access
+calls the method, which raises its own text.  A COPIFT conversion of a
+popped double reads the double's low word from the ``u32`` view.  An op
+that raises leaves what the per-op path leaves: the handler writes back
+the locals, the static counters up to the faulting op and its pc.
 
 Selection is by process-wide heat: a run compiles once the per-op path
 has executed it about :data:`K` times its static length, counted over
@@ -53,6 +62,8 @@ source as before.
 from __future__ import annotations
 
 import re
+import struct
+import sys
 
 from .decode import (
     F_BAD,
@@ -69,6 +80,7 @@ from .decode import (
     S_HANDLER,
     S_JUMP,
 )
+from .exec_ops import f64_to_bits
 
 #: A run compiles once the per-op path has executed about K times its
 #: static length, counted per process.  Compiling costs ~0.1 ms per op
@@ -95,7 +107,7 @@ _RAW, _MEM_RAW, _WB, _QUEUE, _FP_RAW, _FP_SSR, _FP_WB, _TCDM, _FP_TCDM = (
 _RR = {"add": "{a} + {b}", "sub": "{a} - {b}", "and": "{a} & {b}",
        "or": "{a} | {b}", "xor": "{a} ^ {b}", "sll": "{a} << ({b} & 31)",
        "srl": "{a} >> ({b} & 31)", "sltu": "int({a} < {b})",
-       "mul": "{a} * {b}"}
+       "mul": "{a} * {b}", "mulhu": "({a} * {b}) >> 32"}
 _RI = {"addi": "{a} + {i}", "andi": "{a} & {u}", "ori": "{a} | {u}",
        "xori": "{a} ^ {u}", "slli": "{a} << {sh}", "srli": "{a} >> {sh}",
        "sltiu": "int({a} < {u})"}
@@ -111,7 +123,19 @@ _FP = {"fadd.d": "{0} + {1}", "fsub.d": "{0} - {1}", "fmul.d": "{0} * {1}",
        "fmv.d": "{0}", "fneg.d": "-{0}", "fabs.d": "abs({0})",
        "fmin.d": "min({0}, {1})", "fmax.d": "max({0}, {1})",
        "feq.d": "int({0} == {1})", "flt.d": "int({0} < {1})",
-       "fle.d": "int({0} <= {1})"}
+       "fle.d": "int({0} <= {1})", "fcvt.d.wu": "float({0})",
+       "cfeq.d": "(1.0 if {0} == {1} else 0.0)",
+       "cflt.d": "(1.0 if {0} < {1} else 0.0)",
+       "cfle.d": "(1.0 if {0} <= {1} else 0.0)",
+       "fcvt.d.w": "float({0} - 4294967296 if {0} > 2147483647 else {0})"}
+#: COPIFT conversions of a popped double's low word, written on that
+#: word (``{0}``, read as ``I[a >> 2]``) instead of the double.
+_LOW = {"cfcvt.d.wu": _FP["fcvt.d.wu"], "cfcvt.d.w": _FP["fcvt.d.w"]}
+
+#: Whether compiled runs index memory through typed views of its bytes
+#: (:func:`views`): the views take the host's byte order, and memory is
+#: little-endian.
+VIEWS = sys.byteorder == "little" and struct.calcsize("I") == 4
 
 # SSR stream states a run is specialized for.
 _OFF, _READ, _GATHER, _WRITE = range(4)
@@ -260,7 +284,7 @@ class RunTable:
 
     def new(self, sched, pc: int, stop: int | None = None) -> Run:
         """The run entered at *pc*, ending before *stop* if given (the
-        batch engine's register-only stretches).  Runs of equal code at
+        batch engine's stretches of lane steps).  Runs of equal code at
         equal pcs under an equal timing signature are one pooled run,
         whose heat and compiled functions cores, clusters and cells
         share."""
@@ -296,6 +320,61 @@ def _l0_hits(l0, lo: int, hi: int) -> int:
         return 0
     hits = min(hi, l0._hi) - max(lo, l0._lo) + 1
     return hits if hits > 0 else 0
+
+
+def views(memory) -> tuple:
+    """``(f64 view, u32 view, size)`` of *memory* for compiled runs.
+
+    Made per bind, never stored on the (picklable) ``Memory``.  Without
+    views the size is 0, so every in-line range test fails and each
+    access takes the ``Memory`` method."""
+    size = memory.size
+    if not VIEWS or size % 8:
+        return None, None, 0
+    raw = memoryview(memory.data)
+    return raw.cast("d"), raw.cast("I"), size
+
+
+# An armed affine stream lives in eight locals while a run executes:
+# its next address, the dim-0 elements left, the dim-0 stride, the
+# repeats left, the repeat count, the time its next element is
+# available (arm time + fill latency + seq) and whether it is done, and
+# the time of its last pop.  Bounds and strides are fixed while it is
+# armed, and no SSR special compiles.
+def _stream_load(ssr, fill: int) -> tuple:
+    """The locals of armed affine stream *ssr*."""
+    cfg = ssr.cfg
+    return (ssr.base + ssr._offset, cfg.bounds[0] - ssr._counters[0],
+            cfg.strides[0], ssr._repeat_left, cfg.repeat,
+            ssr.arm_time + fill + ssr.seq, ssr._done, ssr.last_pop_time)
+
+
+def _stream_wrap(ssr, fill: int, addr: int, left: int, repeats: int,
+                 avail: int) -> tuple:
+    """Step *ssr* past its dim-0 bound through :meth:`SSR.advance`;
+    returns the stepped address, dim-0 count, repeats, availability and
+    whether it is done."""
+    bound = ssr.cfg.bounds[0]
+    ssr._offset = addr - ssr.base
+    ssr._counters[0] = bound - left
+    ssr._repeat_left = repeats
+    ssr.seq = avail - fill - ssr.arm_time
+    ssr.advance()
+    return (ssr.base + ssr._offset, bound - ssr._counters[0],
+            ssr._repeat_left, avail + 1, ssr._done)
+
+
+def _stream_store(fill: int, *streams) -> None:
+    """Write the locals of every stream in *streams*, six per stream
+    (the mover, its address, dim-0 count, repeats, availability and
+    last pop), back to the movers."""
+    for i in range(0, len(streams), 6):
+        ssr, addr, left, repeats, avail, last = streams[i:i + 6]
+        ssr._offset = addr - ssr.base
+        ssr._counters[0] = ssr.cfg.bounds[0] - left
+        ssr._repeat_left = repeats
+        ssr.seq = avail - fill - ssr.arm_time
+        ssr.last_pop_time = last
 
 
 def _unwind(sched, run: Run, key: int, mark: int, reps: int, it: int,
@@ -334,6 +413,15 @@ class _Writer:
     and their RAW checks are left out until the register is rewritten
     with a later ready time.
 
+    Each armed affine stream the run pops or pushes (``affine``) keeps
+    its state in locals named after its register: ``sa`` its next
+    address, ``sn`` the dim-0 elements left, ``sk`` the dim-0 stride,
+    ``sr``/``sp`` the repeats left and the repeat count, ``e`` when its
+    next element is available, ``sd`` whether it is done and ``sl`` its
+    last pop.  Memory words go through the views ``D`` (f64) and ``I``
+    (u32) of the ``MS`` bytes that have them (:meth:`read`,
+    :meth:`store`).
+
     On a core with a TCDM (``shared``) memory ops and stream pops and
     pushes arbitrate through the claim port ``TA`` as the per-op path
     does, the run is a generator that waits before every op after the
@@ -362,10 +450,21 @@ class _Writer:
                              if s in (_READ, _GATHER)],
                             [i for i, s in self.streams.items()
                              if s == _WRITE])
+        fp_ops = [op for op in run.ops if op.kind == K_FP] + list(
+            run.frep.frep_body if run.frep is not None else ())
+        #: The armed affine streams the run pops or pushes: kept in
+        #: locals (``_stream_load``) and written back at every exit.
+        self.affine = sorted(
+            {idx for op in fp_ops for is_fp, idx in op.gather
+             if is_fp and self.streams.get(idx) == _READ}
+            | {op.dest_idx for op in fp_ops if op.fp_op == F_COMPUTE
+               and self.streams.get(op.dest_idx) == _WRITE})
+        self.views = VIEWS
         self.lines: list[str] = []
         self.indent = "        "
-        self.names: dict[str, object] = {"U": _unwind, "RUN": run,
-                                         "KEY": key}
+        self.names: dict[str, object] = {
+            "U": _unwind, "RUN": run, "KEY": key, "SL": _stream_load,
+            "SV": _stream_wrap, "SW": _stream_store, "B": f64_to_bits}
         self.stalls: set[str] = set()
         self.counts: dict[str, int] = {}
         self.marks: list = []
@@ -408,6 +507,8 @@ class _Writer:
         turn."""
         self.put("if it >= H:")
         self.put("    S.int_time = it")
+        if self.affine:
+            self.put("    " + self.store_streams())
         self.put("    H = yield")
 
     def tcdm(self, width, stall: str) -> None:
@@ -419,6 +520,63 @@ class _Writer:
     # -- emission helpers ---------------------------------------------
     def put(self, line: str) -> None:
         self.lines.append(self.indent + line)
+
+    def store_streams(self) -> str:
+        """The statement that writes every affine stream's locals back."""
+        return f"SW({self.fill}" + "".join(
+            f", R{i}, sa{i}, sn{i}, sr{i}, e{i}, sl{i}"
+            for i in self.affine) + ")"
+
+    # -- memory: typed views, after the Memory methods' own test --------
+    @staticmethod
+    def in_range(width: int, signed: bool) -> str:
+        """Whether the access of *width* bytes at ``a`` is aligned and in
+        range, as the ``Memory`` methods test it (``MS`` is a multiple of
+        8, so ``a < MS`` is ``a + width <= size``); *signed* if ``a`` may
+        be negative (a stream address)."""
+        return f"{'0 <= ' * signed}a < MS and not a & {width - 1}"
+
+    def read(self, width: int, method: str, signed: bool = False) -> str:
+        """What ``mem.<method>(a)`` returns, for 8- or 4-byte words."""
+        if not self.views:
+            return f"mem.{method}(a)"
+        view = "D[a >> 3]" if width == 8 else "I[a >> 2]"
+        return (f"{view} if {self.in_range(width, signed)} "
+                f"else mem.{method}(a)")
+
+    def read_low(self) -> str:
+        """The low word of the double at stream address ``a``."""
+        return (f"I[a >> 2] if {self.in_range(8, True)} "
+                f"else B(mem.read_f64(a)) & {_M}")
+
+    def store(self, width: int, method: str, value: str,
+              signed: bool = False) -> None:
+        """``mem.<method>(a, value)`` for 8- or 4-byte words."""
+        if not self.views:
+            self.put(f"mem.{method}(a, {value})")
+            return
+        view = "D[a >> 3]" if width == 8 else "I[a >> 2]"
+        word = value if width == 8 else f"{value} & {_M}"
+        self.put(f"if {self.in_range(width, signed)}: {view} = {word}")
+        self.put(f"else: mem.{method}(a, {value})")
+
+    # -- affine streams in locals ---------------------------------------
+    def next_address(self, idx: int) -> None:
+        """``a`` = the next address of affine stream *idx*; a done stream
+        raises ``peek_address``'s error."""
+        self.put(f"if sd{idx}: R{idx}.peek_address(RI)")
+        self.put(f"a = sa{idx}")
+
+    def advance(self, idx: int) -> None:
+        """``SSR.advance`` of affine stream *idx* in its locals, through
+        the method when dim 0 wraps, then its last pop at ``s``."""
+        i = idx
+        self.put(f"if sr{i} > 0: sr{i} -= 1; e{i} += 1")
+        self.put(f"elif sn{i} > 0: sn{i} -= 1; sa{i} += sk{i}; "
+                 f"sr{i} = sp{i}; e{i} += 1")
+        self.put(f"else: sa{i}, sn{i}, sr{i}, e{i}, sd{i} = "
+                 f"SV(R{i}, {self.fill}, sa{i}, sn{i}, sr{i}, e{i})")
+        self.put(f"sl{i} = s")
 
     def count(self, name: str | None, n: int = 1) -> None:
         if name is not None:
@@ -542,14 +700,18 @@ class _Writer:
                     expr if expr.isdigit() else f"({expr}) & {_M}"))
             return True
         self.mark(pc)
-        if mnem in _LOADS:                # the read is in range
-            read = f"mem.{_LOADS[mnem]}(a)"
+        if mnem in _LOADS:
+            read = self.read(4, "read_u32") if mnem == "lw" \
+                else f"mem.{_LOADS[mnem]}(a)"
             self.put(f"X[{reg[0]}] = {read}" if reg[0] else read)
             return True
         if mnem in _STORES:
             self.put(f"a = (X[{reg[2]}]{f' + {imm}' if imm else ''}) "
                      f"& {_M}")
-            self.put(f"mem.{_STORES[mnem]}(a, X[{reg[0]}])")
+            if mnem == "sw":
+                self.store(4, "write_u32", f"X[{reg[0]}]")
+            else:
+                self.put(f"mem.{_STORES[mnem]}(a, X[{reg[0]}])")
             return True
         self.put(f"{self.value('H', op.handler)}(m)")
         return False
@@ -584,11 +746,15 @@ class _Writer:
         """``_fpss_issue`` of *op* at ``s`` = *start*."""
         self.put(start)
         values = []
-        for is_fp, idx in op.gather:
+        popped = [is_fp and self.streams.get(idx) in (_READ, _GATHER)
+                  for is_fp, idx in op.gather]
+        # A COPIFT conversion of a popped double reads only its low word.
+        low = self.views and op.mnemonic in _LOW and popped == [True]
+        for (is_fp, idx), pop in zip(op.gather, popped):
             if not is_fp:
                 values.append(f"X[{idx}]")
-            elif self.streams.get(idx) in (_READ, _GATHER):
-                values.append(self.pop(idx, fetched))
+            elif pop:
+                values.append(self.pop(idx, fetched, low))
             else:
                 if idx not in self.settled_fp:
                     self.put(f"if (t := fr[{idx}]) > s: "
@@ -601,7 +767,7 @@ class _Writer:
         fp_op = op.fp_op
         dest = op.dest_idx
         if fp_op == F_COMPUTE or fp_op == F_TO_INT:
-            template = _FP.get(op.mnemonic)
+            template = (_LOW if low else _FP).get(op.mnemonic)
             if template is None:
                 self.mark(fetched)
                 self.put(f"x = {self.value('C', op.compute)}"
@@ -615,13 +781,11 @@ class _Writer:
                 self.put(f"ir[{dest}] = s + {lat + self.response}")
                 self.settled_int.discard(dest)
             elif self.streams.get(dest) == _WRITE:
-                ssr = f"R{dest}"
                 self.mark(fetched)
-                self.put(f"a = {ssr}.peek_address(RI)")
+                self.next_address(dest)
                 self.tcdm(8, _FP_TCDM)
-                self.put(f"mem.write_f64(a, {result})")
-                self.put(f"{ssr}.advance()")
-                self.put(f"{ssr}.last_pop_time = s")
+                self.store(8, "write_f64", result, signed=True)
+                self.advance(dest)
                 self.count("ssr_writes")
                 self.put(f"mr[a >> 2] = mr[(a >> 2) + 1] = s + {lat}")
             else:
@@ -640,16 +804,19 @@ class _Writer:
             if issued[0] != "s":
                 self.put(f"s = {_plus(issued, 0)}")
             self.mark(fetched)
-            read = "read_f64" if op.width == 8 else "read_f32"
-            self.put(f"F[{dest}] = mem.{read}(a)")
+            read = self.read(8, "read_f64") if op.width == 8 \
+                else "mem.read_f32(a)"
+            self.put(f"F[{dest}] = {read}")
             self.put(f"fr[{dest}] = s + {lat}")
             self.settle(self.settled_fp, (dest,), lat)
         else:                                       # F_STORE
             self.put(f"a = {self.address(op)}")
             self.tcdm(op.width, _FP_TCDM)
             self.mark(fetched)
-            write = "write_f64" if op.width == 8 else "write_f32"
-            self.put(f"mem.{write}(a, {values[0]})")
+            if op.width == 8:
+                self.store(8, "write_f64", values[0])
+            else:
+                self.put(f"mem.write_f32(a, {values[0]})")
             if op.width == 8:
                 self.put(f"mr[a >> 2] = mr[(a >> 2) + 1] = s + {lat}")
             else:
@@ -660,22 +827,33 @@ class _Writer:
         if sequencer:
             self.count("sequencer_issued")
 
-    def pop(self, idx: int, fetched: int) -> str:
-        """Pop read stream *idx* for an operand; returns its value."""
+    def pop(self, idx: int, fetched: int, low: bool = False) -> str:
+        """Pop read stream *idx* for an operand; returns its value (the
+        low word of the double if *low*)."""
         ssr = f"R{idx}"
+        affine = idx in self.affine
         self.mark(fetched)
-        self.put(f"a = {ssr}.peek_address(RI)")
-        self.probe8("a")
-        self.put(f"av = e{idx} + {ssr}.seq")
+        if affine:
+            self.next_address(idx)
+            self.probe8("a")
+            self.put(f"av = e{idx}")
+        else:
+            self.put(f"a = {ssr}.peek_address(RI)")
+            self.probe8("a")
+            self.put(f"av = e{idx} + {ssr}.seq")
         self.put(f"if p and p + {self.lat_fp_load} > av: "
                  f"av = p + {self.lat_fp_load}")
         self.put(f"if av > s: {self.stall(_FP_SSR)} += av - s; s = av")
         self.tcdm(8, _FP_TCDM)
         value = f"v{self.vals}"
         self.vals += 1
-        self.put(f"{value} = mem.read_f64(a)")
-        self.put(f"{ssr}.advance()")
-        self.put(f"{ssr}.last_pop_time = s")
+        self.put(f"{value} = " + (self.read_low() if low else
+                                  self.read(8, "read_f64", signed=True)))
+        if affine:
+            self.advance(idx)
+        else:
+            self.put(f"{ssr}.advance()")
+            self.put(f"{ssr}.last_pop_time = s")
         self.count("ssr_reads")
         if self.streams[idx] == _GATHER:
             self.count("ssr_index_fetches")
@@ -738,13 +916,16 @@ def source(sched, run: Run, key: int) -> tuple[str, dict]:
     stall_names = tuple(_STALLS[int(c[1:])] for c in stalls)
     # A waiting run that is dropped unfinished (another core faulted)
     # writes nothing back: Exception, not BaseException, for those.
-    epi = [f"    except {'Exception' if w.shared else 'BaseException'}:",
-           "        U(S, RUN, KEY, k, r, it, ft, "
-           f"({''.join(c + ', ' for c in stalls)}))"]
+    epi = [f"    except {'Exception' if w.shared else 'BaseException'}:"]
+    streams = [w.store_streams()] if w.affine else []
+    epi += ["        " + line for line in streams]
+    epi.append("        U(S, RUN, KEY, k, r, it, ft, "
+               f"({''.join(c + ', ' for c in stalls)}))")
     if w.shared:
         epi.append("        S._fault_time = i0")
-    epi += ["        raise",
-           "    S.fp_time = ft", "    cd = S._cd"]
+    epi.append("        raise")
+    epi += ["    " + line for line in streams]
+    epi += ["    S.fp_time = ft", "    cd = S._cd"]
     epi += [f"    cd[{name!r}] += {c}"
             for name, c in zip(stall_names, stalls)]
     for name in sorted(set(w.counts) | set(per_rep)):
@@ -784,10 +965,15 @@ def source(sched, run: Run, key: int) -> tuple[str, dict]:
     pro = ["def run(S):"]
     pro += [f"    {name} = {load}" for name, load in _PROLOGUE
             if name in used or name in ("it", "ft")]
+    if used & {"D", "I", "MS"}:
+        pro.append("    D, I, MS = S._views")
     for i in run.sens:
-        if w.streams[i] != _OFF:
+        if f"R{i}" in used:
             pro.append(f"    R{i} = S._ssrs[{i}]")
-            if w.streams[i] != _WRITE:
+            if i in w.affine:
+                pro.append(f"    sa{i}, sn{i}, sk{i}, sr{i}, sp{i}, e{i}, "
+                           f"sd{i}, sl{i} = SL(R{i}, {w.fill})")
+            elif w.streams[i] == _GATHER:
                 pro.append(f"    e{i} = R{i}.arm_time + {w.fill}")
     pro.append("    k = r = n = i0 = 0" if w.shared else "    k = r = n = 0")
     if stalls:

@@ -54,7 +54,7 @@ from .decode import (
     S_SSR_DIS,
     S_SSR_EN,
 )
-from .blocks import RunTable
+from .blocks import RunTable, views
 from .errors import SimulationError
 from .icache import L0Cache
 
@@ -88,7 +88,7 @@ class Scheduler:
         "_ssr_fill_latency", "_fp_response_latency", "_signature",
         # machine snapshot
         "_iregs", "_fregs", "_mem", "_ssrs", "_n_ssrs", "_claim",
-        "_core_id", "_read_index", "_obs", "_obs_scope",
+        "_core_id", "_read_index", "_obs", "_obs_scope", "_views",
         "horizon", "held", "_fault_time", "_table", "_waiting",  # drain()
     )
 
@@ -126,6 +126,7 @@ class Scheduler:
         self._n_ops = 0
         self._lat: list[int] = []
         self._pc = self._steps = self._max_steps = self._fault_time = 0
+        self._views = (None, None, 0)
         self._snapshot_config()
         self._snapshot_machine()
 
@@ -185,6 +186,8 @@ class Scheduler:
         self.held = self._table = self._waiting = None
         self._snapshot_config()
         self._snapshot_machine()
+        #: Typed views of memory for compiled runs (blocks.views).
+        self._views = views(self._mem)
         #: What compiled runs read of config and machine (their pool
         #: key; the frep buffer size only decides where a run ends).
         self._signature = (

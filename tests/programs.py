@@ -323,7 +323,8 @@ def stream_programs(draw):
     """Like :func:`lane_programs`, for SSR streams, FREP and dma.copy.
 
     Up to three SSRs are configured as affine read or write streams of
-    1-2 dimensions or as indirect gathers over per-lane index arrays,
+    1-4 dimensions, each element repeated up to 3 times, or as indirect
+    gathers over per-lane index arrays,
     then a loop pops and pushes them through plain FP ops and FREP
     bodies, re-arms streams, toggles ``ssr.enable``, copies with
     ``dma.copy`` and branches on lane data.  Bases, repeat counts and
@@ -349,16 +350,18 @@ def stream_programs(draw):
         kind = draw(reg(("none", "read", "write", "indirect")))
         if kind == "none":
             continue
-        dims = draw(reg((1,) * 5 + (2,) * 5 + (5,)))   # 5: SSRError
-        shape = [(draw(st.integers(0, 15 if dim == 0 else 3)),
-                  draw(reg((8,) * 6 + (16, -8, 0, 4))))   # 4: faults
-                 for dim in range(min(dims, 2))]
+        dims = draw(reg((1,) * 4 + (2,) * 4 + (3, 3, 4, 4, 5)))
+        # dims 5 is an SSRError; a stride of 4 faults.
+        shape = [(draw(st.integers(0, 15 if dim == 0 else 3 if dim == 1
+                                   else 2)),
+                  draw(reg((8,) * 6 + (16, -8, 0, 4))))
+                 for dim in range(min(dims, 4))]
         # A write stream in DATA may overwrite what a read pops.
         region = END if rarely() else DATA if kind != "write" \
             else draw(reg((OUT, OUT, DATA)))
         base = lane_vals(st.integers(0, 7).map(
             lambda k, r=region: r + 8 * k))
-        repeat = draw(reg((0, 0, 0, 1)))
+        repeat = draw(reg((0, 0, 0, 1, 2, 3)))
         index_bytes = draw(reg((2, 4)))
         streams.append((ssr, kind, dims, shape, base, repeat,
                         index_bytes))
@@ -614,8 +617,8 @@ def cluster_state(machine, error) -> tuple[list, list]:
     """What a cluster or SoC run leaves behind that the run-ahead and
     per-op drivers must agree on: the error, memory and the shared
     resources' statistics; then every core's registers, counters, issue
-    times, pc and steps (which, after an error, may differ by private
-    steps run ahead)."""
+    times, pc, steps and SSR movers (which, after an error, may differ
+    by private steps run ahead)."""
     clusters = getattr(machine, "clusters", [machine])
     shared = [type(error), str(error) if error else None]
     cores = []
@@ -633,7 +636,9 @@ def cluster_state(machine, error) -> tuple[list, list]:
                           [struct.pack("<d", v) for v in core.fregs],
                           dict(vars(sched.counters)), sched.int_time,
                           sched.fp_time, sched._pc, sched._steps,
-                          sched.barrier_wait))
+                          sched.barrier_wait, core.ssr_enabled,
+                          [tuple(getattr(ssr, name) for name in
+                                 ssr.__slots__) for ssr in core.ssrs]))
             memories[id(core.memory)] = core.memory
     shared += [bytes(memory.data) for memory in memories.values()]
     if hasattr(machine, "interconnect"):

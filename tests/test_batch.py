@@ -524,6 +524,17 @@ def test_generated_stream_programs_match_scalar(case):
     _check_cohort(*case)
 
 
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered in cast:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(stream_programs())
+def test_generated_stream_programs_match_scalar_through_compiled_runs(case):
+    """As above, with the leader's stretches and FREP replays taken by
+    its compiled runs from their first entry."""
+    with compiled(0):
+        _check_cohort(*case)
+
+
 def _frep_case(case: str):
     """Two-lane cohorts whose ``frep`` proof must refuse the replay.
 
@@ -577,3 +588,112 @@ def test_frep_proof_refusals_demote_at_frep(case):
     assert engine.demoted == [True, True]
     cohort = engine._cohorts[0]
     assert cohort.ops[cohort.pc].mnemonic == "frep.o"
+
+
+def _replay_case(case: str):
+    """Three-lane cohorts replaying an FREP body over 8 reps of one
+    read stream whose doubles span 34 decades, so every sum depends on
+    its order.
+
+    ``sum``: ``fadd.d fa0, fa0, fa1`` accumulates a product.
+    ``partial``: the running sum is read later in the same rep and
+    pushed twice.  ``carried``: ``fadd.d fa0, ft0, fa0`` reads the carried
+    sum second.  ``early``: an op reads the sum before the rep adds to
+    it.  The last two have no form over all reps and replay rep by rep.
+    """
+    bodies = {
+        "sum": (("fmul_d", "fa1", "ft0", "fa2"),
+                ("fadd_d", "fa0", "fa0", "fa1")),
+        "partial": (("fadd_d", "fa0", "fa0", "ft0"),
+                    ("fmul_d", "ft1", "fa0", "fa2"),
+                    ("fsub_d", "ft1", "fa2", "fa0")),
+        "carried": (("fadd_d", "fa0", "ft0", "fa0"),),
+        "early": (("fmul_d", "fa1", "fa0", "fa2"),
+                  ("fadd_d", "fa0", "fa0", "ft0")),
+    }
+
+    def build(lane):
+        memory = Memory(MEM_SIZE)
+        for k in range(8):
+            memory.write_f64(DATA + 8 * k,
+                             (-1) ** k * 10.0 ** (17 - 5 * (k % 7)) + lane)
+        memory.write_f64(DATA + 128, 1.5 + lane)
+        memory.write_f64(DATA + 136, 0.25 * lane)
+        b = ProgramBuilder()
+        _cfg(b, ssrdef.F_BOUND0, 0, 7)
+        _cfg(b, ssrdef.F_STRIDE0, 0, 8)
+        _cfg(b, ssrdef.F_RPTR, 0, DATA)
+        if case == "partial":
+            _cfg(b, ssrdef.F_BOUND0, 1, 15)
+            _cfg(b, ssrdef.F_STRIDE0, 1, 8)
+            _cfg(b, ssrdef.F_WPTR, 1, OUT)
+        b.li("a0", DATA)
+        b.fld("fa2", 128, "a0")
+        b.fld("fa0", 136, "a0")
+        b.emit("ssr.enable")
+        b.li("t1", 7)
+        b.frep_o("t1", len(bodies[case]))
+        for mnem, *regs in bodies[case]:
+            getattr(b, mnem)(*regs)
+        b.emit("ssr.disable")
+        b.fsd("fa0", 0, "a0")
+        b.ret()
+        return b.build(), memory
+
+    return build
+
+
+@pytest.mark.parametrize("case, whole", (("sum", True), ("partial", True),
+                                         ("carried", False),
+                                         ("early", False)))
+def test_frep_replays_over_all_reps_match_scalar(case, whole, monkeypatch):
+    """A replay whose ops read no value carried from the previous rep
+    (but a running ``fadd.d`` sum) is applied to every rep at once; the
+    others replay rep by rep.  Either way each lane — registers, pushes,
+    memory — equals its scalar run bit for bit."""
+    from repro.sim import batch
+
+    replays = []
+    apply_all = batch._Cohort._replay
+    monkeypatch.setattr(batch._Cohort, "_replay",
+                        lambda cohort, *args: replays.append(args)
+                        or apply_all(cohort, *args))
+    engine = _check_cohort(3, CoreConfig(), 10_000, _replay_case(case))
+    assert not any(engine.demoted)
+    assert bool(replays) == whole
+
+
+def _split_store(lane: int):
+    """A loop of register ops, a store and its branch: the store
+    addresses agree for five trips, then lane 1's moves on."""
+    memory = Memory(MEM_SIZE)
+    b = ProgramBuilder()
+    b.li("a0", DATA)
+    b.li("s1", 4 * lane)
+    b.li("t1", 8)
+    b.label("loop")
+    b.addi("a1", "a1", 3)
+    b.xor("a2", "a1", "t1")
+    b.slli("a3", "a2", 4)
+    b.sltiu("a5", "t1", 4)
+    b.sub("a6", "zero", "a5")
+    b.emit("and", "a6", "a6", "s1")
+    b.add("a7", "a0", "a6")
+    b.sw("a3", 0, "a7")
+    b.addi("a0", "a0", 8)
+    b.addi("t1", "t1", -1)
+    b.bnez("t1", "loop")
+    b.ret()
+    return b.build(), memory
+
+
+def test_store_split_inside_a_compiled_stretch():
+    """Lanes part ways at a store inside a stretch the leader runs
+    compiled: the lanes' steps stop there, the leader steps up to the
+    store, and the cohort demotes at it with every lane equal to its
+    scalar run."""
+    with compiled(0) as entries:
+        engine = _check_cohort(2, CoreConfig(), 10_000, _split_store)
+    assert entries and engine.demoted == [True, True]
+    cohort = engine._cohorts[0]
+    assert cohort.ops[cohort.pc].mnemonic == "sw"

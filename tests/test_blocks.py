@@ -16,6 +16,8 @@ key, which must make a run's result independent of what ran before.
 from __future__ import annotations
 
 import json
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -370,6 +372,239 @@ def test_ssr_runs_dry_mid_replay(write):
     assert entries
     sched = machine.sched
     assert sched._ops[sched._pc].mnemonic == "frep.o"
+
+
+def _count(monkeypatch, module, name: str) -> list:
+    """Log the calls of ``module.<name>`` (bound into runs compiled
+    after this)."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _streams(b, streams) -> None:
+    """Arm each ``(ssr, pointer field, base, [(bound, stride), ..],
+    repeat)`` of *streams* and enable SSRs."""
+    for ssr, pointer, base, shape, repeat in streams:
+        _cfg(b, ssrdef.F_STATUS, ssr, len(shape))
+        for dim, (bound, stride) in enumerate(shape):
+            _cfg(b, ssrdef.F_BOUND0 + dim, ssr, bound)
+            _cfg(b, ssrdef.F_STRIDE0 + dim, ssr, stride)
+        _cfg(b, ssrdef.F_REPEAT, ssr, repeat)
+        _cfg(b, pointer, ssr, base)
+    b.emit("ssr.enable")
+
+
+@pytest.mark.parametrize("repeat", (0, 2))
+def test_dim0_wraps_inside_a_compiled_replay(repeat, monkeypatch):
+    """A read and a write stream of 3 x 4 x 2 elements, dim 0 the
+    shortest, feed and take a compiled ``frep`` replay until they run
+    dry: each dim-0 wrap steps through ``SSR.advance`` and the run
+    leaves every mover slot as the per-op path does."""
+    wraps = _count(monkeypatch, blocks, "_stream_wrap")
+
+    def build():
+        b = ProgramBuilder()
+        _streams(b, [(0, ssrdef.F_RPTR, DATA, [(2, 64), (3, 8), (1, 256)],
+                      repeat),
+                     (1, ssrdef.F_WPTR, DATA + 0x800,
+                      [(2, 8), (3, 24), (1, 96)], 0)])
+        b.li("a2", 4)
+        b.label("loop")
+        b.li("t1", 7)
+        b.frep_o("t1", 2)
+        b.fadd_d("fa0", "fa0", "ft0")
+        b.fmul_d("ft1", "fa0", "fa1")
+        b.addi("a2", "a2", -1)
+        b.bnez("a2", "loop")
+        b.emit("ssr.disable")
+        b.ret()
+        memory = Memory(MEM_SIZE)
+        for k in range(0x100):
+            memory.write_f64(DATA + 8 * k, k + 0.25)
+        return b.build(), memory
+    entries, machine, state = check_paths(build)
+    assert entries and wraps
+    assert "exhausted" in state[2]
+    assert any(ssr.seq for ssr in machine.ssrs[:2])
+
+
+def test_integer_fault_with_streams_in_locals():
+    """An ``lw`` walks off the end of memory in a compiled loop that
+    pops a read stream and pushes a write stream: the handler writes
+    both streams back, so every mover slot equals the per-op path's."""
+    def build():
+        b = ProgramBuilder()
+        _streams(b, [(0, ssrdef.F_RPTR, DATA, [(3, 8), (200, 32)], 1),
+                     (1, ssrdef.F_WPTR, 0x2A00, [(300, 8)], 0)])
+        b.li("a0", 0x3800)
+        b.li("a2", 1000)
+        b.label("loop")
+        b.fadd_d("fa0", "fa0", "ft0")
+        b.fmul_d("ft1", "fa0", "ft0")
+        b.lw("t0", 0, "a0")
+        b.addi("a0", "a0", 8)
+        b.addi("a2", "a2", -1)
+        b.bnez("a2", "loop")
+        b.ret()
+        return b.build(), Memory(MEM_SIZE)
+    entries, machine, state = check_paths(build)
+    assert entries and "outside memory" in state[2]
+    assert machine.ssrs[0].seq and machine.ssrs[1].seq
+
+
+@pytest.mark.parametrize("case", ("negative", "past-end", "misaligned",
+                                  "misaligned-write", "past-end-write"))
+def test_stream_address_faults_in_compiled_runs(case):
+    """Stream addresses that turn negative, run past the end of memory
+    or are misaligned fault inside a compiled run with the per-op
+    path's exact message."""
+    base, stride, pointer = {
+        "negative": (0x40, -8, ssrdef.F_RPTR),
+        "past-end": (MEM_SIZE - 0x40, 8, ssrdef.F_RPTR),
+        "misaligned": (DATA + 4, 8, ssrdef.F_RPTR),
+        "misaligned-write": (DATA + 2, 8, ssrdef.F_WPTR),
+        "past-end-write": (MEM_SIZE - 0x40, 8, ssrdef.F_WPTR)}[case]
+
+    def build():
+        b = ProgramBuilder()
+        _streams(b, [(0, pointer, base, [(99, stride)], 0)])
+        b.li("a2", 60)
+        b.label("loop")
+        if pointer == ssrdef.F_RPTR:
+            b.emit("cfcvt.d.wu", "fa0", "ft0")
+        else:
+            b.fadd_d("ft0", "fa0", "fa1")
+        b.fadd_d("fa1", "fa1", "fa0")
+        b.addi("a2", "a2", -1)
+        b.bnez("a2", "loop")
+        b.ret()
+        memory = Memory(MEM_SIZE)
+        for k in range(0, MEM_SIZE, 8):
+            memory.write_u64(k, k * 0x0001_0001_0001 + 3)
+        return b.build(), memory
+    entries, _, state = check_paths(build)
+    assert entries
+    assert ("misaligned" if "misaligned" in case
+            else "outside memory") in state[2]
+
+
+@pytest.mark.parametrize("access", ("sw", "fsd"))
+def test_misaligned_store_mid_run(access):
+    """As :func:`test_misaligned_access_mid_run`, for the stores the
+    compiled code writes through a typed view."""
+    body = (lambda b: b.addi("a3", "a3", 1),
+            lambda b: b.srli("a4", "a3", 7),
+            lambda b: b.slli("a4", "a4", 1),
+            lambda b: b.add("a5", "a0", "a4"),
+            lambda b: b.fmul_d("fa1", "fa1", "fa1"),
+            lambda b: b.emit(access, "t0" if access == "sw" else "fa0", 0,
+                             "a5"))
+    entries, _, state = check_paths(_loop(body, 400), k=blocks.K)
+    assert entries and "misaligned" in state[2]
+
+
+def _copift_like(memory_size: int = MEM_SIZE):
+    """A loop through every access the compiled code writes through a
+    typed view: an integer ``sw`` into a streamed buffer, then
+    ``cfcvt.d.wu``/``cfcvt.d.w`` of the popped doubles, ``lw``,
+    ``fld``/``fsd`` and a pushed result."""
+    def build():
+        b = ProgramBuilder()
+        _streams(b, [(0, ssrdef.F_RPTR, DATA, [(63, 8)], 0),
+                     (1, ssrdef.F_WPTR, 0x3000, [(63, 8)], 0)])
+        b.li("a0", DATA)
+        b.li("a1", 0x2800)
+        b.li("a2", 32)
+        b.li("t2", 0x8000_0003)
+        b.label("loop")
+        b.emit("mulhu", "t3", "t2", "t2")
+        b.sw("t3", 0, "a0")
+        b.sw("t2", 8, "a0")
+        b.addi("t2", "t2", 0x123)
+        b.emit("cfcvt.d.wu", "fa0", "ft0")
+        b.emit("cfcvt.d.w", "fa1", "ft0")
+        b.emit("fcvt.d.w", "fa2", "t2")
+        b.emit("fcvt.d.wu", "fa3", "t3")
+        b.lw("t4", 4, "a0")
+        b.fld("fa4", 0, "a1")
+        b.fadd_d("ft1", "fa0", "fa1")
+        b.fsd("fa4", 8, "a1")
+        b.addi("a0", "a0", 16)
+        b.addi("a1", "a1", 8)
+        b.addi("a2", "a2", -1)
+        b.bnez("a2", "loop")
+        b.emit("ssr.disable")
+        b.ret()
+        memory = Memory(memory_size)
+        for k in range(0, 0x2000, 8):
+            memory.write_u64(DATA + k, (k * 0x9E37_79B9_7F4A_7C15) >> 3)
+        return b.build(), memory
+    return build
+
+
+def test_copift_handoff_through_views():
+    """The integer-to-FP handoff through memory compiles to typed-view
+    accesses and fused low-word conversions, with the per-op results."""
+    sources = []
+    real = blocks.source
+
+    def source(*args):
+        text, names = real(*args)
+        sources.append(text)
+        return text, names
+    blocks.source, saved = source, blocks.source
+    try:
+        entries, _, state = check_paths(_copift_like())
+    finally:
+        blocks.source = saved
+    assert entries and state[1] is type(None)
+    text = "\n".join(sources)
+    assert "I[a >> 2] if 0 <= a < MS" in text       # fused conversions
+    assert "mem.read_u32" in text and "D[a >> 3] = " in text
+    assert "C" not in re.findall(r"\b[A-Z]+(?=\d+\()", text)
+
+
+def test_memory_without_views_runs_compiled():
+    """A memory whose size is not a multiple of 8 gets no views: every
+    access takes the Memory method, with the per-op results."""
+    entries, machine, state = check_paths(_copift_like(0x4004))
+    assert entries and state[1] is type(None)
+    assert machine.sched._views == (None, None, 0)
+
+
+def test_no_views_on_a_big_endian_host(monkeypatch):
+    """With the byte-order flag off, compiled runs name no view and
+    give the per-op results."""
+    monkeypatch.setattr(blocks, "VIEWS", False)
+    sources = []
+    real = blocks.source
+
+    def source(*args):
+        text, names = real(*args)
+        sources.append(text)
+        return text, names
+    monkeypatch.setattr(blocks, "source", source)
+    entries, machine, state = check_paths(_copift_like())
+    assert entries and sources and state[1] is type(None)
+    names = set(re.findall(r"[A-Za-z_]\w*", "\n".join(sources)))
+    assert not names & {"D", "I", "MS"}
+    assert machine.sched._views == (None, None, 0)
+
+
+def test_memory_pickles_after_a_compiled_run():
+    """The views live on the scheduler, not on ``Memory``: a machine's
+    memory still pickles, and round-trips, after a compiled run."""
+    _, machine, _ = check_paths(_copift_like())
+    assert machine.sched._views[0] is not None
+    memory = pickle.loads(pickle.dumps(machine.memory))
+    assert memory.size == machine.memory.size
+    assert memory.data == machine.memory.data
 
 
 _LATENCIES = {**DEFAULT_LATENCIES, OpClass.ALU: 2, OpClass.LOAD: 3,

@@ -13,6 +13,9 @@ steps past the fault's turn, which the per-op order had not reached.
 
 from __future__ import annotations
 
+import copy
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterConfig, ClusterMachine
 from repro.isa import ProgramBuilder
 from repro.sim import Memory, SimulationError, blocks
+from repro.sim import ssr as ssrdef
+from repro.sim.scheduler import Scheduler
 from repro.soc import SocConfig, SocMachine
 
 from programs import CLUSTER_MEM, assert_claims_logged, cluster_programs, \
@@ -104,3 +109,73 @@ def test_fault_run_ahead_is_held_until_its_turn(k):
     assert state[0][:2] == [SimulationError,
                             "mark label must end in _start/_end: 'oops'"]
     assert (log, state[0]) == (ref_log, ref_state[0])
+
+
+def _core_state(sched) -> tuple:
+    """One core's registers and SSR movers, copied."""
+    core = sched.m
+    return (sched._core_id, list(core.iregs),
+            [struct.pack("<d", v) for v in core.fregs],
+            copy.deepcopy([[getattr(ssr, name) for name in ssr.__slots__]
+                           for ssr in core.ssrs]))
+
+
+def test_yield_with_a_read_stream_in_locals(monkeypatch):
+    """Two cores pop an armed read stream and push a write stream over
+    the banks they share, so each compiled run waits mid-run at the
+    horizon with its streams in locals and resumes.  While it waits,
+    its registers and movers are a state the per-op driver passes
+    through (the locals were written back before the yield), and the
+    run-ahead driver ends with every core's movers, the claims and
+    memory as the per-op driver does."""
+    waits, steps = [], []
+    drain, step = Scheduler.drain, Scheduler.step
+
+    def drain_and_note(sched, *args):
+        drain(sched, *args)
+        if sched._waiting is not None and sched.m.ssrs[0].armed:
+            waits.append(_core_state(sched))
+
+    def step_and_note(sched):
+        more = step(sched)
+        steps.append(_core_state(sched))
+        return more
+    monkeypatch.setattr(Scheduler, "drain", drain_and_note)
+    monkeypatch.setattr(Scheduler, "step", step_and_note)
+
+    def build(core):
+        b = ProgramBuilder()
+        base = 0x400 + 0x800 * core
+        for field, value in ((ssrdef.F_STATUS, 2), (ssrdef.F_BOUND0, 2),
+                             (ssrdef.F_STRIDE0, 16), (ssrdef.F_BOUND1, 40),
+                             (ssrdef.F_STRIDE1, 48), (ssrdef.F_RPTR, base)):
+            b.li("t0", value)
+            b.scfgwi("t0", ssrdef.encode_cfg_imm(field, 0))
+        for field, value in ((ssrdef.F_BOUND0, 99), (ssrdef.F_STRIDE0, 8),
+                             (ssrdef.F_WPTR, base + 0x600)):
+            b.li("t0", value)
+            b.scfgwi("t0", ssrdef.encode_cfg_imm(field, 1))
+        b.emit("ssr.enable")
+        b.li("a0", base)
+        b.li("a2", 30)
+        b.label("loop")
+        b.fadd_d("fa0", "fa0", "ft0")
+        b.lw("t1", 0, "a0")
+        b.fmul_d("ft1", "fa0", "ft0")
+        b.addi("t1", "t1", 1)
+        b.sw("t1", 8, "a0")
+        b.fadd_d("fa1", "fa1", "ft0")
+        b.addi("a0", "a0", 16)
+        b.addi("a2", "a2", -1)
+        b.bnez("a2", "loop")
+        b.emit("ssr.disable")
+        b.ret()
+        return b.build()
+
+    log, state = _outcome("cluster:2", build, 200_000_000, 0, per_op=False)
+    steps.clear()
+    ref_log, ref_state = _outcome("cluster:2", build, 200_000_000, 0,
+                                  per_op=True)
+    assert (log, state) == (ref_log, ref_state)
+    assert state[0][0] is type(None) and len(waits) > 10
+    assert all(wait in steps for wait in waits)

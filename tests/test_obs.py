@@ -337,6 +337,52 @@ class TestHistogram:
         assert left.count == 6
         assert not left.exact             # only 4 samples retained
 
+    @pytest.mark.parametrize("cap", (1 << 16, 8))
+    def test_percentiles_sort_once_per_sample(self, cap, monkeypatch):
+        """``collect`` reads p50, p95 and p99: they equal a fresh sort's
+        in exact and bucket modes, and each histogram sorts at most once
+        between one record or merge and the next."""
+        import builtins
+
+        real_sorted = builtins.sorted
+        sorts = []
+
+        def counting_sorted(iterable, *args, **kwargs):
+            sorts.append(1)
+            return real_sorted(iterable, *args, **kwargs)
+
+        def reference(hist, q):
+            rank = max(-(-q * hist.count // 100), 1)
+            if hist.exact:
+                return real_sorted(hist._samples)[rank - 1]
+            seen = 0
+            for edge in real_sorted(hist.buckets):
+                seen += hist.buckets[edge]
+                if seen >= rank:
+                    return edge
+
+        hist = Histogram(sample_cap=cap)
+        registry = MetricsRegistry()
+        registry.register(Metric("latency", "cycles", "latency",
+                                 lambda r: hist, kind="histogram"))
+        for step in range(30):
+            if step == 12:
+                other = Histogram(sample_cap=cap)
+                other.record(5000)
+                hist.merge(other)
+            else:
+                hist.record((step * 7919) % 1009)
+            monkeypatch.setattr(builtins, "sorted", counting_sorted)
+            out = [registry.collect(object()) for _ in range(2)]
+            monkeypatch.setattr(builtins, "sorted", real_sorted)
+            assert len(sorts) == 1
+            sorts.clear()
+            assert out[0] == out[1] == {
+                "latency.count": step + 1,
+                **{f"latency.p{q}": reference(hist, q)
+                   for q in (50, 95, 99)}}
+        assert hist.exact == (cap > 30)
+
     def test_to_json_is_stable(self):
         hist = Histogram()
         for value in (3, 1, 7):
