@@ -708,30 +708,18 @@ class _Cohort:
 
             def update():
                 mask(fn(a), _MASK32, out=out)
-        elif mnem in vo.CANON_RR:
-            ufunc = vo.CANON_RR[mnem]
-            a = cols[operands[1].index]
-            b = cols[operands[2].index]
-            out = cols[dest]
-
-            def update():
-                ufunc(a, b, out=out)
         elif mnem in vo.VEC_RR:
             fn = vo.VEC_RR[mnem]
             a = cols[operands[1].index]
             b = cols[operands[2].index]
             out = cols[dest]
 
-            def update():
-                mask(fn(a, b), _MASK32, out=out)
-        elif mnem in vo.CANON_RI:
-            ufunc, operand = vo.CANON_RI[mnem]
-            operand = operand(imm)
-            a = cols[operands[1].index]
-            out = cols[dest]
-
-            def update():
-                ufunc(a, operand, out=out)
+            if mnem in vo.UNMASKED:
+                def update():
+                    fn(a, b, out=out)
+            else:
+                def update():
+                    mask(fn(a, b), _MASK32, out=out)
         elif mnem in vo.VEC_RI:
             fn = vo.VEC_RI[mnem]
             a = cols[operands[1].index]

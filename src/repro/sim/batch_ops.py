@@ -16,7 +16,8 @@ Scheduler`, which stays the golden reference.
 Integer convention: register values live in ``int64`` arrays holding
 canonical unsigned words (``0 <= v <= 2**32 - 1``).  Table entries may
 return values outside that range; the engine masks results with
-``& 0xFFFF_FFFF`` exactly where the scalar binders do.  All
+``& 0xFFFF_FFFF`` exactly where the scalar binders do (``UNMASKED``
+ops map canonical words to canonical words and skip the mask).  All
 intermediates provably fit in int64 (the widest, ``mulhu``, wraps mod
 2**64 in numpy — and ``((a*b) mod 2**64 as signed) >> 32 & MASK``
 equals ``(a*b) >> 32 & MASK`` for 32-bit inputs, so wraparound is
@@ -65,9 +66,9 @@ def _u32i(imm: int) -> int:
 VEC_RR = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
+    "and": np.bitwise_and,
+    "or": np.bitwise_or,
+    "xor": np.bitwise_xor,
     "sll": lambda a, b: a << (b & 31),
     "srl": lambda a, b: a >> (b & 31),
     "sra": lambda a, b: s32v(a) >> (b & 31),
@@ -79,6 +80,10 @@ VEC_RR = {
     "mulhsu": lambda a, b: (s32v(a) * b) >> 32,
 }
 
+#: The VEC_RR ufuncs whose result on canonical words is canonical: the
+#: engine applies them straight into the destination column, unmasked.
+UNMASKED = frozenset({"and", "or", "xor"})
+
 VEC_RI = {
     "addi": lambda a, imm: a + imm,
     "andi": lambda a, imm: a & _u32i(imm),
@@ -89,23 +94,6 @@ VEC_RI = {
     "srai": lambda a, imm: s32v(a) >> (imm & 31),
     "slti": lambda a, imm: (s32v(a) < imm).astype(np.int64),
     "sltiu": lambda a, imm: (a < _u32i(imm)).astype(np.int64),
-}
-
-#: The ops whose result on canonical words is a canonical word, as
-#: numpy ufuncs the engine applies straight into the destination
-#: column, unmasked.  Register-immediate entries carry the transform
-#: their ``VEC_RI`` lambda applies to the immediate.
-CANON_RR = {
-    "and": np.bitwise_and,
-    "or": np.bitwise_or,
-    "xor": np.bitwise_xor,
-}
-
-CANON_RI = {
-    "andi": (np.bitwise_and, _u32i),
-    "ori": (np.bitwise_or, _u32i),
-    "xori": (np.bitwise_xor, _u32i),
-    "srli": (np.right_shift, lambda imm: imm & 31),
 }
 
 #: No register operands; the result is a compile-time constant.

@@ -209,8 +209,8 @@ class Run:
     steps, up to the next such op, before it checks the horizon
     again."""
 
-    __slots__ = ("ops", "head", "end", "steps", "frep", "sens", "heat",
-                 "fns", "shared", "span")
+    __slots__ = ("ops", "head", "end", "steps", "frep", "sens", "pops",
+                 "pushes", "heat", "fns", "shared", "span")
 
     def __init__(self, ops: list, head: int, top: list, end: int, cfg,
                  hot: bool, shared=None) -> None:
@@ -226,11 +226,14 @@ class Run:
                               if i and shared(op)), self.steps)
         fp_ops = [op for op in top if op.kind == K_FP] + list(
             self.frep.frep_body if self.frep is not None else ())
-        self.sens = sorted({
-            idx for op in fp_ops
-            for idx in [i for is_fp, i in op.gather if is_fp]
-            + [op.dest_idx] * (op.fp_op == F_COMPUTE)
-            if idx < cfg.ssr_count})
+        #: The stream registers the run's FP ops read (pops) and write
+        #: (pushes), and both: the registers its stream state covers.
+        self.pops = {idx for op in fp_ops for is_fp, idx in op.gather
+                     if is_fp and idx < cfg.ssr_count}
+        self.pushes = {op.dest_idx for op in fp_ops
+                       if op.fp_op == F_COMPUTE
+                       and op.dest_idx < cfg.ssr_count}
+        self.sens = sorted(self.pops | self.pushes)
         self.heat = 0
         self.fns = {} if hot and top else None
 
@@ -450,15 +453,11 @@ class _Writer:
                              if s in (_READ, _GATHER)],
                             [i for i, s in self.streams.items()
                              if s == _WRITE])
-        fp_ops = [op for op in run.ops if op.kind == K_FP] + list(
-            run.frep.frep_body if run.frep is not None else ())
         #: The armed affine streams the run pops or pushes: kept in
         #: locals (``_stream_load``) and written back at every exit.
         self.affine = sorted(
-            {idx for op in fp_ops for is_fp, idx in op.gather
-             if is_fp and self.streams.get(idx) == _READ}
-            | {op.dest_idx for op in fp_ops if op.fp_op == F_COMPUTE
-               and self.streams.get(op.dest_idx) == _WRITE})
+            {i for i in run.pops if self.streams[i] == _READ}
+            | {i for i in run.pushes if self.streams[i] == _WRITE})
         self.views = VIEWS
         self.lines: list[str] = []
         self.indent = "        "
